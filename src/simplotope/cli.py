@@ -26,17 +26,24 @@ from .trisquare import construction_stages, lower_bound_10_argument, minimal_tri
 from .verifier import TriangulationCandidate, verify
 
 
+class UsageError(Exception):
+    """Bad input on the command line; main reports it in one line, exit code 2."""
+
+
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        print(f"error: {what} must be comma-separated integers, got {text!r}", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
 def _vtable(args) -> VTable:
-    caps = load_cube_caps(args.config) if getattr(args, "config", None) else None
-    return VTable(caps) if caps is not None else VTable()
+    if not getattr(args, "config", None):
+        return VTable()
+    try:
+        return VTable(load_cube_caps(args.config))
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read --config {args.config}: {exc}") from exc
 
 
 def _load_memo(path) -> None:
@@ -55,6 +62,10 @@ def _save_memo(path) -> None:
 
 
 def cmd_bounds(args) -> int:
+    for flag, value in (("--max-s", args.max_s), ("--max-t", args.max_t),
+                        ("--dim-cap", args.dim_cap)):
+        if value < 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
     vtable = _vtable(args)
     if args.memo_cache:
         _load_memo(args.memo_cache)
@@ -249,7 +260,11 @@ def main(argv=None) -> int:
     if args.command == "vmax" and not args.spec and (args.s is None or args.t is None):
         print("error: vmax needs --spec s,t or both --s and --t", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

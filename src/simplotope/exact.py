@@ -1,15 +1,30 @@
-"""Exact numeric kernel: integer determinants and a rational simplex LP solver.
+"""Exact numeric kernel: integer determinants and an integer simplex LP solver.
 
 Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always normalized, positive denominator).  The
 determinant uses fraction-free Bareiss elimination, so intermediate values
-stay integral.  The LP solver is a dense two-phase simplex over the
-rationals with Bland's least-index rule, which guarantees termination on
-the small, often degenerate programs this package produces.
+stay integral.
+
+The LP solver is a dense two-phase simplex with Bland's least-index rule,
+which guarantees termination on the small, often degenerate programs this
+package produces.  Its tableau is fraction-free as well (the Bareiss/Edmonds
+common-denominator form): each constraint row is scaled to integers, and the
+solver keeps an integer tableau T with one denominator D > 0 for every entry,
+so the rational tableau is T / D.  D is the absolute determinant of the
+current basis matrix, and by Cramer's rule every T[i][j] is plus or minus a
+minor of the integer constraint matrix (the basis with one column replaced).
+Pivoting on (r, c) with p = T[r][c] keeps row r, sets D to p and replaces
+every other row by (T[i][j]·p − T[i][c]·T[r][j]) / D.  That division is exact
+because, by Sylvester's determinant identity (Bareiss's argument), the
+quotient is the corresponding minor for the new basis, an integer.  A
+negative p negates all rows, which keeps D positive.  Reduced costs and
+ratio tests compare integers; ``Fraction`` appears only in the returned value
+and solution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -92,10 +107,12 @@ def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]
     for j in range(n):
         e = [Fraction(1 if i == j else 0) for i in range(n)]
         col = solve_rational(rows, e)
-        assert col is not None
+        if col is None:
+            raise RuntimeError("solve_rational reported a nonsingular matrix singular")
         for i in range(n):
             v = col[i] * d
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise RuntimeError("adjugate entry is not an integer")
             adj[i][j] = v.numerator
     return d, adj
 
@@ -128,50 +145,70 @@ class LpResult:
 
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    inv = 1 / tab[row][col]
-    tab[row] = [x * inv for x in tab[row]]
+def _pivot(tab: list[list[int]], basis: list[int], d: int, row: int, col: int) -> int:
+    """Pivot the integer tableau over denominator d on (row, col); return the new one.
+
+    Every other row i becomes (T[i]·p − T[i][col]·T[row]) / d with p = T[row][col],
+    an exact division; the pivot row stays and p becomes the denominator.  A
+    negative p (only an artificial drive-out picks one) negates every row so
+    that the denominator stays positive.
+    """
+    p = tab[row][col]
     prow = tab[row]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
+    for i, line in enumerate(tab):
+        if i == row:
+            continue
+        f = line[col]
+        if f:
+            tab[i] = [(x * p - f * y) // d for x, y in zip(line, prow)]
+        elif p != d:
+            tab[i] = [x * p // d for x in line]
     basis[row] = col
+    if p < 0:
+        tab[:] = [[-x for x in line] for line in tab]
+        p = -p
+    return p
 
 
-def _simplex_phase(tab: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> str:
-    """Minimize cost over the tableau in place; Bland's rule, so it terminates."""
-    m = len(tab)
+def _simplex_phase(tab: list[list[int]], basis: list[int], d: int,
+                   cost: list[int]) -> tuple[str, int]:
+    """Minimize cost over the tableau in place; Bland's rule, so it terminates.
+
+    Returns the status and the final denominator.
+    """
     ncols = len(tab[0]) - 1
     while True:
-        # reduced costs: c_j - c_B . (column j)
-        cb = [cost[b] for b in basis]
+        # reduced cost of column j, times d > 0: c_j·d − Σ_i c_B(i)·T[i][j]
+        priced = [(cost[b], line) for b, line in zip(basis, tab) if cost[b]]
         entering = -1
         for j in range(ncols):
-            rc = cost[j]
-            for i in range(m):
-                if tab[i][j] != 0 and cb[i] != 0:
-                    rc -= cb[i] * tab[i][j]
-            if rc < 0:
+            if cost[j] * d < sum(cb * line[j] for cb, line in priced):
                 entering = j
                 break
         if entering < 0:
-            return OPTIMAL
+            return OPTIMAL, d
+        # ratio test T[i][-1] / T[i][entering] by cross-multiplication (d cancels)
         leaving = -1
-        best = None
-        for i in range(m):
-            a = tab[i][entering]
+        for i, line in enumerate(tab):
+            a = line[entering]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+                if leaving < 0:
+                    leaving = i
+                    continue
+                lhs = line[-1] * tab[leaving][entering]
+                rhs = tab[leaving][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
-            return UNBOUNDED
-        _pivot(tab, basis, leaving, entering)
+            return UNBOUNDED, d
+        d = _pivot(tab, basis, d, leaving, entering)
+
+
+def _scaled(values, scale: int) -> list[int]:
+    """Rationals (or ints) times a common multiple of their denominators."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def lp_minimize(problem: LpProblem) -> LpResult:
@@ -189,47 +226,52 @@ def lp_minimize(problem: LpProblem) -> LpResult:
         return LpResult(OPTIMAL, ZERO, (ZERO,) * n)
 
     # Standard form: row . x - surplus = rhs, then flip rows to get rhs >= 0.
-    # Columns: n structural, m surplus, m artificial, then the rhs.
-    ncols = n + 2 * m
-    tab: list[list[Fraction]] = []
+    # Columns: n structural, m surplus, m artificial, then the rhs.  Row i is
+    # scaled by the lcm L_i of its denominators, which makes its surplus and
+    # artificial stand for L_i times the unscaled ones.
+    tab: list[list[int]] = []
+    scales = []
     for i, (row, rhs) in enumerate(problem.constraints):
-        line = [ZERO] * (ncols + 1)
-        sgn = ONE if rhs >= 0 else -ONE
-        for j, c in enumerate(row):
-            line[j] = sgn * c
+        scale = math.lcm(rhs.denominator, *(c.denominator for c in row))
+        sgn = 1 if rhs >= 0 else -1
+        *coeffs, b = (sgn * v for v in _scaled((*row, rhs), scale))
+        line = coeffs + [0] * (2 * m) + [b]
         line[n + i] = -sgn
-        line[n + m + i] = ONE
-        line[ncols] = sgn * rhs
+        line[n + m + i] = 1
         tab.append(line)
+        scales.append(scale)
     basis = [n + m + i for i in range(m)]
 
-    phase1 = [ZERO] * ncols
-    for i in range(m):
-        phase1[n + m + i] = ONE
-    status = _simplex_phase(tab, basis, phase1)
-    assert status == OPTIMAL  # phase 1 is bounded below by 0
-    p1value = sum((tab[i][-1] for i in range(m) if basis[i] >= n + m), ZERO)
-    if p1value != 0:
+    # Weighting artificial i by lcm(L)/L_i minimizes the unscaled sum of
+    # artificials: every reduced cost and ratio keeps its sign and order, so
+    # the pivots are those of the unscaled rational tableau.
+    common = math.lcm(*scales)
+    phase1 = [0] * (n + m) + [common // scale for scale in scales]
+    status, d = _simplex_phase(tab, basis, 1, phase1)
+    if status != OPTIMAL:
+        raise RuntimeError("phase 1 came out unbounded, but it is bounded below by 0")
+    if sum(line[-1] for line, b in zip(tab, basis) if b >= n + m) != 0:
         return LpResult(INFEASIBLE, None, None)
     # Drive any residual zero-level artificials out of the basis.
     for i in range(m):
         if basis[i] >= n + m:
             for j in range(n + m):
                 if tab[i][j] != 0:
-                    _pivot(tab, basis, i, j)
+                    d = _pivot(tab, basis, d, i, j)
                     break
-    # Artificials stay as dead columns; forbid re-entry via infinite-ish cost.
-    phase2 = [Fraction(c) for c in problem.objective] + [ZERO] * m
+    # Artificials leave the tableau, with any row still holding one.
+    obj_scale = math.lcm(*(c.denominator for c in problem.objective))
+    phase2 = _scaled(problem.objective, obj_scale) + [0] * m
     live = n + m
     rows_keep = [i for i in range(m) if basis[i] < live]
     tab = [tab[i][:live] + [tab[i][-1]] for i in rows_keep]
     basis = [basis[i] for i in rows_keep]
-    status = _simplex_phase(tab, basis, phase2)
+    status, d = _simplex_phase(tab, basis, d, phase2)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
     x = [ZERO] * n
-    for i, b in enumerate(basis):
+    for line, b in zip(tab, basis):
         if b < n:
-            x[b] = tab[i][-1]
+            x[b] = Fraction(line[-1], d)
     value = sum((c * v for c, v in zip(problem.objective, x)), ZERO)
     return LpResult(OPTIMAL, value, tuple(x))

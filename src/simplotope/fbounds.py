@@ -147,11 +147,14 @@ def _brute_force_vmax(s: int, t: int) -> int:
         if dets[pos] > best:
             best = float(dets[pos])
             best_subset = chunk[pos]
-    assert best_subset is not None
+    if best_subset is None:
+        raise RuntimeError(f"no {k}-subset of vertices scanned for V({s},{t})")
     value = round(best)
-    assert abs(best - value) < 1e-6
+    if abs(best - value) >= 1e-6:
+        raise RuntimeError(f"float determinant {best} for V({s},{t}) is not near an integer")
     rows = [(1,) + verts[i].reduced(pivot) for i in best_subset]
-    assert abs(det(rows)) == value
+    if abs(det(rows)) != value:
+        raise RuntimeError(f"exact recheck of V({s},{t}) disagrees with the float scan")
     return value
 
 

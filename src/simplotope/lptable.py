@@ -39,7 +39,6 @@ class BoundCell:
     v_used: int
     v_provenance: str
     n_constraints: int
-    memo_hits: tuple[FKey, ...]
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,8 @@ def constraint_pairs(s: int, t: int) -> list[tuple[int, int]]:
             if (sp, tp) != (0, 0)]
 
 
-def build_lp(s: int, t: int, memo: FMemo | None = None, vtable: VTable | None = None,
-             hit_log: list[FKey] | None = None) -> LpProblem:
+def build_lp(s: int, t: int, memo: FMemo | None = None,
+             vtable: VTable | None = None) -> LpProblem:
     """Assemble the cover inequalities for (s, t) as an exact LP."""
     if s < 0 or t < 0 or s + 2 * t < 1:
         raise ValueError("the LP needs a positive-dimensional simplotope")
@@ -105,10 +104,7 @@ def build_lp(s: int, t: int, memo: FMemo | None = None, vtable: VTable | None = 
         fact = math.factorial(sp + 2 * tp)
         coeffs = []
         for c in range(1, v + 1):
-            key = FKey(s, t, c, sp, tp, c)
-            if hit_log is not None and memo.lookup(key) is not None:
-                hit_log.append(key)
-            coeffs.append(Fraction(c * f_bound(key, memo, vtable)))
+            coeffs.append(Fraction(c * f_bound(FKey(s, t, c, sp, tp, c), memo, vtable)))
         rhs = Fraction(q_count(QQuery(s, t, sp, tp)) * fact, 2 ** tp)
         if rhs > 0 and all(co == 0 for co in coeffs):
             raise InconsistentCellError(
@@ -123,8 +119,7 @@ def solve_cell(s: int, t: int, memo: FMemo | None = None,
     """Exact LP optimum for one (s, t) cell; the bound is its ceiling."""
     memo = memo if memo is not None else DEFAULT_MEMO
     vtable = vtable or DEFAULT_VTABLE
-    hits: list[FKey] = []
-    problem = build_lp(s, t, memo, vtable, hit_log=hits)
+    problem = build_lp(s, t, memo, vtable)
     result = lp_minimize(problem)
     if result.status != OPTIMAL:
         raise RuntimeError(f"cell ({s},{t}) unexpectedly {result.status}")
@@ -137,7 +132,6 @@ def solve_cell(s: int, t: int, memo: FMemo | None = None,
         v_used=entry.value,
         v_provenance=entry.provenance,
         n_constraints=len(problem.constraints),
-        memo_hits=tuple(hits),
     )
 
 
@@ -157,7 +151,7 @@ def bounds_table(max_s: int, max_t: int, dim_cap: int,
                 continue
             if s == 0 and t == 0:
                 # the empty product is a point; one 0-simplex covers it
-                cells.append(BoundCell(0, 0, Fraction(1), 1, 1, "brute-forced", 0, ()))
+                cells.append(BoundCell(0, 0, Fraction(1), 1, 1, "brute-forced", 0))
                 continue
             try:
                 cells.append(solve_cell(s, t, memo, vtable))

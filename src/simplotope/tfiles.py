@@ -55,13 +55,20 @@ def _vertex_from_reduced(spec: SimplotopeSpec, flat: Sequence[int],
 
 
 def candidate_from_dict(doc: dict) -> TriangulationCandidate:
+    if not isinstance(doc, dict):
+        raise TriangulationFileError("the document must be a JSON object")
     try:
-        factors = tuple(int(c) for c in doc["factors"])
+        factors = doc["factors"]
         coords = doc["coords"]
         raw = doc["simplices"]
     except KeyError as exc:
         raise TriangulationFileError(f"missing field {exc}") from exc
-    spec = SimplotopeSpec(factors)
+    if not isinstance(factors, list) or any(type(c) is not int for c in factors):
+        raise TriangulationFileError(f"factors must be a list of integers, got {factors!r}")
+    try:
+        spec = SimplotopeSpec(tuple(factors))
+    except ValueError as exc:
+        raise TriangulationFileError(f"factors {factors}: {exc}") from exc
     if coords == "standard":
         decode = lambda flat: _vertex_from_standard(spec, flat)
     elif coords == "reduced":
@@ -75,7 +82,11 @@ def candidate_from_dict(doc: dict) -> TriangulationCandidate:
     for k, vlist in enumerate(raw):
         if len(vlist) != spec.dim + 1:
             raise TriangulationFileError(f"simplex {k} has {len(vlist)} vertices, expected {spec.dim + 1}")
-        simplices.append(VertexSimplex(spec, [decode(flat) for flat in vlist]))
+        vertices = [decode(flat) for flat in vlist]
+        try:
+            simplices.append(VertexSimplex(spec, vertices))
+        except ValueError as exc:
+            raise TriangulationFileError(f"simplex {k}: {exc}") from exc
     return TriangulationCandidate(spec, tuple(simplices))
 
 

@@ -220,7 +220,8 @@ def interiors_overlap(a: VertexSimplex, b: VertexSimplex) -> bool:
     result = lp_minimize(LpProblem.build(objective, rows))
     if result.status == INFEASIBLE:
         return False
-    assert result.status == OPTIMAL
+    if result.status != OPTIMAL:
+        raise RuntimeError(f"overlap LP came out {result.status}, but z is bounded by 1")
     return result.value < 0
 
 

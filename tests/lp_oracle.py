@@ -1,0 +1,107 @@
+"""Reference LP oracle: the dense two-phase simplex over ``Fraction``.
+
+This is the rational tableau the integer kernel in ``simplotope.exact``
+replaced.  It pivots on the same columns and rows (same standard form, same
+phases, Bland's rule with the same leaving-row tie-break, same artificial
+drive-out), so the two must agree on status, value and solution exactly.
+It is kept only for the tests to compare against.
+"""
+
+from fractions import Fraction
+
+from simplotope.exact import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpResult
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    inv = 1 / tab[row][col]
+    tab[row] = [x * inv for x in tab[row]]
+    prow = tab[row]
+    for i in range(len(tab)):
+        if i != row and tab[i][col] != 0:
+            f = tab[i][col]
+            tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
+    basis[row] = col
+
+
+def _simplex_phase(tab: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> str:
+    m = len(tab)
+    ncols = len(tab[0]) - 1
+    while True:
+        cb = [cost[b] for b in basis]
+        entering = -1
+        for j in range(ncols):
+            rc = cost[j]
+            for i in range(m):
+                if tab[i][j] != 0 and cb[i] != 0:
+                    rc -= cb[i] * tab[i][j]
+            if rc < 0:
+                entering = j
+                break
+        if entering < 0:
+            return OPTIMAL
+        leaving = -1
+        best = None
+        for i in range(m):
+            a = tab[i][entering]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            return UNBOUNDED
+        _pivot(tab, basis, leaving, entering)
+
+
+def fraction_lp_minimize(problem: LpProblem) -> LpResult:
+    """The same contract as ``simplotope.exact.lp_minimize``."""
+    n = len(problem.objective)
+    m = len(problem.constraints)
+    if m == 0:
+        if any(c < 0 for c in problem.objective):
+            return LpResult(UNBOUNDED, None, None)
+        return LpResult(OPTIMAL, ZERO, (ZERO,) * n)
+
+    ncols = n + 2 * m
+    tab: list[list[Fraction]] = []
+    for i, (row, rhs) in enumerate(problem.constraints):
+        line = [ZERO] * (ncols + 1)
+        sgn = ONE if rhs >= 0 else -ONE
+        for j, c in enumerate(row):
+            line[j] = sgn * c
+        line[n + i] = -sgn
+        line[n + m + i] = ONE
+        line[ncols] = sgn * rhs
+        tab.append(line)
+    basis = [n + m + i for i in range(m)]
+
+    phase1 = [ZERO] * ncols
+    for i in range(m):
+        phase1[n + m + i] = ONE
+    if _simplex_phase(tab, basis, phase1) != OPTIMAL:
+        raise RuntimeError("phase 1 is bounded below by 0")
+    p1value = sum((tab[i][-1] for i in range(m) if basis[i] >= n + m), ZERO)
+    if p1value != 0:
+        return LpResult(INFEASIBLE, None, None)
+    for i in range(m):
+        if basis[i] >= n + m:
+            for j in range(n + m):
+                if tab[i][j] != 0:
+                    _pivot(tab, basis, i, j)
+                    break
+    phase2 = [Fraction(c) for c in problem.objective] + [ZERO] * m
+    live = n + m
+    rows_keep = [i for i in range(m) if basis[i] < live]
+    tab = [tab[i][:live] + [tab[i][-1]] for i in rows_keep]
+    basis = [basis[i] for i in rows_keep]
+    if _simplex_phase(tab, basis, phase2) == UNBOUNDED:
+        return LpResult(UNBOUNDED, None, None)
+    x = [ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = tab[i][-1]
+    value = sum((c * v for c, v in zip(problem.objective, x)), ZERO)
+    return LpResult(OPTIMAL, value, tuple(x))

@@ -159,3 +159,23 @@ def test_standard_single_segment(capsys):
     assert code == 0
     assert "1 simplices" in err
     assert json.loads(out)["simplices"] == [[[1, 0], [0, 1]]]
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ([1, 2, 3], None),
+    ({"factors": [0], "coords": "standard", "simplices": []}, None),
+    ({"factors": [1.5, "x"], "coords": "standard", "simplices": []}, None),
+    ({"factors": [1, 1], "coords": "standard",
+      "simplices": [[[1, 0, 1, 0], [1, 0, 1, 0], [1, 0, 0, 1]]]}, None),
+    (None, ["bounds", "--max-t", "-1"]),
+    (None, ["bounds", "--config", "/nonexistent/caps.txt"]),
+], ids=["top-level-list", "zero-factor", "non-integer-factors", "repeated-vertex",
+        "negative-max-t", "missing-config"])
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, doc, argv):
+    if argv is None:
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(doc))
+        argv = ["verify", "--input", str(f)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,4 +1,4 @@
-"""Exact kernel: determinants and the rational LP solver."""
+"""Exact kernel: determinants and the integer LP solver."""
 
 import itertools
 import random
@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import simplotope.exact as exact
+import simplotope.verifier as verifier
+from lp_oracle import fraction_lp_minimize
 from simplotope.exact import (
     INFEASIBLE,
     OPTIMAL,
@@ -127,3 +130,101 @@ def test_lp_degenerate_terminates():
 def test_lp_no_constraints():
     r = lp_minimize(LpProblem.build([1, 1], []))
     assert r.status == OPTIMAL and r.value == 0
+
+
+def test_pivot_on_negative_element():
+    # p = -3: the other row becomes (T[1]*p - T[1][1]*T[0]) / d, then every
+    # row is negated so the denominator stays positive; T / d is the rational
+    # tableau after the pivot: row 0 = (-2/3, 1, -1/3), row 1 = (11/3, 0, 19/3)
+    tab = [[2, -3, 1], [1, 4, 5]]
+    basis = [5, 6]
+    d = exact._pivot(tab, basis, 1, 0, 1)
+    assert d == 3
+    assert tab == [[-2, 3, -1], [11, 0, 19]]
+    assert basis == [1, 6]
+
+
+def test_lp_drive_out_pivots_on_negative_element(monkeypatch):
+    # the split equality x1 = x2 leaves an artificial at level 0 in the basis
+    # after phase 1; driving it out pivots on a negative entry
+    pivots = []
+    real_pivot = exact._pivot
+
+    def spy(tab, basis, d, row, col):
+        pivots.append(tab[row][col])
+        return real_pivot(tab, basis, d, row, col)
+
+    monkeypatch.setattr(exact, "_pivot", spy)
+    problem = LpProblem.build([1, 1], [([1, -1], 0), ([-1, 1], 0), ([1, 1], 2)])
+    r = lp_minimize(problem)
+    assert any(p < 0 for p in pivots)
+    assert r.status == OPTIMAL and r.value == 2 and r.solution == (1, 1)
+    assert r == fraction_lp_minimize(problem)
+
+
+def test_lp_phase1_weights_match_unscaled_rows():
+    # rows with different denominators get different integer scales; phase 1
+    # must still minimize the unscaled sum of artificials, or it stops at
+    # another feasible basis and phase 2 reports another optimal vertex
+    F = Fraction
+    problem = LpProblem.build([2, 0], [
+        ([-3, 3], F(1, 2)), ([4, F(1, 4)], F(-4, 3)), ([-4, F(-3, 4)], -1),
+        ([F(1, 2), F(-1, 2)], -2), ([3, F(1, 3)], -1), ([F(-3, 4), F(4, 3)], -1)])
+    r = lp_minimize(problem)
+    assert r.status == OPTIMAL and r.value == 0 and r.solution == (0, F(1, 6))
+    assert r == fraction_lp_minimize(problem)
+
+
+def _random_lp(rng: random.Random) -> LpProblem:
+    """Small LPs with negative and fractional entries and split equalities."""
+    def num():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 4)))
+
+    n = rng.randint(1, 6)
+    cons = []
+    for _ in range(rng.randint(1, 6)):
+        row, rhs = [num() for _ in range(n)], num()
+        cons.append((row, rhs))
+        if rng.random() < 0.3:
+            cons.append(([-c for c in row], -rhs))
+    return LpProblem.build([num() for _ in range(n)], cons)
+
+
+def test_lp_matches_fraction_oracle_on_random_lps():
+    rng = random.Random(2009)
+    seen = set()
+    for _ in range(600):
+        problem = _random_lp(rng)
+        got = lp_minimize(problem)
+        assert got == fraction_lp_minimize(problem), problem
+        seen.add(got.status)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_lp_matches_fraction_oracle_on_cell_lps():
+    from simplotope.lptable import build_lp
+
+    cells = [(s, t) for s in range(7) for t in range(4) if 1 <= s + 2 * t <= 6]
+    for s, t in cells:
+        problem = build_lp(s, t)
+        got = lp_minimize(problem)
+        assert got.status == OPTIMAL
+        assert got == fraction_lp_minimize(problem), (s, t)
+
+
+def test_lp_matches_fraction_oracle_on_overlap_lps(monkeypatch):
+    from simplotope.trisquare import enumerate_class2
+
+    problems = []
+
+    def record(problem):
+        problems.append(problem)
+        return lp_minimize(problem)
+
+    monkeypatch.setattr(verifier, "lp_minimize", record)
+    fat = enumerate_class2()
+    for i, j in itertools.islice(itertools.combinations(range(len(fat)), 2), 20):
+        verifier.interiors_overlap(fat[i], fat[j])
+    assert len(problems) == 20
+    for problem in problems:
+        assert lp_minimize(problem) == fraction_lp_minimize(problem)
