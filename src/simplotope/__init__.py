@@ -21,9 +21,9 @@ from .core import (
 )
 from .counting import QQuery, q_by_enumeration, q_by_generating_function, q_count
 from .exact import LpProblem, LpResult, det, lp_minimize
-from .fbounds import FKey, FMemo, VTable, comb_bound, f_bound, f_recurrence, v_max
+from .fbounds import FKey, VTable, comb_bound, f_bound, f_recurrence, v_max
 from .lptable import BoundCell, BoundsTable, bounds_table, build_lp, solve_cell
-from .standard import standard_size, standard_triangulation
+from .standard import standard_triangulation
 from .verifier import (
     TriangulationCandidate,
     VerifierReport,

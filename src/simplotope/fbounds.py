@@ -18,6 +18,14 @@ capped pair by brute force (say (3, 1), where the scan finds 4 against the
 cap 5) would strengthen the table away from its reference entries, so the
 split is deliberately not widened.
 
+A VTable is the F evaluator of one cube-cap table.  It owns a copy of the
+caps, the V values computed from them, the F memo and the sha256 of the
+caps.  F depends on the caps through every class-overflow test, so a memo
+filled under one table is wrong under another (capping V(4,0) at 1 instead
+of 3 moves the (2,2) cell from 68 to 84).  Keeping the memo inside the table
+that computed it makes that reuse impossible in process, and a memo written
+to a file carries the caps hash so that it is refused under other caps.
+
 Two values exist for the 0-face shape.  As a count of exterior 0-faces, a
 nondegenerate simplex has s + 2t + 1 of them (all of its vertices), and that
 is what comb_bound and f_bound report.  Inside the recurrence the base case
@@ -28,10 +36,11 @@ readings never collide there.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import threading
 from importlib import resources
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -80,29 +89,54 @@ class VEntry(NamedTuple):
     provenance: str
 
 
-class VTable:
-    """Cache of V(s, t) values; thread-safe get-or-compute."""
+class FMemo:
+    """Append-only F memo of one VTable, keyed by (s, t, c, s', t', c') int tuples."""
 
-    def __init__(self, caps: dict[int, int] | None = None):
-        self._caps = caps
+    def __init__(self):
+        self.values: dict[tuple[int, ...], int] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self):
+        return len(self.values)
+
+
+@functools.cache
+def _divisors(n: int) -> tuple[int, ...]:
+    return tuple(k for k in range(1, n + 1) if n % k == 0)
+
+
+class VTable:
+    """The F evaluator of one cube-cap table: its caps, V values and F memo.
+
+    With no caps given, the packaged table is read on first use.
+    """
+
+    def __init__(self, caps: Mapping[int, int] | None = None):
+        self._caps = None if caps is None else MappingProxyType(dict(caps))
         self._values: dict[tuple[int, int], VEntry] = {}
-        self._lock = threading.Lock()
+        self.memo = FMemo()
 
     @property
-    def caps(self) -> dict[int, int]:
+    def caps(self) -> Mapping[int, int]:
         if self._caps is None:
-            self._caps = load_cube_caps()
+            self._caps = MappingProxyType(load_cube_caps())
         return self._caps
 
+    @property
+    def caps_sha256(self) -> str:
+        """Fingerprint of the parsed caps: one "dim cap" line per dimension, sorted."""
+        import hashlib  # local import: OpenSSL adds ~4 MB to every process that loads it
+
+        text = "".join(f"{dim} {cap}\n" for dim, cap in sorted(self.caps.items()))
+        return hashlib.sha256(text.encode()).hexdigest()
+
     def get(self, s: int, t: int) -> VEntry:
-        key = (s, t)
-        with self._lock:
-            if key in self._values:
-                return self._values[key]
-        entry = self._compute(s, t)
-        with self._lock:
-            self._values.setdefault(key, entry)
-            return self._values[key]
+        """V(s, t) with its provenance, computed on first use."""
+        entry = self._values.get((s, t))
+        if entry is None:
+            entry = self._values[(s, t)] = self._compute(s, t)
+        return entry
 
     def _compute(self, s: int, t: int) -> VEntry:
         if s == 0 and t == 0:
@@ -113,6 +147,84 @@ class VTable:
         if dim in self.caps:
             return VEntry(self.caps[dim], CUBE_CAP)
         raise VMaxUnavailable(f"no cube cap configured for dimension {dim}")
+
+    def f(self, key) -> int:
+        """F as the recursion uses it: the conventions, then the 0-face base
+        case pinned at 1, then the memoized bound.
+
+        Class-1 queries take the combinatorial bound alone; the recurrence only
+        refines classes 2 and up (it exists because the combinatorial bound
+        ignores the class entirely).  Recursing with the pinned 0-face base
+        case and the class-1 rule reproduces the reference table; taking the
+        recurrence for class-1 queries as well would not (its 0-face base case
+        can undercount vertex footprints).
+        """
+        return self._f(*key)
+
+    def recurrence(self, key) -> int:
+        """The raw footprint/shadow recurrence value at one key."""
+        return self._recurrence(*key)
+
+    def _f(self, s: int, t: int, c: int, sp: int, tp: int, cp: int) -> int:
+        # the conventions: zero outside the admissible range, 1 on the full shape
+        if s < 0 or t < 0 or sp < 0 or tp < 0 or c < 1 or cp < 1:
+            return 0
+        if sp + 2 * tp > s + 2 * t or c % cp:
+            return 0
+        values = self._values  # V read directly; get() only computes a missing value
+        if c > (values.get((s, t)) or self.get(s, t))[0]:
+            return 0
+        if cp > (values.get((sp, tp)) or self.get(sp, tp))[0]:
+            return 0
+        if sp == s and tp == t:
+            return 1 if cp == c else 0
+        if sp == 0 and tp == 0:
+            return 1 if cp == 1 else 0
+        key = (s, t, c, sp, tp, cp)
+        memo = self.memo
+        value = memo.values.get(key)
+        if value is not None:
+            memo.hits += 1
+            return value
+        memo.misses += 1
+        value = comb_bound(key)
+        if c > 1:
+            value = min(value, self._recurrence(s, t, c, sp, tp, cp))
+        memo.values[key] = value
+        return value
+
+    def _recurrence(self, s: int, t: int, c: int, sp: int, tp: int, cp: int) -> int:
+        """The footprint/shadow double count.
+
+        Fixing one exterior (sp, tp)-face sigma, every other such face is
+        pinned down by its intersection with sigma (the footprint, an exterior
+        face of sigma) and its image under the projection collapsing sigma (the
+        shadow, an exterior face of the complementary simplex).  Summing bounds
+        for both over all shapes and classes, maximized over the number e of
+        ambient segment factors supporting the complement, bounds the face
+        count.
+        """
+        if cp < 1 or c % cp != 0:
+            return 0
+        f = self._f
+        cq = c // cp
+        divisors = _divisors(cp)
+        best = 0
+        for e in range(max(0, s - sp), min(s + t - sp - tp, s) + 1):
+            ss = sp - s + 2 * e
+            tt = s + t - sp - tp - e
+            total = 0
+            for w in range(0, min(sp - s + e, tp) + 1):
+                for k in divisors:
+                    kq = cp // k
+                    for j in range(0, tp + 1):
+                        for i in range(w, min(sp + tp - j, sp + w) + 1):
+                            a = f(sp, tp, cp, i, j, k)
+                            if a:
+                                total += a * f(ss, tt, cq, sp - i + 2 * w, tp - j - w, kq)
+            if total > best:
+                best = total
+        return best
 
 
 def _brute_force_vmax(s: int, t: int) -> int:
@@ -158,42 +270,10 @@ def _brute_force_vmax(s: int, t: int) -> int:
     return value
 
 
-class FMemo:
-    """Append-only memo for the bound function; atomic get-or-compute."""
-
-    def __init__(self):
-        self._values: dict[FKey, int] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self):
-        return len(self._values)
-
-    def lookup(self, key: FKey) -> int | None:
-        with self._lock:
-            if key in self._values:
-                self.hits += 1
-                return self._values[key]
-            self.misses += 1
-            return None
-
-    def store(self, key: FKey, value: int) -> int:
-        with self._lock:
-            return self._values.setdefault(key, value)
-
-    def items(self):
-        with self._lock:
-            return list(self._values.items())
-
-    def load(self, mapping) -> None:
-        with self._lock:
-            for key, value in mapping.items():
-                self._values.setdefault(FKey(*key), int(value))
-
-
+# The evaluator of the packaged caps.  DEFAULT_MEMO is its memo under a second
+# name, not a memo of its own: it is only ever used with those caps.
 DEFAULT_VTABLE = VTable()
-DEFAULT_MEMO = FMemo()
+DEFAULT_MEMO = DEFAULT_VTABLE.memo
 
 
 def v_max(s: int, t: int, vtable: VTable | None = None) -> VEntry:
@@ -221,82 +301,7 @@ def comb_bound(key: FKey) -> int:
     return s + 2 * t + 1
 
 
-def _conventions(key: FKey, vtable: VTable) -> int | None:
-    """The universal zero/fixed-point cases; None when the bounds apply."""
-    s, t, c, sp, tp, cp = key
-    if s < 0 or t < 0 or sp < 0 or tp < 0 or c < 1 or cp < 1:
-        return 0
-    if sp + 2 * tp > s + 2 * t:
-        return 0
-    if c % cp != 0:
-        return 0
-    if c > vtable.get(s, t).value:
-        return 0
-    if cp > vtable.get(sp, tp).value:
-        return 0
-    if (sp, tp) == (s, t):
-        return 1 if cp == c else 0
-    return None
-
-
-def _recurrence_sum(key: FKey, sub) -> int:
-    """The footprint/shadow double count, with sub-queries through `sub`.
-
-    Fixing one exterior (sp, tp)-face sigma, every other such face is pinned
-    down by its intersection with sigma (the footprint, an exterior face of
-    sigma) and its image under the projection collapsing sigma (the shadow,
-    an exterior face of the complementary simplex).  Summing bounds for both
-    over all shapes and classes, maximized over the number e of ambient
-    segment factors supporting the complement, bounds the face count.
-    """
-    s, t, c, sp, tp, cp = key
-    if cp < 1 or c % cp != 0:
-        return 0
-    best = 0
-    for e in range(max(0, s - sp), min(s + t - sp - tp, s) + 1):
-        ss = sp - s + 2 * e
-        tt = s + t - sp - tp - e
-        total = 0
-        for w in range(0, min(sp - s + e, tp) + 1):
-            for k in range(1, cp + 1):
-                if cp % k != 0:
-                    continue
-                for j in range(0, tp + 1):
-                    for i in range(w, min(sp + tp - j, sp + w) + 1):
-                        a = sub(FKey(sp, tp, cp, i, j, k))
-                        if a == 0:
-                            continue
-                        b = sub(FKey(ss, tt, c // cp, sp - i + 2 * w, tp - j - w, cp // k))
-                        total += a * b
-        best = max(best, total)
-    return best
-
-
-def _f_inner(key: FKey, memo: FMemo, vtable: VTable) -> int:
-    """The bound used throughout the recursion.
-
-    Class-1 queries take the combinatorial bound alone; the recurrence only
-    refines classes 2 and up (it exists because the combinatorial bound
-    ignores the class entirely).  Recursing with the pinned 0-face base
-    case and the class-1 rule reproduces the reference table; taking the
-    recurrence for class-1 queries as well would not (its 0-face base case
-    can undercount vertex footprints).
-    """
-    fixed = _conventions(key, vtable)
-    if fixed is not None:
-        return fixed
-    if (key.sp, key.tp) == (0, 0):
-        return 1 if key.cp == 1 else 0
-    cached = memo.lookup(key)
-    if cached is not None:
-        return cached
-    value = comb_bound(key)
-    if key.c > 1:
-        value = min(value, _recurrence_sum(key, lambda k: _f_inner(k, memo, vtable)))
-    return memo.store(key, value)
-
-
-def f_recurrence(key: FKey, memo: FMemo | None = None, vtable: VTable | None = None) -> int:
+def f_recurrence(key: FKey, vtable: VTable | None = None) -> int:
     """The raw footprint/shadow recurrence value at one key.
 
     Sub-queries go through the same evaluator f_bound uses, so the worked
@@ -304,25 +309,19 @@ def f_recurrence(key: FKey, memo: FMemo | None = None, vtable: VTable | None = N
     count in the prism, 2 for the class-1 prism-face count in the
     triangle-cross-square).
     """
-    memo = memo if memo is not None else DEFAULT_MEMO
-    vtable = vtable or DEFAULT_VTABLE
-    return _recurrence_sum(FKey(*key), lambda k: _f_inner(k, memo, vtable))
+    return (vtable or DEFAULT_VTABLE).recurrence(key)
 
 
-def f_bound(key: FKey, memo: FMemo | None = None, vtable: VTable | None = None) -> int:
+def f_bound(key: FKey, vtable: VTable | None = None) -> int:
     """Upper bound on exterior-face counts, zero conventions applied first.
 
     comb_bound for class-1 queries, min(comb_bound, recurrence) above that;
     0-face queries report the geometric vertex count (see comb_bound).
     """
-    memo = memo if memo is not None else DEFAULT_MEMO
-    vtable = vtable or DEFAULT_VTABLE
     key = FKey(*key)
-    fixed = _conventions(key, vtable)
-    if fixed is not None:
-        return fixed
-    if (key.sp, key.tp) == (0, 0):
+    value = (vtable or DEFAULT_VTABLE).f(key)
+    if value and (key.sp, key.tp) == (0, 0):
         # The geometric count: every vertex of a simplex is an exterior
         # 0-face, and there are s + 2t + 1 of them (all of class 1).
         return comb_bound(key)
-    return _f_inner(key, memo, vtable)
+    return value

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .counting import QQuery, q_count
 from .exact import OPTIMAL, LpProblem, lp_minimize
-from .fbounds import DEFAULT_MEMO, DEFAULT_VTABLE, FKey, FMemo, VMaxUnavailable, VTable, f_bound
+from .fbounds import DEFAULT_VTABLE, FKey, VMaxUnavailable, VTable, f_bound
 
 
 class InconsistentCellError(Exception):
@@ -91,12 +91,10 @@ def constraint_pairs(s: int, t: int) -> list[tuple[int, int]]:
             if (sp, tp) != (0, 0)]
 
 
-def build_lp(s: int, t: int, memo: FMemo | None = None,
-             vtable: VTable | None = None) -> LpProblem:
+def build_lp(s: int, t: int, vtable: VTable | None = None) -> LpProblem:
     """Assemble the cover inequalities for (s, t) as an exact LP."""
     if s < 0 or t < 0 or s + 2 * t < 1:
         raise ValueError("the LP needs a positive-dimensional simplotope")
-    memo = memo if memo is not None else DEFAULT_MEMO
     vtable = vtable or DEFAULT_VTABLE
     v = vtable.get(s, t).value
     rows = []
@@ -104,7 +102,7 @@ def build_lp(s: int, t: int, memo: FMemo | None = None,
         fact = math.factorial(sp + 2 * tp)
         coeffs = []
         for c in range(1, v + 1):
-            coeffs.append(Fraction(c * f_bound(FKey(s, t, c, sp, tp, c), memo, vtable)))
+            coeffs.append(Fraction(c * f_bound(FKey(s, t, c, sp, tp, c), vtable)))
         rhs = Fraction(q_count(QQuery(s, t, sp, tp)) * fact, 2 ** tp)
         if rhs > 0 and all(co == 0 for co in coeffs):
             raise InconsistentCellError(
@@ -114,12 +112,10 @@ def build_lp(s: int, t: int, memo: FMemo | None = None,
     return LpProblem.build(objective, rows)
 
 
-def solve_cell(s: int, t: int, memo: FMemo | None = None,
-               vtable: VTable | None = None) -> BoundCell:
+def solve_cell(s: int, t: int, vtable: VTable | None = None) -> BoundCell:
     """Exact LP optimum for one (s, t) cell; the bound is its ceiling."""
-    memo = memo if memo is not None else DEFAULT_MEMO
     vtable = vtable or DEFAULT_VTABLE
-    problem = build_lp(s, t, memo, vtable)
+    problem = build_lp(s, t, vtable)
     result = lp_minimize(problem)
     if result.status != OPTIMAL:
         raise RuntimeError(f"cell ({s},{t}) unexpectedly {result.status}")
@@ -136,7 +132,7 @@ def solve_cell(s: int, t: int, memo: FMemo | None = None,
 
 
 def bounds_table(max_s: int, max_t: int, dim_cap: int,
-                 memo: FMemo | None = None, vtable: VTable | None = None) -> BoundsTable:
+                 vtable: VTable | None = None) -> BoundsTable:
     """All cells with s <= max_s, t <= max_t, s + 2t <= dim_cap.
 
     Cells whose V value is unavailable (no brute force, no configured cap)
@@ -154,7 +150,7 @@ def bounds_table(max_s: int, max_t: int, dim_cap: int,
                 cells.append(BoundCell(0, 0, Fraction(1), 1, 1, "brute-forced", 0))
                 continue
             try:
-                cells.append(solve_cell(s, t, memo, vtable))
+                cells.append(solve_cell(s, t, vtable))
             except VMaxUnavailable as exc:
                 skipped.append((s, t, str(exc)))
     return BoundsTable(max_s, max_t, dim_cap, tuple(cells), tuple(skipped))

@@ -11,18 +11,9 @@ the order.  The number of orderings is the multinomial
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Sequence
 
 from .core import SimplotopeSpec, VertexPoint, VertexSimplex
-
-
-def standard_size(spec: SimplotopeSpec) -> int:
-    """Number of simplices in the standard triangulation (multinomial)."""
-    v = math.factorial(spec.dim)
-    for c in spec.factors:
-        v //= math.factorial(c)
-    return v
 
 
 def orderings(spec: SimplotopeSpec) -> Iterator[tuple[int, ...]]:
@@ -78,5 +69,5 @@ def _chain_vertex(spec, counts, orientation) -> VertexPoint:
 
 def standard_triangulation(spec: SimplotopeSpec,
                            orientation: Sequence[Sequence[int]] | None = None) -> list[VertexSimplex]:
-    """All simplices of the standard triangulation; count = standard_size."""
+    """All simplices of the standard triangulation; count = spec.polytope_class."""
     return [simplex_of_ordering(spec, o, orientation) for o in orderings(spec)]

@@ -21,7 +21,14 @@ class TriangulationFileError(ValueError):
     pass
 
 
+def _int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise TriangulationFileError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
 def _vertex_from_standard(spec: SimplotopeSpec, flat: Sequence[int]) -> VertexPoint:
+    flat = _int_list(flat, "a vertex")
     if len(flat) != spec.dim + len(spec.factors):
         raise TriangulationFileError(f"standard vertex needs {spec.dim + len(spec.factors)} entries")
     idx = []
@@ -37,6 +44,7 @@ def _vertex_from_standard(spec: SimplotopeSpec, flat: Sequence[int]) -> VertexPo
 
 def _vertex_from_reduced(spec: SimplotopeSpec, flat: Sequence[int],
                          pivot: VertexPoint) -> VertexPoint:
+    flat = _int_list(flat, "a vertex")
     if len(flat) != spec.dim:
         raise TriangulationFileError(f"reduced vertex needs {spec.dim} entries")
     idx = []
@@ -74,12 +82,16 @@ def candidate_from_dict(doc: dict) -> TriangulationCandidate:
     elif coords == "reduced":
         if "reduction_vertex" not in doc:
             raise TriangulationFileError("reduced coordinates need a reduction_vertex")
-        pivot = _vertex_from_standard(spec, doc["reduction_vertex"])
+        pivot = _vertex_from_standard(spec, _int_list(doc["reduction_vertex"], "reduction_vertex"))
         decode = lambda flat: _vertex_from_reduced(spec, flat, pivot)
     else:
         raise TriangulationFileError(f"unknown coordinate system {coords!r}")
+    if not isinstance(raw, list):
+        raise TriangulationFileError(f"simplices must be a list, got {raw!r}")
     simplices = []
     for k, vlist in enumerate(raw):
+        if not isinstance(vlist, list):
+            raise TriangulationFileError(f"simplex {k} must be a list of vertices, got {vlist!r}")
         if len(vlist) != spec.dim + 1:
             raise TriangulationFileError(f"simplex {k} has {len(vlist)} vertices, expected {spec.dim + 1}")
         vertices = [decode(flat) for flat in vlist]

@@ -24,9 +24,9 @@ from simplotope.core import (
 )
 from simplotope.counting import ENUM_DIM_LIMIT, QQuery, q_by_enumeration, q_by_generating_function, q_count
 from simplotope.fbounds import BRUTE_FORCE, FKey, comb_bound, f_bound, f_recurrence, v_max
-from simplotope.fbounds import DEFAULT_MEMO, DEFAULT_VTABLE, _f_inner
+from simplotope.fbounds import DEFAULT_VTABLE
 from simplotope.lptable import bounds_table
-from simplotope.standard import standard_size, standard_triangulation
+from simplotope.standard import standard_triangulation
 from simplotope.trisquare import (
     MINIMAL_10,
     TRI_SQUARE,
@@ -101,7 +101,7 @@ def test_criterion_03_recurrence_worked_examples():
     assert f_recurrence(FKey(1, 1, 1, 2, 0, 1)) == 3
     assert f_recurrence(FKey(2, 1, 1, 1, 1, 1)) == 2
     # term for term, first example: 0 + 2*1 + 1*1
-    sub = lambda k: _f_inner(k, DEFAULT_MEMO, DEFAULT_VTABLE)
+    sub = DEFAULT_VTABLE.f  # F as the recurrence sees it, 0-face base case pinned at 1
     terms1 = [sub(FKey(2, 0, 1, i, 0, 1)) * sub(FKey(1, 0, 1, 2 - i, 0, 1)) for i in range(3)]
     assert terms1 == [0, 2, 1]
     # and the second: 1*0 + 4*0 + 1*1 + 1*1
@@ -184,7 +184,7 @@ def test_criterion_08_standard_triangulations():
         for factors in partitions(n):
             spec = SimplotopeSpec.of(*factors)
             tri = standard_triangulation(spec)
-            assert len(tri) == standard_size(spec)
+            assert len(tri) == spec.polytope_class
     certified = 0
     for n in range(1, 6):
         for factors in partitions(n):

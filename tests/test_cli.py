@@ -5,7 +5,10 @@ import json
 import pytest
 
 from simplotope.cli import main
+from simplotope.fbounds import VTable
 from simplotope.trisquare import bundled_triangulation_path
+
+CAPS_SHA256 = VTable().caps_sha256
 
 
 def run(capsys, *argv):
@@ -44,6 +47,24 @@ def test_bounds_memo_cache(tmp_path, capsys):
     code, second, _ = run(capsys, "bounds", "--max-s", "2", "--max-t", "1",
                           "--memo-cache", str(cache))
     assert code == 0 and first == second
+
+
+def test_memo_cache_refused_under_other_caps(tmp_path, capsys):
+    # a memo filled with the d = 4 cap lowered to 1 once turned (2,2) into 84
+    from importlib import resources
+
+    caps = resources.files("simplotope").joinpath("data/cube_caps.txt").read_text()
+    config = tmp_path / "caps.txt"
+    config.write_text(caps.replace("\n4     3\n", "\n4     1\n"))
+    cache = tmp_path / "m.json"
+    bounds = ["bounds", "--max-s", "6", "--max-t", "2", "--dim-cap", "6", "--memo-cache", str(cache)]
+    code, out, _ = run(capsys, *bounds, "--config", str(config))
+    assert code == 0 and "2,2,84,84,9" in out
+    saved = cache.read_text()
+    code, out, err = run(capsys, *bounds)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "other cube caps" in err
+    assert cache.read_text() == saved
 
 
 def test_verify_bundled(capsys):
@@ -161,21 +182,53 @@ def test_standard_single_segment(capsys):
     assert json.loads(out)["simplices"] == [[[1, 0], [0, 1]]]
 
 
+MEMO = ["bounds", "--max-s", "1", "--max-t", "1", "--memo-cache", "{file}"]
+
+
+def memo_doc(**fields):
+    return {"format": 1, "caps_sha256": CAPS_SHA256, "entries": {}, **fields}
+
+
 @pytest.mark.parametrize("doc, argv", [
     ([1, 2, 3], None),
     ({"factors": [0], "coords": "standard", "simplices": []}, None),
     ({"factors": [1.5, "x"], "coords": "standard", "simplices": []}, None),
     ({"factors": [1, 1], "coords": "standard",
       "simplices": [[[1, 0, 1, 0], [1, 0, 1, 0], [1, 0, 0, 1]]]}, None),
+    ({"factors": [1, 1], "coords": "standard", "simplices": 5}, None),
+    ({"factors": [1, 1], "coords": "standard", "simplices": [[1, 2, 3]]}, None),
+    ({"factors": [1, 1], "coords": "standard", "simplices": [5]}, None),
+    ({"factors": [1, 1], "coords": "reduced", "reduction_vertex": 5, "simplices": []}, None),
+    ({"factors": [1, 1], "coords": "standard",
+      "simplices": [[["1", 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]]]}, None),
+    ({"factors": [1, 1], "coords": "standard",
+      "simplices": [[[1.0, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]]]}, None),
     (None, ["bounds", "--max-t", "-1"]),
     (None, ["bounds", "--config", "/nonexistent/caps.txt"]),
+    ("not json", MEMO),
+    ([1, 2], MEMO),
+    (memo_doc(entries={"1,1,2,1,0": 3}), MEMO),
+    (memo_doc(entries={"1,1,2,1,0,x": 3}), MEMO),
+    (memo_doc(entries={"1,1,2,1,0,1": "3"}), MEMO),
+    ({"caps_sha256": CAPS_SHA256, "entries": {}}, MEMO),
+    (memo_doc(format=2), MEMO),
+    ({"1,1,2,1,0,1": 3}, MEMO),
+    (memo_doc(caps_sha256="0" * 64), MEMO),
 ], ids=["top-level-list", "zero-factor", "non-integer-factors", "repeated-vertex",
-        "negative-max-t", "missing-config"])
+        "simplices-not-a-list", "vertex-is-a-number", "simplex-not-a-list",
+        "reduction-vertex-not-a-list", "string-vertex-entry", "float-vertex-entry",
+        "negative-max-t", "missing-config",
+        "memo-not-json", "memo-not-an-object", "memo-key-five-integers", "memo-key-not-integers",
+        "memo-value-not-int", "memo-format-missing", "memo-format-unknown",
+        "memo-unversioned", "memo-caps-mismatch"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, doc, argv):
-    if argv is None:
-        f = tmp_path / "input.json"
-        f.write_text(json.dumps(doc))
-        argv = ["verify", "--input", str(f)]
+    f = tmp_path / "input.json"
+    if doc is not None:
+        f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    argv = [a.replace("{file}", str(f)) for a in argv or ["verify", "--input", "{file}"]]
+    before = f.read_text() if doc is not None else None
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if before is not None:
+        assert f.read_text() == before  # a refused file is left as it was

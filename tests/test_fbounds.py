@@ -5,13 +5,13 @@ from collections import Counter
 
 import pytest
 
+from f_oracle import make_f
 from simplotope.core import SimplotopeSpec, VertexSimplex, corner_simplex, exterior_faces, face_class
 from simplotope.fbounds import (
     BRUTE_FORCE,
     CUBE_CAP,
     DEFAULT_VTABLE,
     FKey,
-    FMemo,
     VMaxUnavailable,
     VTable,
     _brute_force_vmax,
@@ -21,6 +21,7 @@ from simplotope.fbounds import (
     load_cube_caps,
     v_max,
 )
+from simplotope.lptable import bounds_table
 
 
 def test_recurrence_worked_examples():
@@ -30,11 +31,9 @@ def test_recurrence_worked_examples():
 
 def test_recurrence_cube_collapse():
     # with t = t' = 0 the recurrence is the plain cube product sum
-    from simplotope.fbounds import _f_inner, DEFAULT_MEMO, DEFAULT_VTABLE
     key = FKey(3, 0, 2, 2, 0, 1)
     collapsed = sum(
-        _f_inner(FKey(2, 0, 1, i, 0, k), DEFAULT_MEMO, DEFAULT_VTABLE)
-        * _f_inner(FKey(1, 0, 2, 2 - i, 0, 1 // k), DEFAULT_MEMO, DEFAULT_VTABLE)
+        DEFAULT_VTABLE.f(FKey(2, 0, 1, i, 0, k)) * DEFAULT_VTABLE.f(FKey(1, 0, 2, 2 - i, 0, 1 // k))
         for i in range(0, 3) for k in (1,))
     assert f_recurrence(key) == collapsed
 
@@ -99,13 +98,24 @@ def test_v_never_exceeds_cap():
 
 
 def test_memo_behavior():
-    memo = FMemo()
     vt = VTable()
-    assert f_bound(FKey(2, 1, 2, 1, 1, 1), memo, vt) == f_bound(FKey(2, 1, 2, 1, 1, 1))
+    assert f_bound(FKey(2, 1, 2, 1, 1, 1), vt) == f_bound(FKey(2, 1, 2, 1, 1, 1))
+    memo = vt.memo
     n = len(memo)
-    f_bound(FKey(2, 1, 2, 1, 1, 1), memo, vt)
+    assert n > 0 and memo.misses == n
+    f_bound(FKey(2, 1, 2, 1, 1, 1), vt)
     assert len(memo) == n  # append-only, nothing recomputed
     assert memo.hits >= 1
+
+
+def test_evaluator_matches_recursive_oracle():
+    # every memo key reached from the cells with s + 2t <= 6, in a fresh evaluator
+    vt = VTable()
+    bounds_table(6, 3, 6, vtable=vt)
+    oracle = make_f(lambda s, t: vt.get(s, t).value)
+    assert len(vt.memo) > 100
+    wrong = {key: value for key, value in vt.memo.values.items() if oracle(*key) != value}
+    assert wrong == {}
 
 
 def test_corner_extremality_small():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from simplotope.exact import OPTIMAL, LpProblem, lp_minimize
-from simplotope.fbounds import VTable
+from simplotope.fbounds import VTable, load_cube_caps
 from simplotope.lptable import bounds_table, build_lp, constraint_pairs, solve_cell
 
 TABLE_DIM6 = {
@@ -93,6 +93,26 @@ def test_skipped_cells_marked():
     reasons = {(s, t): r for s, t, r in table.skipped}
     assert (8, 0) in reasons and "no cube cap" in reasons[(8, 0)]
     assert table.cell(7, 0).lower_bound == 1117
+
+
+# Every lp_value with s + 2t <= 6, t <= 2, as `simplotope bounds` prints it in a
+# fresh process: with the packaged caps, and with the d = 4 cap lowered to 1.
+LP_DIM6 = {
+    (0, 0): "1", (1, 0): "1", (2, 0): "2", (3, 0): "5", (4, 0): "16", (5, 0): "60",
+    (6, 0): "1248/5", (0, 1): "1", (1, 1): "3", (2, 1): "9", (3, 1): "159/5",
+    (4, 1): "8912/75", (0, 2): "6", (1, 2): "20", (2, 2): "202/3",
+}
+LP_DIM6_D4_CAP_1 = {**LP_DIM6, (2, 2): "84", (3, 1): "204/5", (4, 0): "24",
+                    (4, 1): "616/5", (5, 0): "312/5", (6, 0): "1296/5"}
+
+
+def test_each_cap_table_has_its_own_memo():
+    caps = load_cube_caps()
+    caps[4] = 1
+    for vtable, want in [(VTable(caps), LP_DIM6_D4_CAP_1), (None, LP_DIM6),
+                         (VTable(caps), LP_DIM6_D4_CAP_1), (None, LP_DIM6)]:
+        table = bounds_table(6, 2, 6, vtable=vtable)
+        assert {(c.s, c.t): str(c.lp_value) for c in table.cells} == want
 
 
 def test_csv_and_json_output():

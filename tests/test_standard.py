@@ -1,7 +1,7 @@
 """Standard (staircase) triangulation: sizes, classes, certification."""
 
 from simplotope.core import SimplotopeSpec
-from simplotope.standard import orderings, standard_size, standard_triangulation
+from simplotope.standard import orderings, standard_triangulation
 from simplotope.verifier import TriangulationCandidate, verify
 
 
@@ -16,17 +16,17 @@ def partitions(n, largest=None):
 
 
 def test_standard_size_examples():
-    assert standard_size(SimplotopeSpec.of(2, 2)) == 6
-    assert standard_size(SimplotopeSpec.of(1, 1, 2)) == 12
-    assert standard_size(SimplotopeSpec.of(2, 2, 2)) == 90
-    assert standard_size(SimplotopeSpec.of(1)) == 1
+    assert SimplotopeSpec.of(2, 2).polytope_class == 6
+    assert SimplotopeSpec.of(1, 1, 2).polytope_class == 12
+    assert SimplotopeSpec.of(2, 2, 2).polytope_class == 90
+    assert SimplotopeSpec.of(1).polytope_class == 1
 
 
 def test_ordering_count_matches_size():
     for factors in [(1,), (2,), (1, 1), (2, 1), (2, 2), (1, 1, 2), (3, 2)]:
         spec = SimplotopeSpec.of(*factors)
         os = list(orderings(spec))
-        assert len(os) == standard_size(spec)
+        assert len(os) == spec.polytope_class
         assert len(set(os)) == len(os)
 
 
@@ -35,7 +35,7 @@ def test_sizes_for_all_specs_up_to_dim_six():
         for factors in partitions(n):
             spec = SimplotopeSpec.of(*factors)
             tri = standard_triangulation(spec)
-            assert len(tri) == standard_size(spec)
+            assert len(tri) == spec.polytope_class
             assert len({x.vertex_set for x in tri}) == len(tri)
 
 
