@@ -13,7 +13,7 @@ import sys
 
 from .core import SimplotopeSpec
 from .counting import QQuery, q_by_enumeration, q_by_generating_function, q_count
-from .fbounds import DEFAULT_VTABLE, FKey, VTable, f_bound, load_cube_caps, v_max
+from .fbounds import DEFAULT_VTABLE, FKey, VMaxUnavailable, VTable, f_bound, load_cube_caps, v_max
 from .lptable import bounds_table
 from .standard import standard_triangulation
 from .tfiles import (
@@ -28,6 +28,19 @@ from .verifier import TriangulationCandidate, verify
 
 class UsageError(Exception):
     """Bad input on the command line; main reports it in one line, exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reports a bad command line in one `error:` line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message} (see {self.prog} --help)\n")
+
+
+def _nonnegative(*named: tuple[str, int]) -> None:
+    for name, value in named:
+        if value < 0:
+            raise UsageError(f"{name} must be >= 0, got {value}")
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -97,10 +110,7 @@ def _save_memo(path, vtable: VTable) -> None:
 
 
 def cmd_bounds(args) -> int:
-    for flag, value in (("--max-s", args.max_s), ("--max-t", args.max_t),
-                        ("--dim-cap", args.dim_cap)):
-        if value < 0:
-            raise UsageError(f"{flag} must be >= 0, got {value}")
+    _nonnegative(("--max-s", args.max_s), ("--max-t", args.max_t), ("--dim-cap", args.dim_cap))
     vtable = _vtable(args)
     if args.memo_cache:
         _load_memo(args.memo_cache, vtable)
@@ -125,7 +135,7 @@ def cmd_verify(args) -> int:
     except (TriangulationFileError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = verify(cand, jobs=args.jobs)
+    report = verify(cand)
     if args.format == "json":
         payload = {
             "factors": list(cand.spec.factors),
@@ -134,8 +144,7 @@ def cmd_verify(args) -> int:
             "total_class": report.total_class,
             "polytope_class": report.polytope_class,
             "classes_ok": report.classes_ok,
-            "disjoint_ok": report.disjoint_ok,
-            "face_to_face_ok": report.face_to_face_ok,
+            "facets_ok": report.facets_ok,
             "certified": report.certified,
             "adjacency": [list(e) for e in report.adjacency],
             "diagnostics": list(report.diagnostics),
@@ -145,7 +154,7 @@ def cmd_verify(args) -> int:
         print(f"simplotope {cand.spec.factors}: {len(report.classes)} simplices")
         print(f"classes: {list(report.classes)} (total {report.total_class}, "
               f"polytope {report.polytope_class})")
-        print(f"interior-disjoint: {report.disjoint_ok}  face-to-face: {report.face_to_face_ok}")
+        print(f"facets matched: {report.facets_ok}")
         for d in report.diagnostics:
             print(f"  - {d}")
         print("CERTIFIED" if report.certified else "NOT CERTIFIED")
@@ -153,7 +162,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_standard(args) -> int:
-    spec = SimplotopeSpec(_parse_int_list(args.spec, "--spec"))
+    try:
+        spec = SimplotopeSpec(_parse_int_list(args.spec, "--spec"))
+    except ValueError as exc:
+        raise UsageError(f"--spec {args.spec}: {exc}") from None
     sims = standard_triangulation(spec)
     cand = TriangulationCandidate(spec, tuple(sims))
     meta = {"kind": "standard triangulation", "size": len(sims)}
@@ -170,18 +182,24 @@ def cmd_vmax(args) -> int:
     if args.spec:
         pair = _parse_int_list(args.spec, "--spec")
         if len(pair) != 2:
-            print("error: vmax --spec takes exactly two counts, e.g. 1,2", file=sys.stderr)
-            return 2
+            raise UsageError("vmax --spec takes exactly two counts, e.g. 1,2")
         s, t = pair
+    elif args.s is None or args.t is None:
+        raise UsageError("vmax needs --spec s,t or both --s and --t")
     else:
         s, t = args.s, args.t
-    entry = v_max(s, t, vtable=_vtable(args))
+    _nonnegative(("s", s), ("t", t))
+    try:
+        entry = v_max(s, t, vtable=_vtable(args))
+    except VMaxUnavailable as exc:
+        raise UsageError(f"V({s},{t}): {exc}") from None
     print(f"{entry.value}")
     print(f"V({s},{t}) = {entry.value} ({entry.provenance})", file=sys.stderr)
     return 0
 
 
 def cmd_q(args) -> int:
+    _nonnegative(("--s", args.s), ("--t", args.t), ("--sp", args.sp), ("--tp", args.tp))
     query = QQuery(args.s, args.t, args.sp, args.tp)
     value = q_count(query)
     print(value)
@@ -201,14 +219,12 @@ def cmd_q(args) -> int:
 
 def cmd_fbound(args) -> int:
     key = FKey(args.s, args.t, args.c, args.sp, args.tp, args.cp)
+    _nonnegative(*((f"--{name}", value) for name, value in zip(FKey._fields, key)))
     print(f_bound(key, vtable=_vtable(args)))
     return 0
 
 
 def cmd_case(args) -> int:
-    if args.which != "tri-square":
-        print(f"error: unknown case {args.which!r}", file=sys.stderr)
-        return 2
     if args.check == "all":
         report = lower_bound_10_argument(verbose=True)
         print(f"lower bound for (s,t)=(2,1): {report.lower_bound}, "
@@ -217,20 +233,20 @@ def cmd_case(args) -> int:
             return 1
         t12, t11, t10 = construction_stages()
         for name, cand in [("12", t12), ("11", t11), ("10", t10)]:
-            rep = verify(cand, jobs=args.jobs)
+            rep = verify(cand)
             print(f"  construction stage {name}: "
                   f"{'certified' if rep.certified else 'NOT CERTIFIED'}")
             if not rep.certified:
                 return 1
         return 0
-    rep = verify(minimal_triangulation_10(), jobs=args.jobs)
+    rep = verify(minimal_triangulation_10())
     print(f"ten-simplex triangulation: {'certified' if rep.certified else 'NOT CERTIFIED'}; "
           f"classes {sorted(rep.classes)}")
     return 0 if rep.certified else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="simplotope",
         description="Exact lower bounds and triangulation verification for products of simplices.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -248,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify a triangulation file")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("standard", help="write the standard triangulation")
@@ -285,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("case", help="run a case study")
     p.add_argument("which", choices=["tri-square"])
     p.add_argument("--check", choices=["fast", "all"], default="fast")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_case)
 
     return parser
@@ -293,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "vmax" and not args.spec and (args.s is None or args.t is None):
-        print("error: vmax needs --spec s,t or both --s and --t", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except UsageError as exc:

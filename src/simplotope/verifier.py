@@ -1,31 +1,63 @@
 """Certification of simplicial triangulations of a simplotope.
 
-A candidate (a set of full-dimensional vertex simplices) is certified when
-its classes sum to the polytope's class, interiors are pairwise disjoint and
-simplices pairwise meet face-to-face.  Class accounting plus disjointness
-makes the union an exact partition, hence a cover.
+A candidate is a set of vertex simplices of the simplotope P, of dimension
+d.  A facet of a simplex is the simplex on d of its d + 1 vertices.  The
+candidate is certified exactly when
 
-Both pairwise tests are exact.  Face-to-face builds each simplex's facet
-half-spaces with integer coefficients (rows of the scaled inverse of the
-ones-augmented vertex matrix), intersects the two half-space systems, and
-enumerates every vertex of the intersection by solving all d-subsets of the
-constraints; Cramer determinants keep everything in integers (entries stay
-far below the int64 range for the dimensions handled here).  The
-interior-overlap test asks an exact LP for a point whose barycentric
-coordinates in both simplices are all positive.
+1. every simplex is nondegenerate and full-dimensional;
+2. the classes (normalized volumes) sum to the class of P;
+3. every facet that lies in a facet of P (its minimal face fixes some
+   coordinate at zero) belongs to exactly one simplex;
+4. every other facet belongs to exactly two simplices, and their apexes
+   (the vertices off the facet) lie on opposite sides of it.
+
+This is the pseudo-manifold criterion of De Loera, Rambau and Santos,
+*Triangulations* (Springer 2010), ch. 4.  Sketch of why it suffices:
+
+- A facet of kind 4 has its relative interior inside the interior of P: a
+  face of P that met that relative interior would contain all the facet's
+  vertices.
+- For a point p of P off every facet hyperplane, let m(p) count the
+  simplices that contain p.  Moving p across a generic point of a kind-4
+  facet leaves the owner on one side and enters the owner on the other, so
+  m does not change.  The points where m could change otherwise have
+  codimension 2 and do not disconnect the interior, so m is one constant k
+  on all of it.
+- Summing volumes, the classes add up to k times the class of P, and
+  condition 2 makes k = 1: the interiors are pairwise disjoint and the
+  simplices cover P.
+- Two simplices that met in anything but a common face would form a
+  T-junction (a facet of one shared only in part with the other) or two
+  faces crossing.  Near such a point, the simplex across the facet given by
+  the matching and the other simplex would both contain a point, against
+  k = 1.
+
+The check is one pass over all facets, with one exact determinant per
+simplex.  Each simplex's vertices are sorted by index, so a facet has one
+vertex order whichever simplex it comes from.  The orientation of the facet
+followed by its apex is then the simplex's signed determinant times the
+parity of moving the apex to the end, so the side of the apex is known
+without further arithmetic.  Adjacency is read from the same facet map.
+
+`meet_face_to_face` (exact half-space intersection by integer Cramer
+determinants) and `interiors_overlap` (an exact LP) decide the pairwise
+relations directly.  Certification no longer uses them.
+`meet_face_to_face` is kept as the oracle the tests check the facet
+criterion against.  `interiors_overlap` is also the overlap test of the
+triangle-cross-square argument.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import SimplotopeSpec, VertexPoint, VertexSimplex, minimal_face
-from .exact import INFEASIBLE, OPTIMAL, LpProblem, lp_minimize, scaled_inverse
+from .exact import INFEASIBLE, OPTIMAL, LpProblem, det, lp_minimize, scaled_inverse
 
 
 @dataclass(frozen=True)
@@ -41,8 +73,7 @@ class VerifierReport:
     total_class: int
     polytope_class: int
     classes_ok: bool
-    disjoint_ok: bool
-    face_to_face_ok: bool
+    facets_ok: bool
     certified: bool
     adjacency: tuple[tuple[int, int], ...]
     diagnostics: tuple[str, ...]
@@ -225,10 +256,37 @@ def interiors_overlap(a: VertexSimplex, b: VertexSimplex) -> bool:
     return result.value < 0
 
 
-def _check_members(cand: TriangulationCandidate) -> tuple[list[int], list[str], bool]:
+# A facet as the facet map holds it: its vertices in index order.
+Facet = tuple[VertexPoint, ...]
+
+
+def _ordered(x: VertexSimplex) -> list[VertexPoint]:
+    return sorted(x.vertices, key=lambda v: v.idx)
+
+
+def _facet_owners(cand: TriangulationCandidate) -> dict[Facet, list[tuple[int, int]]]:
+    """Map every d-vertex subset of every simplex to its owners.
+
+    An owner is (simplex index, k).  The subsets of a simplex come from
+    `itertools.combinations` of its vertices in index order, and k is the
+    position of the subset in that sequence.  For a simplex with d + 1
+    vertices the k-th subset omits the vertex at sorted position d - k, and
+    moving that apex behind the facet takes k transpositions.  Owners of one
+    subset are listed in increasing simplex order.
+    """
     d = cand.spec.dim
-    classes = []
-    diagnostics = []
+    owners: dict[Facet, list[tuple[int, int]]] = {}
+    for i, x in enumerate(cand.simplices):
+        for k, facet in enumerate(itertools.combinations(_ordered(x), d)):
+            owners.setdefault(facet, []).append((i, k))
+    return owners
+
+
+def _check_members(cand: TriangulationCandidate) -> tuple[list[int], list[int], list[str], bool]:
+    """Classes, signed determinants (vertices in index order) and member diagnostics."""
+    d = cand.spec.dim
+    pivot = _global_pivot(cand.spec)
+    classes, signed, diagnostics = [], [], []
     ok = True
     for i, x in enumerate(cand.simplices):
         if x.spec != cand.spec:
@@ -236,110 +294,82 @@ def _check_members(cand: TriangulationCandidate) -> tuple[list[int], list[str], 
         if len(x.vertices) != d + 1:
             diagnostics.append(f"simplex {i}: {len(x.vertices)} vertices, expected {d + 1}")
             classes.append(0)
+            signed.append(0)
             ok = False
             continue
-        c = x.cls
-        classes.append(c)
-        if c == 0:
+        # |det| is the class whatever the pivot and the vertex order
+        s = det([(1,) + v.reduced(pivot) for v in _ordered(x)])
+        classes.append(abs(s))
+        signed.append(s)
+        if s == 0:
             diagnostics.append(f"simplex {i}: degenerate (class 0)")
             ok = False
-    return classes, diagnostics, ok
+    return classes, signed, diagnostics, ok
 
 
-def _pair_data(cand: TriangulationCandidate):
-    pivot = _global_pivot(cand.spec)
-    rows = [facet_rows(x) for x in cand.simplices]
-    reduced = [np.array([v.reduced(pivot) for v in x.vertices], dtype=np.int64)
-               for x in cand.simplices]
-    ordered = [x.vertices for x in cand.simplices]
-    return rows, reduced, ordered
+def _apex_side(signed_det: int, k: int) -> bool:
+    """Sign of det(facet rows, apex row): the signed determinant times (-1)^k."""
+    return (signed_det > 0) != (k % 2 == 1)
 
 
-_WORKER_STATE: dict = {}
+def _facet_diagnostics(owners: dict[Facet, list[tuple[int, int]]],
+                       signed: list[int]) -> list[str]:
+    """One line per facet that breaks condition 3 or 4 of the module docstring."""
+    out = []
+    for facet, own in owners.items():
+        boundary = bool(minimal_face(facet).zeros)
+        where, want = ("boundary", 1) if boundary else ("interior", 2)
+        label = f"{where} facet {[v.idx for v in facet]}"
+        if len(own) != want:
+            noun = "simplex" if len(own) == 1 else "simplices"
+            out.append(f"{label}: owned by {len(own)} {noun} {[i for i, _ in own]}, "
+                       f"expected {want}")
+            continue
+        if boundary:
+            continue
+        (i, ki), (j, kj) = own
+        if _apex_side(signed[i], ki) == _apex_side(signed[j], kj):
+            out.append(f"{label}: simplices {i} and {j} have their apexes on one side")
+    return out
 
 
-def _pool_init(rows, reduced, keys):
-    _WORKER_STATE["rows"] = rows
-    _WORKER_STATE["reduced"] = reduced
-    _WORKER_STATE["keys"] = keys
+def _adjacency(owners: dict[Facet, list[tuple[int, int]]]) -> tuple[tuple[int, int], ...]:
+    # Two vertex sets of at most d + 1 elements share exactly d vertices
+    # exactly when they have one d-subset in common; identical simplices
+    # share all d + 1 of theirs.
+    shared: Counter = Counter()
+    for own in owners.values():
+        for (i, _), (j, _) in itertools.combinations(own, 2):
+            shared[i, j] += 1
+    return tuple(sorted(pair for pair, n in shared.items() if n == 1))
 
 
-def _pool_check(pair: tuple[int, int]) -> tuple[int, int, bool]:
-    i, j = pair
-    rows = _WORKER_STATE["rows"]
-    reduced = _WORKER_STATE["reduced"]
-    keys = _WORKER_STATE["keys"]
-    shared = _shared_reduced(reduced[i], keys[i], keys[j])
-    return i, j, _face_to_face_rows(rows[i], rows[j], shared)
-
-
-def _shared_reduced(reduced_i: np.ndarray, verts_i, verts_j) -> np.ndarray:
-    other = set(verts_j)
-    mask = np.array([v in other for v in verts_i], dtype=bool)
-    sel = reduced_i[mask]
-    return sel if sel.size else np.zeros((0, reduced_i.shape[1]), dtype=np.int64)
-
-
-def verify(cand: TriangulationCandidate, jobs: int = 1) -> VerifierReport:
+def verify(cand: TriangulationCandidate) -> VerifierReport:
     """Run every certification check and report all flags and diagnostics."""
     spec = cand.spec
-    classes, diagnostics, members_ok = _check_members(cand)
+    classes, signed, diagnostics, members_ok = _check_members(cand)
     total = sum(classes)
     poly = spec.polytope_class
-    classes_ok = members_ok
     if total != poly:
         diagnostics.append(f"total class {total} != polytope class {poly}")
 
-    face_ok = True
-    disjoint_ok = True
     if members_ok:
-        rows, reduced, keys = _pair_data(cand)
-        n = len(cand.simplices)
-        pairs = []
-        for i, j in itertools.combinations(range(n), 2):
-            if set(keys[i]) == set(keys[j]):
-                disjoint_ok = False
-                diagnostics.append(f"simplices {i} and {j}: identical vertex sets")
-            else:
-                pairs.append((i, j))
-        failed: list[tuple[int, int]] = []
-        if jobs > 1 and len(pairs) > 64:
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
-                                     initargs=(rows, reduced, keys)) as pool:
-                for i, j, ok in pool.map(_pool_check, pairs, chunksize=256):
-                    if not ok:
-                        failed.append((i, j))
-        else:
-            for i, j in pairs:
-                shared = _shared_reduced(reduced[i], keys[i], keys[j])
-                if not _face_to_face_rows(rows[i], rows[j], shared):
-                    failed.append((i, j))
-        # A pair that meets face-to-face shares at most a proper face, so its
-        # interiors are disjoint; only failed pairs need the overlap LP.
-        for i, j in sorted(failed):
-            face_ok = False
-            if interiors_overlap(cand.simplices[i], cand.simplices[j]):
-                disjoint_ok = False
-                diagnostics.append(f"simplices {i} and {j}: interiors overlap")
-            else:
-                diagnostics.append(f"simplices {i} and {j}: touch but not along a common face")
+        owners = _facet_owners(cand)
+        facet_diagnostics = _facet_diagnostics(owners, signed)
     else:
-        face_ok = False
-        disjoint_ok = False
-        diagnostics.append("pairwise checks skipped: not all members are nondegenerate full-dimensional")
-
-    certified = (total == poly) and disjoint_ok and face_ok and members_ok
-    adjacency: tuple[tuple[int, int], ...] = ()
-    if certified:
-        adjacency = adjacency_graph(cand)
+        owners = {}
+        facet_diagnostics = ["facet check skipped: not all members are nondegenerate full-dimensional"]
+    diagnostics += facet_diagnostics
+    facets_ok = not facet_diagnostics
+    certified = members_ok and total == poly and facets_ok
+    adjacency = _adjacency(owners) if certified else ()
     return VerifierReport(
         spec=spec,
         classes=tuple(classes),
         total_class=total,
         polytope_class=poly,
-        classes_ok=classes_ok,
-        disjoint_ok=disjoint_ok,
-        face_to_face_ok=face_ok,
+        classes_ok=members_ok,
+        facets_ok=facets_ok,
         certified=certified,
         adjacency=adjacency,
         diagnostics=tuple(diagnostics),
@@ -347,17 +377,13 @@ def verify(cand: TriangulationCandidate, jobs: int = 1) -> VerifierReport:
 
 
 def adjacency_graph(cand: TriangulationCandidate) -> tuple[tuple[int, int], ...]:
-    """Pairs of simplices sharing a full facet (all but one vertex).
+    """Pairs of simplices sharing exactly d vertices, read from the facet map.
 
-    Meaningful for certified candidates, where sharing d vertices is the same
-    as meeting face-to-face along a common facet.
+    Identical simplices are not adjacent.  Meaningful for certified
+    candidates, where sharing d vertices is the same as meeting face-to-face
+    along a common facet.
     """
-    d = cand.spec.dim
-    out = []
-    for i, j in itertools.combinations(range(len(cand.simplices)), 2):
-        if len(cand.simplices[i].vertex_set & cand.simplices[j].vertex_set) == d:
-            out.append((i, j))
-    return tuple(out)
+    return _adjacency(_facet_owners(cand))
 
 
 def facet_inventory(cand: TriangulationCandidate):
@@ -365,19 +391,17 @@ def facet_inventory(cand: TriangulationCandidate):
 
     Returns (exterior, interior) where exterior maps a simplotope facet's
     zero coordinate to the list of (simplex index, facet vertex tuple) lying
-    in it, and interior counts how often each facet vertex set occurs.
+    in it, and interior counts how often each facet vertex set occurs, keyed
+    by the sorted vertex indices.  A facet is a d-vertex subset of a simplex,
+    with its vertices in index order.
     """
-    from collections import Counter, defaultdict
-
     exterior = defaultdict(list)
     interior: Counter = Counter()
-    for i, x in enumerate(cand.simplices):
-        for subset in itertools.combinations(x.vertices, len(x.vertices) - 1):
-            zeros = minimal_face(subset).zeros
-            key = tuple(sorted(v.idx for v in subset))
-            if zeros:
-                for z in sorted(zeros):
-                    exterior[z].append((i, subset))
-            else:
-                interior[key] += 1
+    for facet, own in _facet_owners(cand).items():
+        zeros = minimal_face(facet).zeros
+        if zeros:
+            for z in sorted(zeros):
+                exterior[z].extend((i, facet) for i, _ in own)
+        else:
+            interior[tuple(v.idx for v in facet)] = len(own)
     return exterior, interior

@@ -12,7 +12,10 @@ CAPS_SHA256 = VTable().caps_sha256
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refused the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -79,6 +82,8 @@ def test_verify_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["certified"] is True and doc["n_simplices"] == 10
+    assert doc["facets_ok"] is True and doc["diagnostics"] == []
+    assert "disjoint_ok" not in doc and "face_to_face_ok" not in doc
 
 
 def test_standard_roundtrip(tmp_path, capsys):
@@ -118,6 +123,8 @@ def test_verify_uncertified_exit_code(tmp_path, capsys):
     f.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", "--input", str(f))
     assert code == 1 and "NOT CERTIFIED" in out
+    assert "facets matched: False" in out
+    assert "  - boundary facet [(0, 0), (1, 0)]: owned by 2 simplices [0, 1], expected 1" in out
 
 
 def test_q_with_oracles(capsys):
@@ -205,6 +212,13 @@ def memo_doc(**fields):
       "simplices": [[[1.0, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]]]}, None),
     (None, ["bounds", "--max-t", "-1"]),
     (None, ["bounds", "--config", "/nonexistent/caps.txt"]),
+    (None, ["vmax", "--s", "-1", "--t", "0"]),
+    (None, ["vmax", "--spec", "9,9"]),
+    (None, ["q", "--s", "-1", "--t", "0", "--sp", "0", "--tp", "0"]),
+    (None, ["standard", "--spec", "0"]),
+    (None, ["fbound", "--s", "-1", "--t", "0", "--c", "1", "--sp", "0", "--tp", "0", "--cp", "1"]),
+    (None, ["verify", "--input", "{file}", "--jobs", "2"]),
+    (None, ["case", "tri-square", "--jobs", "2"]),
     ("not json", MEMO),
     ([1, 2], MEMO),
     (memo_doc(entries={"1,1,2,1,0": 3}), MEMO),
@@ -218,6 +232,8 @@ def memo_doc(**fields):
         "simplices-not-a-list", "vertex-is-a-number", "simplex-not-a-list",
         "reduction-vertex-not-a-list", "string-vertex-entry", "float-vertex-entry",
         "negative-max-t", "missing-config",
+        "vmax-negative-count", "vmax-without-cap", "q-negative-count", "standard-zero-factor",
+        "fbound-negative-count", "verify-jobs-flag", "case-jobs-flag",
         "memo-not-json", "memo-not-an-object", "memo-key-five-integers", "memo-key-not-integers",
         "memo-value-not-int", "memo-format-missing", "memo-format-unknown",
         "memo-unversioned", "memo-caps-mismatch"])

@@ -1,16 +1,22 @@
-"""Exact pairwise intersection tests and triangulation certification."""
+"""Triangulation certification by facet matching, and the pairwise oracle it replaced."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
-from simplotope.core import SimplotopeSpec, VertexSimplex, corner_simplex, minimal_face
+from simplotope.core import SimplotopeSpec, VertexPoint, VertexSimplex, corner_simplex, minimal_face
+from simplotope.exact import det
 from simplotope.standard import standard_triangulation
-from simplotope.trisquare import decode
+from simplotope.trisquare import construction_stages, decode, minimal_triangulation_10
 from simplotope.verifier import (
     TriangulationCandidate,
+    _face_to_face_rows,
+    _global_pivot,
     adjacency_graph,
     facet_inventory,
+    facet_rows,
     interiors_overlap,
     meet_face_to_face,
     verify,
@@ -89,15 +95,56 @@ def test_verify_class_deficit():
     spec = SimplotopeSpec.of(2, 2)
     cand = TriangulationCandidate(spec, tuple(standard_triangulation(spec))[:-1])
     report = verify(cand)
-    assert not report.certified
+    assert not report.certified and not report.facets_ok
     assert report.total_class == 5
+    # the dropped simplex leaves its interior facet with one owner
+    assert "total class 5 != polytope class 6" in report.diagnostics
+    assert "interior facet [(0, 0), (0, 1), (1, 2), (2, 2)]: owned by 1 simplex [4], " \
+           "expected 2" in report.diagnostics
 
 
 def test_verify_duplicate_simplex():
     a, b = square_pair()
     report = verify(TriangulationCandidate(SQ, (a, b, b)))
     assert not report.certified
-    assert not report.disjoint_ok
+    assert not report.facets_ok
+    assert "boundary facet [(0, 0), (0, 1)]: owned by 2 simplices [1, 2], expected 1" \
+        in report.diagnostics
+    assert "interior facet [(0, 0), (1, 1)]: owned by 3 simplices [0, 1, 2], expected 2" \
+        in report.diagnostics
+
+
+# Six class-1 simplices of the product of two triangles: the classes sum to 6,
+# every boundary facet has one owner and every interior facet two, yet five
+# interior facets have both apexes on one side.  Only the side test rejects it.
+SAME_SIDE_22 = (
+    ((0, 0), (0, 1), (0, 2), (1, 0), (2, 1)),
+    ((0, 0), (0, 1), (0, 2), (1, 1), (2, 2)),
+    ((0, 0), (0, 1), (1, 1), (2, 1), (2, 2)),
+    ((0, 0), (0, 2), (1, 0), (1, 1), (2, 1)),
+    ((0, 0), (0, 2), (1, 1), (2, 1), (2, 2)),
+    ((0, 1), (0, 2), (1, 0), (1, 1), (2, 1)),
+)
+
+
+def candidate(spec, simplices):
+    return TriangulationCandidate(spec, tuple(
+        VertexSimplex(spec, [VertexPoint(spec, v) for v in x]) for x in simplices))
+
+
+def test_verify_apexes_on_one_side():
+    spec = SimplotopeSpec.of(2, 2)
+    report = verify(candidate(spec, SAME_SIDE_22))
+    assert report.total_class == report.polytope_class == 6
+    assert not report.certified and not report.facets_ok
+    assert report.diagnostics == (
+        "interior facet [(0, 0), (0, 2), (1, 0), (2, 1)]: simplices 0 and 3 have their apexes on one side",
+        "interior facet [(0, 0), (0, 2), (1, 1), (2, 2)]: simplices 1 and 4 have their apexes on one side",
+        "interior facet [(0, 0), (1, 1), (2, 1), (2, 2)]: simplices 2 and 4 have their apexes on one side",
+        "interior facet [(0, 0), (0, 2), (1, 1), (2, 1)]: simplices 3 and 4 have their apexes on one side",
+        "interior facet [(0, 2), (1, 0), (1, 1), (2, 1)]: simplices 3 and 5 have their apexes on one side",
+    )
+    assert not pairwise_oracle(candidate(spec, SAME_SIDE_22))
 
 
 def test_verify_wrong_vertex_count():
@@ -131,14 +178,9 @@ def test_facet_matching_in_certified_partition():
 
 
 def test_batched_det_object_path_agrees():
-    import random as rnd
-
-    import numpy as np
-
-    from simplotope.exact import det
     from simplotope.verifier import _batched_int_det
 
-    rng = rnd.Random(12)
+    rng = random.Random(12)
     mats = []
     for _ in range(200):
         n = 4
@@ -157,10 +199,6 @@ def test_batched_det_object_path_agrees():
 def test_face_to_face_big_entry_fallback():
     # scaling half-space rows by a positive constant changes nothing
     # geometrically but pushes the arithmetic onto the exact-object path
-    import numpy as np
-
-    from simplotope.verifier import _face_to_face_rows, _global_pivot, facet_rows
-
     a, b = square_pair()
     pivot = _global_pivot(SQ)
     shared = np.array([v.reduced(pivot) for v in a.vertices if v in b.vertex_set],
@@ -177,12 +215,9 @@ def test_face_to_face_big_entry_fallback():
 def test_face_to_face_implies_disjoint_interiors():
     # the two exact engines must agree: distinct simplices meeting
     # face-to-face can never share an interior point
-    import itertools as it
-    import random as rnd
-
     spec = SimplotopeSpec.of(1, 1, 2)
     verts = spec.vertices()
-    rng = rnd.Random(23)
+    rng = random.Random(23)
     pairs_checked = 0
     while pairs_checked < 60:
         a = VertexSimplex(spec, rng.sample(verts, spec.dim + 1))
@@ -200,10 +235,171 @@ def test_face_to_face_implies_disjoint_interiors():
             assert not meet_face_to_face(b, a)
 
 
-def test_verify_parallel_jobs_agrees():
-    spec = SimplotopeSpec.of(1, 1, 2)
-    cand = TriangulationCandidate(spec, tuple(standard_triangulation(spec)))
-    seq = verify(cand, jobs=1)
-    par = verify(cand, jobs=2)
-    assert seq.certified and par.certified
-    assert seq.adjacency == par.adjacency
+# --- the facet criterion against the pairwise oracle ---------------------------
+
+def pairwise_oracle(cand):
+    """The verdict of the old pairwise certification.
+
+    Certified when every member is nondegenerate and full-dimensional, the
+    classes sum to the polytope class, no two members have the same vertex
+    set and every pair meets face-to-face (which makes interiors disjoint).
+    """
+    d = cand.spec.dim
+    xs = cand.simplices
+    if any(len(x.vertices) != d + 1 or x.cls == 0 for x in xs):
+        return False
+    if sum(x.cls for x in xs) != cand.spec.polytope_class:
+        return False
+    # meet_face_to_face, with each simplex's half-space rows computed once
+    pivot = _global_pivot(cand.spec)
+    rows = [facet_rows(x) for x in xs]
+    for i, j in itertools.combinations(range(len(xs)), 2):
+        if xs[i].vertex_set == xs[j].vertex_set:
+            return False
+        shared = [v.reduced(pivot) for v in xs[i].vertices if v in xs[j].vertex_set]
+        if not _face_to_face_rows(rows[i], rows[j], np.array(shared, dtype=np.int64).reshape(-1, d)):
+            return False
+    return True
+
+
+def old_adjacency_scan(cand):
+    """adjacency_graph as the O(n^2) scan computed it: pairs sharing exactly d vertices."""
+    d = cand.spec.dim
+    return tuple((i, j) for i, j in itertools.combinations(range(len(cand.simplices)), 2)
+                 if len(cand.simplices[i].vertex_set & cand.simplices[j].vertex_set) == d)
+
+
+def partitions(n, largest=None):
+    largest = largest or n
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
+def standard(spec):
+    return TriangulationCandidate(spec, tuple(standard_triangulation(spec)))
+
+
+def affine_dependence(spec, points):
+    """The integer affine dependence of d + 2 points spanning dimension d (Cramer)."""
+    cols = [(1,) + p.reduced(_global_pivot(spec)) for p in points]
+    rows = list(zip(*cols))
+    return [(-1) ** k * det([r[:k] + r[k + 1:] for r in rows]) for k in range(len(points))]
+
+
+def pair_flips(cand):
+    """Every bistellar flip of cand that replaces two adjacent simplices.
+
+    For adjacent simplices with apexes a and b, the d + 2 vertices of their
+    union carry one affine dependence.  When a and b are its only terms of
+    one sign, the pair is one of the two triangulations of that circuit
+    (joined with the vertices off it), and the flip swaps in the other: the
+    union minus each vertex of the opposite sign.  Whether the result is a
+    triangulation depends on the rest of cand; both verifiers must agree.
+    """
+    xs = cand.simplices
+    out = []
+    for i, j in adjacency_graph(cand):
+        union = sorted(xs[i].vertex_set | xs[j].vertex_set, key=lambda v: v.idx)
+        (a,), (b,) = xs[i].vertex_set - xs[j].vertex_set, xs[j].vertex_set - xs[i].vertex_set
+        lam = affine_dependence(cand.spec, union)
+        sign = lam[union.index(a)]
+        if {u for u, c in zip(union, lam) if c * sign > 0} != {a, b}:
+            continue
+        new = tuple(VertexSimplex(cand.spec, [u for u in union if u != z])
+                    for z, c in zip(union, lam) if c * sign < 0)
+        rest = tuple(x for k, x in enumerate(xs) if k not in (i, j))
+        out.append(TriangulationCandidate(cand.spec, rest + new))
+    return out
+
+
+def single_vertex_mutants(cand, count, rng):
+    """Seeded mutants that move one vertex of one simplex, as in the benchmark.
+
+    Each new simplex is nondegenerate and not already a member, so no mutant
+    is a triangulation (see perfbench/workloads.py for the argument).
+    """
+    xs = cand.simplices
+    members = {x.vertex_set for x in xs}
+    verts = cand.spec.vertices()
+    out = []
+    while len(out) < count:
+        k = rng.randrange(len(xs))
+        pos = rng.randrange(len(xs[k].vertices))
+        w = rng.choice([v for v in verts if v not in xs[k].vertex_set])
+        new = VertexSimplex(cand.spec, xs[k].vertices[:pos] + (w,) + xs[k].vertices[pos + 1:])
+        if new.vertex_set in members or new.cls == 0:
+            continue
+        out.append(TriangulationCandidate(cand.spec, xs[:k] + (new,) + xs[k + 1:]))
+    return out
+
+
+FLIP_BASES = [SimplotopeSpec.of(2, 2), SimplotopeSpec.of(1, 3), SimplotopeSpec.of(1, 1, 2)]
+
+
+@pytest.fixture(scope="module")
+def certified_inputs():
+    """Triangulations that certify: standard ones up to 30 simplices through
+    dimension 5, the construction stages, the bundled minimal triangulation
+    and the certified pair flips of the (2,2), (1,3) and (1,1,2) triangulations."""
+    cands = [standard(SimplotopeSpec.of(*f)) for n in range(1, 6) for f in partitions(n)
+             if SimplotopeSpec.of(*f).polytope_class <= 30]
+    cands += list(construction_stages())
+    cands.append(minimal_triangulation_10())
+    return cands
+
+
+def test_fast_path_agrees_with_oracle_on_triangulations(certified_inputs):
+    for cand in certified_inputs:
+        report = verify(cand)
+        assert report.certified and report.facets_ok, (cand.spec, report.diagnostics)
+        assert pairwise_oracle(cand), cand.spec
+        assert report.adjacency == old_adjacency_scan(cand)
+
+
+def test_fast_path_agrees_with_oracle_on_flips():
+    for spec in FLIP_BASES:
+        base = standard(spec)
+        flips = pair_flips(base)
+        certified = 0
+        for cand in flips:
+            want = pairwise_oracle(cand)
+            assert verify(cand).certified == want, spec
+            if want:
+                certified += 1
+                assert {x.vertex_set for x in cand.simplices} != {x.vertex_set for x in base.simplices}
+        assert certified >= 1, spec
+        if spec == SimplotopeSpec.of(2, 2):
+            assert certified < len(flips)  # some flips are rejected, by both
+
+
+def test_fast_path_agrees_with_oracle_on_mutants():
+    rng = random.Random(2024)
+    bases = []
+    for spec in FLIP_BASES:
+        bases.append(standard(spec))
+        bases += [c for c in pair_flips(standard(spec)) if verify(c).certified][:2]
+    bases += list(construction_stages()) + [minimal_triangulation_10()]
+    preserving = 0
+    for base in bases:
+        for cand in single_vertex_mutants(base, 4, rng):
+            report = verify(cand)
+            assert not report.certified and report.diagnostics
+            assert not pairwise_oracle(cand)
+            if report.total_class == report.polytope_class:
+                preserving += 1
+                assert not report.facets_ok  # only the facet check can reject these
+            assert adjacency_graph(cand) == old_adjacency_scan(cand)
+    assert preserving >= 10
+
+
+def test_adjacency_matches_old_scan_on_malformed_candidates():
+    a, b = square_pair()
+    edge = VertexSimplex(SQ, a.vertices[:2])
+    point = VertexSimplex(SQ, a.vertices[:1])
+    for sims in [(a, b, b), (a, a), (a, edge), (edge, edge, b), (point, a, edge), (a, b, edge, b)]:
+        cand = TriangulationCandidate(SQ, sims)
+        assert adjacency_graph(cand) == old_adjacency_scan(cand), sims
