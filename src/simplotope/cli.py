@@ -16,12 +16,7 @@ from .counting import QQuery, q_by_enumeration, q_by_generating_function, q_coun
 from .fbounds import DEFAULT_VTABLE, FKey, VMaxUnavailable, VTable, f_bound, load_cube_caps, v_max
 from .lptable import bounds_table
 from .standard import standard_triangulation
-from .tfiles import (
-    TriangulationFileError,
-    candidate_to_dict,
-    load_candidate,
-    save_candidate,
-)
+from .tfiles import candidate_to_dict, load_candidate, save_candidate
 from .trisquare import construction_stages, lower_bound_10_argument, minimal_triangulation_10
 from .verifier import TriangulationCandidate, verify
 
@@ -74,7 +69,7 @@ def _load_memo(path, vtable: VTable) -> None:
             doc = json.load(fh)
     except FileNotFoundError:
         return
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"--memo-cache {path}: not a readable JSON file ({exc})") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"--memo-cache {path}: expected a JSON object")
@@ -132,8 +127,10 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     try:
         cand = load_candidate(args.input)
-    except (TriangulationFileError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers TriangulationFileError, bad JSON and bytes that are
+        # not UTF-8; RecursionError is JSON nested deeper than the parser goes
+        print(f"error: --input {args.input}: {exc}", file=sys.stderr)
         return 2
     report = verify(cand)
     if args.format == "json":

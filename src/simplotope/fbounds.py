@@ -10,13 +10,34 @@ arguments, dimension overflow, class overflow (c > V) and failed
 divisibility, which lets the sums below range freely.
 
 V(s, t), the largest class of a vertex simplex, is brute forced for products
-of at most three factors (through dimension 6) by scanning every
-(s+2t+1)-subset of vertices; other products use the known maximal
+of at most three factors (through dimension 6) by an exact search over
+(s+2t+1)-subsets of vertices; other products use the known maximal
 0/1-determinant values for cubes, read from a configuration file, as caps.
 The reference bound table corresponds exactly to this split: recomputing a
-capped pair by brute force (say (3, 1), where the scan finds 4 against the
+capped pair by brute force (say (3, 1), where the search finds 4 against the
 cap 5) would strengthen the table away from its reference entries, so the
 split is deliberately not widened.
+
+The search covers every subset without enumerating them all:
+
+- The symmetry group of the product is vertex-transitive and preserves
+  classes, so some largest simplex contains vertex 0.  Its class is |det| of
+  the other d vertices' reduced coordinates at vertex 0.
+- The group H generated by swapping positions a, a + 1 >= 1 inside one
+  factor and by swapping two factors of equal size fixes vertex 0 and
+  permutes those coordinates, so it preserves |det| too.  Its orbits on the
+  other vertices, O_1, ..., O_m in a fixed order, come from union-find over
+  the generators.
+- If O_k is the first orbit a d-set meets, H moves the set to one holding
+  the representative r_k of O_k, with the rest drawn from O_k, ..., O_m.
+  One depth-first search per orbit, over such sets in increasing vertex
+  order, therefore meets a set of every class.
+- Each level of a search adds one vector and eliminates it against the
+  levels below by fraction-free Bareiss steps, whose divisions are exact by
+  Sylvester's identity.  A vector that eliminates to zero is dependent on
+  the ones chosen, so that branch and every superset of it is degenerate
+  and is cut.  At depth d the last pivot is the d x d determinant up to
+  sign.  No float is used anywhere.
 
 A VTable is the F evaluator of one cube-cap table.  It owns a copy of the
 caps, the V values computed from them, the F memo and the sha256 of the
@@ -41,8 +62,6 @@ import itertools
 from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
-
-import numpy as np
 
 from .core import SimplotopeSpec
 from .counting import comb0
@@ -227,47 +246,96 @@ class VTable:
         return best
 
 
+def _stabilizer_generators(spec: SimplotopeSpec) -> list[list[int]]:
+    """Generators of a group of symmetries fixing vertex 0, as vertex permutations.
+
+    Vertices are numbered in the order of `spec.vertices()`.  Inside each
+    factor, positions a and a + 1 are swapped for every a >= 1, so position 0
+    stays put; any two factors of the same size are swapped.  Both kinds
+    permute the reduced coordinates taken at vertex 0, so they preserve the
+    class of every vertex simplex.
+    """
+    verts = spec.vertices()
+    index = {v.idx: i for i, v in enumerate(verts)}
+    n = len(spec.factors)
+    perms = []
+    for f, c in enumerate(spec.factors):
+        for a in range(1, c):
+            swap = {a: a + 1, a + 1: a}
+            perms.append([index[tuple(swap.get(j, j) if i == f else j for i, j in enumerate(v.idx))]
+                          for v in verts])
+    for f, g in itertools.combinations(range(n), 2):
+        if spec.factors[f] == spec.factors[g]:
+            swap = {f: g, g: f}
+            perms.append([index[tuple(v.idx[swap.get(i, i)] for i in range(n))] for v in verts])
+    return perms
+
+
+def _stabilizer_orbits(spec: SimplotopeSpec) -> list[list[int]]:
+    """Orbits of the generators' group on vertices 1..n-1 by union-find, each
+    sorted, ordered by their smallest vertex."""
+    n = spec.n_vertices
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for perm in _stabilizer_generators(spec):
+        for i, j in enumerate(perm):
+            parent[root(i)] = root(j)
+    orbits: dict[int, list[int]] = {}
+    for i in range(1, n):
+        orbits.setdefault(root(i), []).append(i)
+    return sorted(orbits.values())
+
+
 def _brute_force_vmax(s: int, t: int) -> int:
     """Largest class over every (s+2t+1)-subset of the simplotope's vertices.
 
-    The scan runs batched float determinants (a 0/1 matrix of size <= 7 has
-    |det| <= 32 and LAPACK's error here is ~1e-11, far below the integer
-    spacing, so rounding is safe); the winning subset is then re-checked with
-    the exact integer determinant before the value is trusted.
+    The orbit split and the search are described in the module docstring.
     """
-    from .exact import det  # local import keeps module load light
-
     spec = SimplotopeSpec.seg_tri(s, t)
     d = spec.dim
     verts = spec.vertices()
-    pivot = verts[0]
-    reduced = np.array([v.reduced(pivot) for v in verts], dtype=np.float64)
-    k = d + 1
-    best = -1.0
-    best_subset: tuple[int, ...] | None = None
-    combos = itertools.combinations(range(len(verts)), k)
-    chunk_size = 200_000
-    while True:
-        chunk = list(itertools.islice(combos, chunk_size))
-        if not chunk:
-            break
-        idx = np.array(chunk, dtype=np.intp)
-        mats = np.ones((len(chunk), k, k))
-        mats[:, :, 1:] = reduced[idx]
-        dets = np.abs(np.linalg.det(mats))
-        pos = int(np.argmax(dets))
-        if dets[pos] > best:
-            best = float(dets[pos])
-            best_subset = chunk[pos]
-    if best_subset is None:
-        raise RuntimeError(f"no {k}-subset of vertices scanned for V({s},{t})")
-    value = round(best)
-    if abs(best - value) >= 1e-6:
-        raise RuntimeError(f"float determinant {best} for V({s},{t}) is not near an integer")
-    rows = [(1,) + verts[i].reduced(pivot) for i in best_subset]
-    if abs(det(rows)) != value:
-        raise RuntimeError(f"exact recheck of V({s},{t}) disagrees with the float scan")
-    return value
+    vecs = [v.reduced(verts[0]) for v in verts]
+    orbits = _stabilizer_orbits(spec)
+    best = 0
+    # level k holds the k-th chosen vector after Bareiss elimination against
+    # levels 0..k-1, its pivot column and its pivot; pivots[k] divides step k + 1
+    rows: list[list[int]] = [[]] * d
+    cols = [0] * d
+    pivots = [1] * (d + 1)
+
+    def push(level: int, vec: tuple[int, ...]) -> bool:
+        """Eliminate vec against the levels below; False if it is dependent on them."""
+        v = list(vec)
+        for j in range(level):
+            row, c, p, prev = rows[j], cols[j], pivots[j + 1], pivots[j]
+            m = v[c]
+            if m or p != prev:
+                v = [(p * x - m * y) // prev for x, y in zip(v, row)]
+        for c, x in enumerate(v):
+            if x:
+                rows[level], cols[level], pivots[level + 1] = v, c, x
+                return True
+        return False
+
+    def search(level: int, start: int, pool: list[int]) -> None:
+        nonlocal best
+        if level == d:
+            best = max(best, abs(pivots[d]))
+            return
+        for pos in range(start, len(pool)):
+            if push(level, vecs[pool[pos]]):
+                search(level + 1, pos + 1, pool)
+
+    for k, orbit in enumerate(orbits):
+        rep = orbit[0]
+        push(0, vecs[rep])  # never dependent: only vertex 0 reduces to zero
+        search(1, 0, sorted(i for o in orbits[k:] for i in o if i != rep))
+    return best
 
 
 # The evaluator of the packaged caps.  DEFAULT_MEMO is its memo under a second

@@ -45,6 +45,11 @@ relations directly.  Certification no longer uses them.
 `meet_face_to_face` is kept as the oracle the tests check the facet
 criterion against.  `interiors_overlap` is also the overlap test of the
 triangle-cross-square argument.
+
+numpy is used by that oracle alone: `meet_face_to_face`, `facet_rows`,
+`_face_to_face_rows`, `_batched_int_det` and `_subset_array` import it
+when they run, so importing this module (and every command of the CLI)
+does not load it.
 """
 
 from __future__ import annotations
@@ -53,11 +58,13 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import SimplotopeSpec, VertexPoint, VertexSimplex, minimal_face
 from .exact import INFEASIBLE, OPTIMAL, LpProblem, det, lp_minimize, scaled_inverse
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,8 @@ def facet_rows(x: VertexSimplex) -> np.ndarray:
     Row i is the i-th barycentric functional scaled by |det|: it vanishes on
     every vertex but the i-th, where it equals |det|.
     """
+    import numpy as np
+
     rows = [(1,) + r for r in _reduced_rows(x)]
     d, adj = scaled_inverse(rows)
     sign = 1 if d > 0 else -1
@@ -103,6 +112,8 @@ def facet_rows(x: VertexSimplex) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _subset_array(n_rows: int, size: int) -> np.ndarray:
+    import numpy as np
+
     return np.array(list(itertools.combinations(range(n_rows), size)), dtype=np.intp)
 
 
@@ -112,6 +123,8 @@ def _batched_int_det(a: np.ndarray) -> np.ndarray:
     Works for int64 input (caller guarantees no overflow) and for object
     arrays of Python ints.
     """
+    import numpy as np
+
     a = a.copy()
     batch, n, _ = a.shape
     if n == 0:
@@ -153,6 +166,8 @@ def _face_to_face_rows(rows_a: np.ndarray, rows_b: np.ndarray,
     rule over every d-subset of the 2(d+1) constraint rows and demands each
     feasible one be a shared vertex.
     """
+    import numpy as np
+
     d = rows_a.shape[1] - 1
     rows = np.vstack([rows_a, rows_b])
     if d == 0:
@@ -199,6 +214,8 @@ def meet_face_to_face(a: VertexSimplex, b: VertexSimplex) -> bool:
     For vertex simplices this means the half-space intersection has no vertex
     beyond the shared vertices; the empty intersection passes vacuously.
     """
+    import numpy as np
+
     if a.spec != b.spec:
         raise ValueError("simplices come from different simplotopes")
     if a.is_degenerate or b.is_degenerate:

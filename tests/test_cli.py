@@ -1,9 +1,14 @@
 """Command-line surface: flags, formats, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import simplotope
 from simplotope.cli import main
 from simplotope.fbounds import VTable
 from simplotope.trisquare import bundled_triangulation_path
@@ -192,6 +197,10 @@ def test_standard_single_segment(capsys):
 MEMO = ["bounds", "--max-s", "1", "--max-t", "1", "--memo-cache", "{file}"]
 
 
+# deeper than the JSON parser's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def memo_doc(**fields):
     return {"format": 1, "caps_sha256": CAPS_SHA256, "entries": {}, **fields}
 
@@ -228,6 +237,9 @@ def memo_doc(**fields):
     (memo_doc(format=2), MEMO),
     ({"1,1,2,1,0,1": 3}, MEMO),
     (memo_doc(caps_sha256="0" * 64), MEMO),
+    (b"\xff\xfe{}", None),
+    (DEEP, None),
+    (DEEP, MEMO),
 ], ids=["top-level-list", "zero-factor", "non-integer-factors", "repeated-vertex",
         "simplices-not-a-list", "vertex-is-a-number", "simplex-not-a-list",
         "reduction-vertex-not-a-list", "string-vertex-entry", "float-vertex-entry",
@@ -236,15 +248,45 @@ def memo_doc(**fields):
         "fbound-negative-count", "verify-jobs-flag", "case-jobs-flag",
         "memo-not-json", "memo-not-an-object", "memo-key-five-integers", "memo-key-not-integers",
         "memo-value-not-int", "memo-format-missing", "memo-format-unknown",
-        "memo-unversioned", "memo-caps-mismatch"])
+        "memo-unversioned", "memo-caps-mismatch",
+        "not-utf8", "deeply-nested", "memo-deeply-nested"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, doc, argv):
     f = tmp_path / "input.json"
-    if doc is not None:
+    if isinstance(doc, bytes):
+        f.write_bytes(doc)
+    elif doc is not None:
         f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = [a.replace("{file}", str(f)) for a in argv or ["verify", "--input", "{file}"]]
-    before = f.read_text() if doc is not None else None
+    before = f.read_bytes() if doc is not None else None
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     if before is not None:
-        assert f.read_text() == before  # a refused file is left as it was
+        assert f.read_bytes() == before  # a refused file is left as it was
+
+
+# Runs one command in a fresh interpreter, then reports its exit code and
+# whether anything on the way imported numpy.
+NO_NUMPY_SCRIPT = """
+import contextlib, io, sys
+from simplotope import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--max-s", "3", "--max-t", "3", "--dim-cap", "6"],  # reaches V(0,3)
+    ["verify", "--input", str(bundled_triangulation_path())],
+    ["case", "tri-square", "--check", "all"],
+    ["standard", "--spec", "1,2"],
+    ["vmax", "--spec", "0,3"],
+], ids=["bounds", "verify", "case", "standard", "vmax"])
+def test_cli_commands_do_not_import_numpy(argv):
+    src = str(Path(simplotope.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from f_oracle import make_f
+from v_oracle import v_by_enumeration
 from simplotope.core import SimplotopeSpec, VertexSimplex, corner_simplex, exterior_faces, face_class
 from simplotope.fbounds import (
     BRUTE_FORCE,
@@ -15,6 +16,8 @@ from simplotope.fbounds import (
     VMaxUnavailable,
     VTable,
     _brute_force_vmax,
+    _stabilizer_generators,
+    _stabilizer_orbits,
     comb_bound,
     f_bound,
     f_recurrence,
@@ -64,7 +67,7 @@ def test_f_bound_zero_conventions():
 
 def test_v_values():
     for (s, t), want in [((1, 1), 1), ((0, 2), 1), ((2, 1), 2), ((1, 2), 3), ((3, 0), 2),
-                         ((1, 0), 1), ((2, 0), 1), ((0, 1), 1)]:
+                         ((1, 0), 1), ((2, 0), 1), ((0, 1), 1), ((0, 3), 4)]:
         entry = v_max(s, t)
         assert entry.value == want
         assert entry.provenance == BRUTE_FORCE
@@ -89,6 +92,43 @@ def test_caps_file_agrees_with_brute_force_small():
     assert _brute_force_vmax(2, 0) == caps[2]
     assert _brute_force_vmax(3, 0) == caps[3]
     assert _brute_force_vmax(4, 0) == caps[4]
+
+
+@pytest.mark.parametrize("s, t", [(1, 0), (2, 0), (3, 0), (4, 0), (0, 1), (1, 1),
+                                  (2, 1), (0, 2), (1, 2)])
+def test_brute_force_vmax_matches_enumeration(s, t):
+    assert _brute_force_vmax(s, t) == v_by_enumeration(s, t)
+
+
+@pytest.mark.parametrize("s, t", [(3, 0), (2, 1), (1, 2), (0, 3)])
+def test_stabilizer_generators_fix_vertex_zero_and_classes(s, t):
+    # a generator that is not a class-preserving symmetry fixing vertex 0
+    # would make the V search skip subsets and undercount V silently
+    import random
+
+    spec = SimplotopeSpec.seg_tri(s, t)
+    verts = spec.vertices()
+    n = len(verts)
+    gens = _stabilizer_generators(spec)
+    assert gens
+
+    def cls(sub):
+        return VertexSimplex(spec, [verts[i] for i in sub]).cls
+
+    rng = random.Random(5)
+    samples = []
+    while len(samples) < 50:
+        sub = rng.sample(range(n), spec.dim + 1)
+        if cls(sub):
+            samples.append(sub)
+    for perm in gens:
+        assert sorted(perm) == list(range(n))
+        assert perm[0] == 0
+        for sub in samples:
+            assert cls([perm[i] for i in sub]) == cls(sub)
+    orbits = _stabilizer_orbits(spec)
+    assert sum(len(o) for o in orbits) == n - 1
+    assert sorted(i for o in orbits for i in o) == list(range(1, n))
 
 
 def test_v_never_exceeds_cap():
