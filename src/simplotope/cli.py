@@ -217,7 +217,11 @@ def cmd_q(args) -> int:
 def cmd_fbound(args) -> int:
     key = FKey(args.s, args.t, args.c, args.sp, args.tp, args.cp)
     _nonnegative(*((f"--{name}", value) for name, value in zip(FKey._fields, key)))
-    print(f_bound(key, vtable=_vtable(args)))
+    try:
+        value = f_bound(key, vtable=_vtable(args))
+    except VMaxUnavailable as exc:
+        raise UsageError(f"F{tuple(key)}: {exc}") from None
+    print(value)
     return 0
 
 

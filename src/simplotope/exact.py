@@ -66,54 +66,20 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def solve_rational(rows: Sequence[Sequence[int]], rhs: Sequence) -> list[Fraction] | None:
-    """Solve a square linear system exactly; None when the matrix is singular.
-
-    Coefficients may be ints or Fractions; the result is a list of Fractions.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise ValueError("solve_rational requires a square system")
-    a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
-
-
 def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """Return (det, adjugate) of an integer matrix, so inverse = adj / det.
 
-    Raises ValueError when the matrix is singular.
+    The adjugate is taken by cofactors: adj[i][j] = (-1)^(i+j) times the
+    determinant of the matrix without row j and column i.  Raises ValueError
+    when the matrix is singular.
     """
-    n = len(rows)
+    rows = [tuple(r) for r in rows]
     d = det(rows)
     if d == 0:
         raise ValueError("matrix is singular")
-    adj = [[0] * n for _ in range(n)]
-    for j in range(n):
-        e = [Fraction(1 if i == j else 0) for i in range(n)]
-        col = solve_rational(rows, e)
-        if col is None:
-            raise RuntimeError("solve_rational reported a nonsingular matrix singular")
-        for i in range(n):
-            v = col[i] * d
-            if v.denominator != 1:
-                raise RuntimeError("adjugate entry is not an integer")
-            adj[i][j] = v.numerator
+    n = len(rows)
+    adj = [[(-1) ** (i + j) * det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            for j in range(n)] for i in range(n)]
     return d, adj
 
 

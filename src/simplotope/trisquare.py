@@ -25,7 +25,7 @@ from .core import (
     has_exterior_facet,
     minimal_face,
 )
-from .exact import solve_rational
+from .exact import scaled_inverse
 from .lptable import solve_cell
 from .standard import standard_triangulation
 from .verifier import TriangulationCandidate, interiors_overlap, verify
@@ -94,8 +94,9 @@ def factor_permutations() -> list[dict[VertexPoint, VertexPoint]]:
 def center_in_facet(x: VertexSimplex) -> tuple[Fraction, ...]:
     """Barycentric coefficients of the center in a class-2 simplex.
 
-    Solves the exact convex-combination system; exactly one coefficient is
-    zero and the rest are positive, so the center is interior to a facet.
+    Solves the exact convex-combination system by its adjugate, as
+    adj . rhs / det; exactly one coefficient is zero and the rest are
+    positive, so the center is interior to a facet.
     """
     if x.cls != 2:
         raise ValueError("the center-in-facet property is about class-2 simplices")
@@ -104,9 +105,8 @@ def center_in_facet(x: VertexSimplex) -> tuple[Fraction, ...]:
     n = len(rows)
     system = [[1] * n] + [[rows[i][k] for i in range(n)] for k in range(TRI_SQUARE.dim)]
     rhs = [Fraction(1)] + list(CENTER_REDUCED)
-    coeffs = solve_rational(system, rhs)
-    if coeffs is None:
-        raise ValueError("degenerate convex-combination system")
+    d, adj = scaled_inverse(system)
+    coeffs = [sum(a * r for a, r in zip(row, rhs)) / d for row in adj]
     zeros = sum(1 for a in coeffs if a == 0)
     if zeros != 1 or any(a < 0 for a in coeffs):
         raise ValueError(f"center not interior to a facet: coefficients {coeffs}")

@@ -39,17 +39,16 @@ followed by its apex is then the simplex's signed determinant times the
 parity of moving the apex to the end, so the side of the apex is known
 without further arithmetic.  Adjacency is read from the same facet map.
 
-`meet_face_to_face` (exact half-space intersection by integer Cramer
-determinants) and `interiors_overlap` (an exact LP) decide the pairwise
-relations directly.  Certification no longer uses them.
+`meet_face_to_face` and `interiors_overlap` decide the pairwise relations
+directly, each by one small exact LP.  Certification no longer uses them.
 `meet_face_to_face` is kept as the oracle the tests check the facet
-criterion against.  `interiors_overlap` is also the overlap test of the
-triangle-cross-square argument.
-
-numpy is used by that oracle alone: `meet_face_to_face`, `facet_rows`,
-`_face_to_face_rows`, `_batched_int_det` and `_subset_array` import it
-when they run, so importing this module (and every command of the CLI)
-does not load it.
+criterion against: it writes a point of one simplex by its barycentric
+coordinates, asks it to lie in the other through that simplex's integer
+half-space rows (`facet_rows`, the adjugate of its vertex matrix), and
+maximizes the weight on vertices the two do not share.  The simplices meet
+face-to-face exactly when no common point carries such weight.
+`interiors_overlap` is also the overlap test of the triangle-cross-square
+argument.
 """
 
 from __future__ import annotations
@@ -57,14 +56,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .core import SimplotopeSpec, VertexPoint, VertexSimplex, minimal_face
 from .exact import INFEASIBLE, OPTIMAL, LpProblem, det, lp_minimize, scaled_inverse
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -95,136 +89,43 @@ def _reduced_rows(x: VertexSimplex) -> list[tuple[int, ...]]:
     return [v.reduced(pivot) for v in x.vertices]
 
 
-def facet_rows(x: VertexSimplex) -> np.ndarray:
+def facet_rows(x: VertexSimplex) -> tuple[tuple[int, ...], ...]:
     """Integer half-space rows r with r . (1, x) >= 0 cutting out the simplex.
 
     Row i is the i-th barycentric functional scaled by |det|: it vanishes on
     every vertex but the i-th, where it equals |det|.
     """
-    import numpy as np
-
-    rows = [(1,) + r for r in _reduced_rows(x)]
-    d, adj = scaled_inverse(rows)
+    d, adj = scaled_inverse([(1,) + r for r in _reduced_rows(x)])
     sign = 1 if d > 0 else -1
-    n = len(rows)
-    return np.array([[sign * adj[k][i] for k in range(n)] for i in range(n)], dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _subset_array(n_rows: int, size: int) -> np.ndarray:
-    import numpy as np
-
-    return np.array(list(itertools.combinations(range(n_rows), size)), dtype=np.intp)
-
-
-def _batched_int_det(a: np.ndarray) -> np.ndarray:
-    """Exact determinants of a batch of small integer matrices (Bareiss).
-
-    Works for int64 input (caller guarantees no overflow) and for object
-    arrays of Python ints.
-    """
-    import numpy as np
-
-    a = a.copy()
-    batch, n, _ = a.shape
-    if n == 0:
-        return np.ones(batch, dtype=np.int64)
-    sign = np.ones(batch, dtype=a.dtype)
-    prev = np.ones(batch, dtype=a.dtype)
-    for k in range(n - 1):
-        need = a[:, k, k] == 0
-        if need.any():
-            idx = np.flatnonzero(need)
-            below = a[idx, k + 1:, k] != 0
-            has = below.any(axis=1)
-            # no pivot available: the determinant is 0; park the matrix as an
-            # identity block so the remaining steps stay harmless
-            dead = idx[~has]
-            if dead.size:
-                a[dead[:, None], np.arange(k, n)[None, :], :] = 0
-                a[dead[:, None], np.arange(k, n)[None, :], np.arange(k, n)[None, :]] = 1
-                sign[dead] = 0
-            swp = idx[has]
-            if swp.size:
-                rows = np.argmax(below[has], axis=1) + k + 1
-                tmp = a[swp, k, :].copy()
-                a[swp, k, :] = a[swp, rows, :]
-                a[swp, rows, :] = tmp
-                sign[swp] = -sign[swp]
-        piv = a[:, k, k].copy()
-        a[:, k + 1:, k:] = (a[:, k + 1:, k:] * piv[:, None, None]
-                            - a[:, k + 1:, k:k + 1] * a[:, k:k + 1, k:]) // prev[:, None, None]
-        prev = piv
-    return sign * a[:, n - 1, n - 1]
-
-
-def _face_to_face_rows(rows_a: np.ndarray, rows_b: np.ndarray,
-                       shared_reduced: np.ndarray) -> bool:
-    """conv(a) cut conv(b) equals conv(shared vertices), all in exact integers.
-
-    Enumerates candidate vertices of the half-space intersection via Cramer's
-    rule over every d-subset of the 2(d+1) constraint rows and demands each
-    feasible one be a shared vertex.
-    """
-    import numpy as np
-
-    d = rows_a.shape[1] - 1
-    rows = np.vstack([rows_a, rows_b])
-    if d == 0:
-        return True
-    # Every intermediate is a minor of a d x (d+1) integer system, so the
-    # Hadamard bound on the entry size says whether int64 is safe; huge
-    # entries (possible from dimension 8 up) fall back to exact Python ints.
-    entry_max = int(np.abs(rows).max()) or 1
-    worst = (d + 2) * entry_max ** (d + 1) * int(d ** (d / 2) + 1)
-    if worst >= 2 ** 62:
-        rows = rows.astype(object)
-    subsets = _subset_array(rows.shape[0], d)
-    mats = rows[subsets]                      # (K, d, d+1)
-    a = mats[:, :, 1:]
-    b = -mats[:, :, 0]
-    # Cramer: stack det(A) and every det(A with column i replaced by b)
-    stacks = [a]
-    for i in range(d):
-        ai = a.copy()
-        ai[:, :, i] = b
-        stacks.append(ai)
-    dets = _batched_int_det(np.concatenate(stacks)).reshape(d + 1, -1)
-    det_a = dets[0]
-    nums = dets[1:].T                         # (K, d): x = nums / det_a
-    sing = det_a == 0
-    sgn = np.where(det_a > 0, 1, np.where(det_a < 0, -1, 0))
-    hom = np.concatenate([det_a[:, None], nums], axis=1)
-    margins = hom @ rows.T                    # (K, 2d+2), scaled by det_a
-    feasible = (margins * sgn[:, None] >= 0).all(axis=1) & ~sing
-    if not feasible.any():
-        return True
-    cand = np.flatnonzero(feasible)
-    if shared_reduced.size:
-        shared = shared_reduced.astype(det_a.dtype)
-        target = det_a[cand, None, None] * shared[None, :, :]
-        in_shared = (nums[cand][:, None, :] == target).all(axis=2).any(axis=1)
-        return bool(in_shared.all())
-    return False
+    return tuple(tuple(sign * entry for entry in column) for column in zip(*adj))
 
 
 def meet_face_to_face(a: VertexSimplex, b: VertexSimplex) -> bool:
     """Exact test that two simplices intersect in a common face.
 
-    For vertex simplices this means the half-space intersection has no vertex
-    beyond the shared vertices; the empty intersection passes vacuously.
+    One LP over the barycentric coordinates lambda of a point of a: the
+    point lies in b (every row of `facet_rows(b)` is >= 0 at it), and the LP
+    maximizes the weight lambda puts on the vertices of a outside b.  The
+    simplices meet face-to-face exactly when the LP is infeasible (the hulls
+    are disjoint) or that weight is 0, because the barycentric coordinates of
+    a point in the nondegenerate simplex a are unique.
     """
-    import numpy as np
-
     if a.spec != b.spec:
         raise ValueError("simplices come from different simplotopes")
     if a.is_degenerate or b.is_degenerate:
         raise ValueError("face-to-face is only defined for nondegenerate simplices")
-    pivot = _global_pivot(a.spec)
-    shared = [v.reduced(pivot) for v in a.vertices if v in b.vertex_set]
-    shared_reduced = np.array(shared, dtype=np.int64) if shared \
-        else np.zeros((0, a.spec.dim), dtype=np.int64)
-    return _face_to_face_rows(facet_rows(a), facet_rows(b), shared_reduced)
+    points = [(1,) + r for r in _reduced_rows(a)]
+    n = len(points)
+    rows = [([sum(c * p for c, p in zip(row, point)) for point in points], 0)
+            for row in facet_rows(b)]
+    rows += [([1] * n, 1), ([-1] * n, -1)]
+    objective = [0 if v in b.vertex_set else -1 for v in a.vertices]
+    result = lp_minimize(LpProblem.build(objective, rows))
+    if result.status == INFEASIBLE:
+        return True
+    if result.status != OPTIMAL:
+        raise RuntimeError(f"face-to-face LP came out {result.status}, but it is bounded by -1")
+    return result.value == 0
 
 
 def interiors_overlap(a: VertexSimplex, b: VertexSimplex) -> bool:

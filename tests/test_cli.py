@@ -226,6 +226,7 @@ def memo_doc(**fields):
     (None, ["q", "--s", "-1", "--t", "0", "--sp", "0", "--tp", "0"]),
     (None, ["standard", "--spec", "0"]),
     (None, ["fbound", "--s", "-1", "--t", "0", "--c", "1", "--sp", "0", "--tp", "0", "--cp", "1"]),
+    (None, ["fbound", "--s", "20", "--t", "0", "--c", "2", "--sp", "1", "--tp", "0", "--cp", "1"]),
     (None, ["verify", "--input", "{file}", "--jobs", "2"]),
     (None, ["case", "tri-square", "--jobs", "2"]),
     ("not json", MEMO),
@@ -245,7 +246,7 @@ def memo_doc(**fields):
         "reduction-vertex-not-a-list", "string-vertex-entry", "float-vertex-entry",
         "negative-max-t", "missing-config",
         "vmax-negative-count", "vmax-without-cap", "q-negative-count", "standard-zero-factor",
-        "fbound-negative-count", "verify-jobs-flag", "case-jobs-flag",
+        "fbound-negative-count", "fbound-without-cap", "verify-jobs-flag", "case-jobs-flag",
         "memo-not-json", "memo-not-an-object", "memo-key-five-integers", "memo-key-not-integers",
         "memo-value-not-int", "memo-format-missing", "memo-format-unknown",
         "memo-unversioned", "memo-caps-mismatch",

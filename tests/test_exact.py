@@ -17,7 +17,6 @@ from simplotope.exact import (
     det,
     lp_minimize,
     scaled_inverse,
-    solve_rational,
 )
 
 
@@ -69,17 +68,37 @@ def test_det_agrees_with_cofactor_oracle():
         assert det(m) == cofactor_det(m)
 
 
-def test_solve_rational_and_scaled_inverse():
+def test_scaled_inverse_example():
     a = [[2, 1], [1, 3]]
-    x = solve_rational(a, [3, 5])
-    assert x == [Fraction(4, 5), Fraction(7, 5)]
-    assert solve_rational([[1, 2], [2, 4]], [1, 1]) is None
     d, adj = scaled_inverse(a)
     assert d == 5
     for i in range(2):
         for j in range(2):
             got = sum(a[i][k] * adj[k][j] for k in range(2))
             assert got == (d if i == j else 0)
+
+
+def test_scaled_inverse_is_the_adjugate():
+    # A . adj = det . I on seeded random integer matrices; singular ones raise
+    rng = random.Random(31)
+    singular = 0
+    for n in range(1, 9):
+        for _ in range(25):
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if det(a) == 0:
+                singular += 1
+                with pytest.raises(ValueError):
+                    scaled_inverse(a)
+                continue
+            d, adj = scaled_inverse(a)
+            assert d == det(a)
+            for i in range(n):
+                for j in range(n):
+                    got = sum(a[i][k] * adj[k][j] for k in range(n))
+                    assert got == (d if i == j else 0), (a, i, j)
+    assert singular >= 1
+    with pytest.raises(ValueError):
+        scaled_inverse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
 
 
 def test_lp_examples():
@@ -226,5 +245,24 @@ def test_lp_matches_fraction_oracle_on_overlap_lps(monkeypatch):
     for i, j in itertools.islice(itertools.combinations(range(len(fat)), 2), 20):
         verifier.interiors_overlap(fat[i], fat[j])
     assert len(problems) == 20
+    for problem in problems:
+        assert lp_minimize(problem) == fraction_lp_minimize(problem)
+
+
+def test_lp_matches_fraction_oracle_on_face_to_face_lps(monkeypatch):
+    from simplotope.core import SimplotopeSpec
+    from simplotope.standard import standard_triangulation
+
+    problems = []
+
+    def record(problem):
+        problems.append(problem)
+        return lp_minimize(problem)
+
+    monkeypatch.setattr(verifier, "lp_minimize", record)
+    sims = standard_triangulation(SimplotopeSpec.of(1, 1, 2))
+    for a, b in itertools.combinations(sims, 2):
+        verifier.meet_face_to_face(a, b)
+    assert len(problems) == 66
     for problem in problems:
         assert lp_minimize(problem) == fraction_lp_minimize(problem)

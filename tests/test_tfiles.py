@@ -1,6 +1,7 @@
 """Triangulation JSON files: schema validation and round trips."""
 
 import json
+import random
 
 import pytest
 
@@ -86,3 +87,95 @@ def test_reduced_requires_valid_blocks():
             "factors": [1, 1], "coords": "reduced", "reduction_vertex": [1, 0, 1, 0],
             "simplices": [[[2, 0], [0, 1], [1, 1]]],
         })
+
+
+# --- seeded fuzzing of the loader ---------------------------------------------
+
+KEYS = ["factors", "coords", "simplices", "reduction_vertex", "metadata", "x"]
+
+
+def random_json(rng, depth=0):
+    """A JSON value of a random type and shape."""
+    kind = rng.randrange(8 if depth < 2 else 5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.choice([True, False])
+    if kind == 2:
+        return rng.choice([0, 1, 2, 3, -1, 7, 10 ** 18])
+    if kind == 3:
+        return rng.choice([0.5, -1.0, 1.0, 1e300])
+    if kind == 4:
+        return rng.choice(["", "standard", "reduced", "1", "x"])
+    if kind == 5:
+        return [random_json(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return {rng.choice(KEYS): random_json(rng, depth + 1) for _ in range(rng.randrange(4))}
+    return [[rng.randint(0, 1) for _ in range(rng.randrange(6))] for _ in range(rng.randrange(6))]
+
+
+def node_paths(doc, path=()):
+    """Paths (key and index sequences) of every node of a JSON document, the root included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from node_paths(value, path + (key,))
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutants(count, seed):
+    """Seeded copies of the bundled triangulation with one to three nodes replaced.
+
+    Each replacement is a JSON value that serializes differently from the
+    node it replaces.
+    """
+    from simplotope.trisquare import bundled_triangulation_path
+
+    text = bundled_triangulation_path().read_text()
+    rng = random.Random(seed)
+    for _ in range(count):
+        doc = json.loads(text)
+        for _ in range(rng.randint(1, 3)):
+            path = rng.choice(list(node_paths(doc)))
+            current = json.dumps(node_at(doc, path))
+            value = random_json(rng)
+            while json.dumps(value) == current:
+                value = random_json(rng)
+            if path:
+                node_at(doc, path[:-1])[path[-1]] = value
+            else:
+                doc = value
+        yield doc
+
+
+def refused(docs):
+    """The documents `candidate_from_dict` refuses; any other exception escapes."""
+    out = []
+    for doc in docs:
+        try:
+            candidate_from_dict(doc)
+        except TriangulationFileError:
+            out.append(doc)
+    return out
+
+
+def test_fuzzed_documents_fail_only_with_file_errors():
+    # most mutants are refused; the rest load into a candidate
+    assert len(refused(mutants(2000, seed=14))) >= 1000
+
+
+def test_fuzzed_documents_exit_2_with_one_line(tmp_path, capsys):
+    from simplotope.cli import main
+
+    for k, doc in enumerate(refused(mutants(200, seed=15))[:8]):
+        path = tmp_path / f"mutant{k}.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", doc
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from simplotope.core import SimplotopeSpec, VertexPoint, VertexSimplex, corner_simplex, minimal_face
@@ -12,7 +11,6 @@ from simplotope.standard import standard_triangulation
 from simplotope.trisquare import construction_stages, decode, minimal_triangulation_10
 from simplotope.verifier import (
     TriangulationCandidate,
-    _face_to_face_rows,
     _global_pivot,
     adjacency_graph,
     facet_inventory,
@@ -177,39 +175,19 @@ def test_facet_matching_in_certified_partition():
                 assert z in minimal_face(facet).zeros
 
 
-def test_batched_det_object_path_agrees():
-    from simplotope.verifier import _batched_int_det
-
-    rng = random.Random(12)
-    mats = []
-    for _ in range(200):
-        n = 4
-        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.3:
-            m[2] = m[0]  # force some singular batches
-        mats.append(m)
-    arr = np.array(mats, dtype=np.int64)
-    got64 = _batched_int_det(arr)
-    gotobj = _batched_int_det(arr.astype(object))
-    want = [det(m) for m in mats]
-    assert list(got64) == want
-    assert list(gotobj) == want
-
-
-def test_face_to_face_big_entry_fallback():
-    # scaling half-space rows by a positive constant changes nothing
-    # geometrically but pushes the arithmetic onto the exact-object path
-    a, b = square_pair()
-    pivot = _global_pivot(SQ)
-    shared = np.array([v.reduced(pivot) for v in a.vertices if v in b.vertex_set],
-                      dtype=np.int64)
-    scale = 10 ** 9
-    assert _face_to_face_rows(facet_rows(a) * scale, facet_rows(b) * scale, shared)
-    t1 = VertexSimplex(SQ, [SQ.vertex(i) for i in [(0, 0), (1, 1), (1, 0)]])
-    t2 = VertexSimplex(SQ, [SQ.vertex(i) for i in [(0, 1), (1, 0), (1, 1)]])
-    shared12 = np.array([v.reduced(pivot) for v in t1.vertices if v in t2.vertex_set],
-                        dtype=np.int64)
-    assert not _face_to_face_rows(facet_rows(t1) * scale, facet_rows(t2) * scale, shared12)
+def test_facet_rows_are_scaled_barycentric_functionals():
+    # row i vanishes at every vertex but the i-th, where it equals |det|
+    for n in range(1, 5):
+        for f in partitions(n):
+            spec = SimplotopeSpec.of(*f)
+            pivot = _global_pivot(spec)
+            for x in standard_triangulation(spec):
+                rows = facet_rows(x)
+                assert len(rows) == len(x.vertices) == spec.dim + 1
+                for i, row in enumerate(rows):
+                    values = [sum(r * c for r, c in zip(row, (1,) + v.reduced(pivot)))
+                              for v in x.vertices]
+                    assert values == [x.cls if k == i else 0 for k in range(len(values))], (spec, x)
 
 
 def test_face_to_face_implies_disjoint_interiors():
@@ -250,16 +228,8 @@ def pairwise_oracle(cand):
         return False
     if sum(x.cls for x in xs) != cand.spec.polytope_class:
         return False
-    # meet_face_to_face, with each simplex's half-space rows computed once
-    pivot = _global_pivot(cand.spec)
-    rows = [facet_rows(x) for x in xs]
-    for i, j in itertools.combinations(range(len(xs)), 2):
-        if xs[i].vertex_set == xs[j].vertex_set:
-            return False
-        shared = [v.reduced(pivot) for v in xs[i].vertices if v in xs[j].vertex_set]
-        if not _face_to_face_rows(rows[i], rows[j], np.array(shared, dtype=np.int64).reshape(-1, d)):
-            return False
-    return True
+    return all(x.vertex_set != y.vertex_set and meet_face_to_face(x, y)
+               for x, y in itertools.combinations(xs, 2))
 
 
 def old_adjacency_scan(cand):
