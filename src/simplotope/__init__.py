@@ -7,6 +7,7 @@ from .core import (
     SimplotopeSpec,
     VertexPoint,
     VertexSimplex,
+    all_simplices,
     class_of,
     corner_simplex,
     exterior_faces,

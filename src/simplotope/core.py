@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact import det
 
@@ -327,6 +327,12 @@ class VertexSimplex:
     @property
     def is_degenerate(self) -> bool:
         return self.cls == 0
+
+
+def all_simplices(spec: SimplotopeSpec) -> Iterator[VertexSimplex]:
+    """Every (dim+1)-subset of the vertices as a simplex, degenerate ones included."""
+    for sub in itertools.combinations(spec.vertices(), spec.dim + 1):
+        yield VertexSimplex(spec, sub)
 
 
 def class_of(x: VertexSimplex, pivot: VertexPoint) -> int:

@@ -47,6 +47,29 @@ of 3 moves the (2,2) cell from 68 to 84).  Keeping the memo inside the table
 that computed it makes that reuse impossible in process, and a memo written
 to a file carries the caps hash so that it is refused under other caps.
 
+The recurrence is pruned by the same zero conventions, so every F value is
+what the plain recursion gives, but far fewer keys are reached (the d = 10
+table memoizes 4,752 keys instead of 34,992):
+
+- The footprint factor F(s', t', c', i, j, k) depends on neither e nor w.
+  It is looked up once per (i, j, k) in one recurrence call.
+- An e whose shadow class c/c' exceeds V(ss, tt) adds nothing and is
+  skipped before any of its terms.
+- A term whose shadow factor F(ss, tt, c/c', x, y, c'/k) vanishes by a
+  convention (y < 0, x + 2y beyond the shadow's dimension, c'/k not
+  dividing c/c', or c'/k > V(x, y)) is skipped before its footprint factor
+  is looked up.  A footprint factor of 0 (k > V(i, j) among others) skips
+  the shadow factor, as before.
+
+V is asked for no pair the plain recursion does not ask for.  That
+recursion asks for V(s', t') at its first footprint, and for V(ss, tt) at
+every e: its term w = 0, k = c', j = t', i = s' pairs the whole face
+(footprint 1) with the 0-face shadow.  V(x, y) is only
+read when some earlier query already computed it; otherwise the term runs
+as before, and the shadow factor asks for V(x, y) only after a nonzero
+footprint, as the plain recursion does.  A missing cube cap therefore
+skips the same cells with the same reasons.
+
 Two values exist for the 0-face shape.  As a count of exterior 0-faces, a
 nondegenerate simplex has s + 2t + 1 of them (all of its vertices), and that
 is what comb_bound and f_bound report.  Inside the recurrence the base case
@@ -222,25 +245,43 @@ class VTable:
         for both over all shapes and classes, maximized over the number e of
         ambient segment factors supporting the complement, bounds the face
         count.
+
+        Terms that a zero convention of F makes vanish are skipped before
+        the other factor is looked up (see the module docstring).
         """
-        if cp < 1 or c % cp != 0:
+        if c < 1 or cp < 1 or c % cp or sp < 0 or tp < 0:
+            return 0
+        es = range(max(0, s - sp), min(s + t - sp - tp, s) + 1)
+        values = self._values
+        if not es or cp > (values.get((sp, tp)) or self.get(sp, tp))[0]:
             return 0
         f = self._f
         cq = c // cp
-        divisors = _divisors(cp)
+        shadow_dim = s + 2 * t - sp - 2 * tp
+        kqs = [(k, cp // k) for k in _divisors(cp) if cq % (cp // k) == 0]
+        footprints: dict[tuple[int, int, int], int] = {}
         best = 0
-        for e in range(max(0, s - sp), min(s + t - sp - tp, s) + 1):
+        for e in es:
             ss = sp - s + 2 * e
             tt = s + t - sp - tp - e
+            if cq > (values.get((ss, tt)) or self.get(ss, tt))[0]:
+                continue
             total = 0
             for w in range(0, min(sp - s + e, tp) + 1):
-                for k in divisors:
-                    kq = cp // k
-                    for j in range(0, tp + 1):
-                        for i in range(w, min(sp + tp - j, sp + w) + 1):
-                            a = f(sp, tp, cp, i, j, k)
+                for j in range(0, tp - w + 1):
+                    y = tp - j - w
+                    for i in range(max(w, sp + 2 * tp - shadow_dim - 2 * j),
+                                   min(sp + tp - j, sp + w) + 1):
+                        x = sp - i + 2 * w
+                        vx = values.get((x, y))
+                        for k, kq in kqs:
+                            if vx is not None and kq > vx[0]:
+                                continue
+                            a = footprints.get((i, j, k))
+                            if a is None:
+                                a = footprints[(i, j, k)] = f(sp, tp, cp, i, j, k)
                             if a:
-                                total += a * f(ss, tt, cq, sp - i + 2 * w, tp - j - w, kq)
+                                total += a * f(ss, tt, cq, x, y, kq)
             if total > best:
                 best = total
         return best

@@ -12,6 +12,17 @@ F there it would overshoot the reference table (see the bounds module),
 and dropping a constraint only weakens the minimum, so the reported bounds
 stay valid.  Constraint rows are scaled by (s'+2t')! so the coefficient side
 is integral.
+
+Dominated columns are dropped before the LP is solved.  Every objective
+coefficient is 1 and every row is a >= row whose coefficients c * F are
+nonnegative.  If column k is >= column j in every row, moving x_j onto x_k
+keeps every row satisfied at the same cost, so the LP on the undominated
+columns (the Pareto front) has the optimum of the full LP.  Dually, since
+y >= 0, a y with A_k . y <= 1 on the kept columns has A_j . y <= A_k . y <= 1
+on every dropped column j: a dual of the reduced LP is dual-feasible for the
+full one, so a certificate for the reduced LP, together with the dominance
+of each dropped column, certifies the full optimum.  At dimensions 10 to 12
+the front holds 9 to 12 of the 320 to 3645 class columns.
 """
 
 from __future__ import annotations
@@ -91,25 +102,42 @@ def constraint_pairs(s: int, t: int) -> list[tuple[int, int]]:
             if (sp, tp) != (0, 0)]
 
 
+def pareto_columns(columns: list[tuple[int, ...]]) -> list[int]:
+    """Indices, ascending, of the columns that no other column dominates.
+
+    Columns are visited by decreasing coefficient sum, so a column can only be
+    dominated by one visited before it; of equal columns the first is kept.
+    """
+    order = sorted(range(len(columns)), key=lambda j: -sum(columns[j]))
+    kept: list[int] = []
+    for j in order:
+        col = columns[j]
+        if not any(all(a >= b for a, b in zip(columns[i], col)) for i in kept):
+            kept.append(j)
+    return sorted(kept)
+
+
 def build_lp(s: int, t: int, vtable: VTable | None = None) -> LpProblem:
-    """Assemble the cover inequalities for (s, t) as an exact LP."""
+    """The cover LP of (s, t) with its dominated class columns dropped.
+
+    Column c holds c * F(s, t, c, s', t', c) for each constraint pair.  A row
+    that needs support no column gives raises InconsistentCellError.
+    """
     if s < 0 or t < 0 or s + 2 * t < 1:
         raise ValueError("the LP needs a positive-dimensional simplotope")
     vtable = vtable or DEFAULT_VTABLE
-    v = vtable.get(s, t).value
-    rows = []
-    for sp, tp in constraint_pairs(s, t):
-        fact = math.factorial(sp + 2 * tp)
-        coeffs = []
-        for c in range(1, v + 1):
-            coeffs.append(Fraction(c * f_bound(FKey(s, t, c, sp, tp, c), vtable)))
-        rhs = Fraction(q_count(QQuery(s, t, sp, tp)) * fact, 2 ** tp)
-        if rhs > 0 and all(co == 0 for co in coeffs):
+    pairs = constraint_pairs(s, t)
+    columns = [tuple(c * f_bound(FKey(s, t, c, sp, tp, c), vtable) for sp, tp in pairs)
+               for c in range(1, vtable.get(s, t).value + 1)]
+    rhs = [Fraction(q_count(QQuery(s, t, sp, tp)) * math.factorial(sp + 2 * tp), 2 ** tp)
+           for sp, tp in pairs]
+    for row, (sp, tp) in enumerate(pairs):
+        if rhs[row] > 0 and not any(col[row] for col in columns):
             raise InconsistentCellError(
                 f"(s,t)=({s},{t}) constraint (s',t')=({sp},{tp}) has no support")
-        rows.append((coeffs, rhs))
-    objective = [Fraction(1)] * v
-    return LpProblem.build(objective, rows)
+    kept = [columns[j] for j in pareto_columns(columns)]
+    rows = [([col[row] for col in kept], b) for row, b in enumerate(rhs)]
+    return LpProblem.build([1] * len(kept), rows)
 
 
 def solve_cell(s: int, t: int, vtable: VTable | None = None) -> BoundCell:

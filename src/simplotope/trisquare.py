@@ -22,6 +22,7 @@ from .core import (
     SimplotopeSpec,
     VertexPoint,
     VertexSimplex,
+    all_simplices,
     has_exterior_facet,
     minimal_face,
 )
@@ -71,12 +72,7 @@ def encode(x: VertexSimplex) -> str:
 
 def enumerate_class2() -> list[VertexSimplex]:
     """All class-2 vertex simplices, by exhaustive search over C(12,5) subsets."""
-    out = []
-    for sub in itertools.combinations(TRI_SQUARE.vertices(), TRI_SQUARE.dim + 1):
-        x = VertexSimplex(TRI_SQUARE, sub)
-        if x.cls == 2:
-            out.append(x)
-    return out
+    return [x for x in all_simplices(TRI_SQUARE) if x.cls == 2]
 
 
 def factor_permutations() -> list[dict[VertexPoint, VertexPoint]]:
@@ -200,11 +196,6 @@ class CaseReport:
         return all(i.ok for i in self.ingredients)
 
 
-def _all_simplices() -> list[VertexSimplex]:
-    return [VertexSimplex(TRI_SQUARE, sub)
-            for sub in itertools.combinations(TRI_SQUARE.vertices(), TRI_SQUARE.dim + 1)]
-
-
 def overlap_matrix(simplices: list[VertexSimplex]) -> list[list[bool]]:
     n = len(simplices)
     m = [[False] * n for _ in range(n)]
@@ -232,7 +223,7 @@ def lower_bound_10_argument(verbose: bool = False) -> CaseReport:
         "lp-bound-9", cell.lower_bound == 9,
         f"linear program gives {cell.lp_value}, bound {cell.lower_bound}"))
 
-    nondeg = [x for x in _all_simplices() if x.cls > 0]
+    nondeg = [x for x in all_simplices(TRI_SQUARE) if x.cls > 0]
     facet_ok = all(has_exterior_facet(x) for x in nondeg)
     max_class = max(x.cls for x in nondeg)
     ingredients.append(Ingredient(

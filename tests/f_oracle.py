@@ -3,12 +3,19 @@
 A direct transcription of the zero conventions, the combinatorial bound and
 the footprint/shadow recurrence of ``simplotope.fbounds``, memoized with
 ``functools.cache`` and nothing else: no shared memo, no counters, no
-precomputed divisors.  V values come in as a function.  It is kept only for
-the tests to compare the evaluator against.
+precomputed divisors, no pruning.  V values come in as a function.  It is
+kept only for the tests to compare the evaluator against.
+
+``f.reached`` maps every key the recursion got past the zero conventions and
+base cases to its value: the key set an evaluator that memoizes without
+pruning would hold.  ``oracle_over_cells`` runs the oracle over the cells of
+a bounds table, with V read from a VTable.
 """
 
 import functools
 import math
+
+from simplotope.fbounds import VMaxUnavailable, VTable
 
 
 def binom(n, k):
@@ -26,6 +33,7 @@ def comb_bound(s, t, sp, tp):
 
 def make_f(v):
     """F(s, t, c, s', t', c') as the recurrence uses it, for V given by v(s, t)."""
+    reached = {}
 
     @functools.cache
     def f(s, t, c, sp, tp, cp):
@@ -39,10 +47,11 @@ def make_f(v):
             return 1 if cp == c else 0
         if (sp, tp) == (0, 0):
             return 1 if cp == 1 else 0
-        bound = comb_bound(s, t, sp, tp)
-        if c == 1:
-            return bound
-        return min(bound, recurrence(s, t, c, sp, tp, cp))
+        value = comb_bound(s, t, sp, tp)
+        if c > 1:
+            value = min(value, recurrence(s, t, c, sp, tp, cp))
+        reached[(s, t, c, sp, tp, cp)] = value
+        return value
 
     def recurrence(s, t, c, sp, tp, cp):
         best = 0
@@ -60,4 +69,33 @@ def make_f(v):
             best = max(best, total)
         return best
 
+    f.reached = reached
     return f
+
+
+def oracle_over_cells(caps, dim):
+    """The oracle at every LP coefficient of the cells through `dim`, walked
+    class by class as build_lp walks them, and the V pairs it asked for.
+
+    A cell with an unavailable V value stops at the first such pair."""
+    ref = VTable(caps)
+    asked = set()
+
+    def v(s, t):
+        asked.add((s, t))
+        return ref.get(s, t).value
+
+    oracle = make_f(v)
+    for t in range(dim // 2 + 1):
+        for s in range(dim - 2 * t + 1):
+            if (s, t) == (0, 0):
+                continue
+            try:
+                for c in range(1, v(s, t) + 1):
+                    for tp in range(t + 1):
+                        for sp in range(s + t - tp + 1):
+                            if (sp, tp) != (0, 0):
+                                oracle(s, t, c, sp, tp, c)
+            except VMaxUnavailable:
+                pass
+    return oracle, asked

@@ -8,7 +8,6 @@ through dimension 5 and of the 6-cube) live here rather than in the
 unit tests.
 """
 
-import itertools
 import time
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +16,7 @@ import pytest
 
 from simplotope.core import (
     SimplotopeSpec,
-    VertexSimplex,
+    all_simplices,
     corner_simplex,
     exterior_faces,
     face_class,
@@ -64,11 +63,6 @@ def partitions(n, largest=None):
     for k in range(min(n, largest), 0, -1):
         for rest in partitions(n - k, k):
             yield (k,) + rest
-
-
-def all_simplices(spec):
-    for sub in itertools.combinations(spec.vertices(), spec.dim + 1):
-        yield VertexSimplex(spec, sub)
 
 
 @pytest.fixture(scope="module")

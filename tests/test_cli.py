@@ -57,6 +57,36 @@ def test_bounds_memo_cache(tmp_path, capsys):
     assert code == 0 and first == second
 
 
+def test_memo_cache_from_an_unpruned_evaluator(tmp_path, capsys):
+    # a file written by an evaluator without pruning holds a larger key set
+    from importlib import resources
+
+    from f_oracle import oracle_over_cells
+    from simplotope.fbounds import load_cube_caps
+
+    config = tmp_path / "caps.txt"  # --config gives each run a fresh evaluator
+    config.write_text(resources.files("simplotope").joinpath("data/cube_caps.txt").read_text())
+    bounds = ["bounds", "--max-s", "8", "--max-t", "4", "--dim-cap", "8", "--format", "json",
+              "--config", str(config)]
+    code, plain, _ = run(capsys, *bounds)
+    assert code == 0
+    oracle, _ = oracle_over_cells(load_cube_caps(), 8)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"format": 1, "caps_sha256": CAPS_SHA256, "entries": {
+        ",".join(map(str, key)): value for key, value in oracle.reached.items()}}))
+    code, out, _ = run(capsys, *bounds, "--memo-cache", str(old))
+    assert code == 0 and out == plain
+    assert json.loads(old.read_text())["entries"].keys() == {
+        ",".join(map(str, key)) for key in oracle.reached}
+    new = tmp_path / "new.json"
+    code, out, _ = run(capsys, *bounds, "--memo-cache", str(new))
+    assert code == 0 and out == plain
+    saved = new.read_text()
+    assert len(json.loads(saved)["entries"]) < len(oracle.reached)
+    code, out, _ = run(capsys, *bounds, "--memo-cache", str(new))
+    assert code == 0 and out == plain and new.read_text() == saved
+
+
 def test_memo_cache_refused_under_other_caps(tmp_path, capsys):
     # a memo filled with the d = 4 cap lowered to 1 once turned (2,2) into 84
     from importlib import resources

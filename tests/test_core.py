@@ -10,6 +10,7 @@ from simplotope.core import (
     SimplotopeSpec,
     VertexPoint,
     VertexSimplex,
+    all_simplices,
     class_of,
     corner_simplex,
     exterior_faces,
@@ -26,11 +27,6 @@ from simplotope.core import (
 
 S21 = SimplotopeSpec.seg_tri(2, 1)
 S11 = SimplotopeSpec.seg_tri(1, 1)
-
-
-def all_simplices(spec):
-    for sub in itertools.combinations(spec.vertices(), spec.dim + 1):
-        yield VertexSimplex(spec, sub)
 
 
 def nondegenerate(spec):

@@ -1,13 +1,19 @@
 """Exterior-face bounds F and maximum classes V."""
 
-import itertools
 from collections import Counter
 
 import pytest
 
-from f_oracle import make_f
+from f_oracle import oracle_over_cells
 from v_oracle import v_by_enumeration
-from simplotope.core import SimplotopeSpec, VertexSimplex, corner_simplex, exterior_faces, face_class
+from simplotope.core import (
+    SimplotopeSpec,
+    VertexSimplex,
+    all_simplices,
+    corner_simplex,
+    exterior_faces,
+    face_class,
+)
 from simplotope.fbounds import (
     BRUTE_FORCE,
     CUBE_CAP,
@@ -148,14 +154,41 @@ def test_memo_behavior():
     assert memo.hits >= 1
 
 
-def test_evaluator_matches_recursive_oracle():
-    # every memo key reached from the cells with s + 2t <= 6, in a fresh evaluator
-    vt = VTable()
-    bounds_table(6, 3, 6, vtable=vt)
-    oracle = make_f(lambda s, t: vt.get(s, t).value)
-    assert len(vt.memo) > 100
-    wrong = {key: value for key, value in vt.memo.values.items() if oracle(*key) != value}
+def check_evaluator_against_oracle(caps):
+    """bounds_table through d = 8 on a fresh evaluator, then the oracle: the
+    evaluator computed V only for pairs the oracle asked for, memoized only
+    keys the oracle reached, and agrees with it on every key it reached."""
+    vt = VTable(caps)
+    table = bounds_table(8, 4, 8, vtable=vt)
+    computed = set(vt._values)
+    oracle, asked = oracle_over_cells(caps, 8)
+    assert computed <= asked
+    assert set(vt.memo.values) <= set(oracle.reached)
+    assert len(oracle.reached) > len(vt.memo) > 100
+    wrong = {key: value for key, value in oracle.reached.items() if vt.f(key) != value}
     assert wrong == {}
+    return table
+
+
+def test_evaluator_matches_recursive_oracle():
+    table = check_evaluator_against_oracle(load_cube_caps())
+    assert [r for _, _, r in table.skipped] == ["beyond dimension cap"] * len(table.skipped)
+
+
+# Cells of bounds_table(8, 4, 8) skipped with the d = 7 cap missing, as the
+# evaluator without pruning skipped them.
+SKIPPED_WITHOUT_CAP_7 = [(0, 4), (1, 3), (2, 3), (3, 2), (4, 2), (5, 1), (6, 1), (7, 0), (8, 0)]
+
+
+def test_evaluator_matches_recursive_oracle_without_a_cap():
+    # pruning reads V only where the unpruned recursion asks for it, so a
+    # missing cap skips the same cells for the same reason
+    caps = {d: v for d, v in load_cube_caps().items() if d != 7}
+    table = check_evaluator_against_oracle(caps)
+    skipped = [(s, t) for s, t, r in table.skipped if r != "beyond dimension cap"]
+    assert skipped == SKIPPED_WITHOUT_CAP_7
+    assert {r for s, t, r in table.skipped if (s, t) in skipped} == {
+        "no cube cap configured for dimension 7"}
 
 
 def test_corner_extremality_small():
@@ -187,8 +220,7 @@ def test_f_positive_where_faces_exist():
 
 def test_soundness_prism_exhaustive():
     spec = SimplotopeSpec.seg_tri(1, 1)
-    for sub in itertools.combinations(spec.vertices(), spec.dim + 1):
-        x = VertexSimplex(spec, sub)
+    for x in all_simplices(spec):
         if x.cls == 0:
             continue
         for sp in range(0, 3):

@@ -3,12 +3,22 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from simplotope.counting import QQuery, q_count
 from simplotope.exact import OPTIMAL, LpProblem, lp_minimize
-from simplotope.fbounds import VTable, load_cube_caps
-from simplotope.lptable import bounds_table, build_lp, constraint_pairs, solve_cell
+from simplotope.fbounds import DEFAULT_VTABLE, FKey, VTable, f_bound, load_cube_caps
+from simplotope.lptable import (
+    bounds_table,
+    build_lp,
+    constraint_pairs,
+    pareto_columns,
+    solve_cell,
+)
+
+BOUNDS_D10_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "bounds_d10_expected.json"
 
 TABLE_DIM6 = {
     (0, 0): 1, (1, 0): 1, (2, 0): 2, (3, 0): 5, (4, 0): 16, (5, 0): 60, (6, 0): 250,
@@ -113,6 +123,56 @@ def test_each_cap_table_has_its_own_memo():
                          (VTable(caps), LP_DIM6_D4_CAP_1), (None, LP_DIM6)]:
         table = bounds_table(6, 2, 6, vtable=vtable)
         assert {(c.s, c.t): str(c.lp_value) for c in table.cells} == want
+
+
+def full_lp(s, t):
+    """The cover LP with every class column, written out from f_bound and q_count."""
+    v = DEFAULT_VTABLE.get(s, t).value
+    rows = [([c * f_bound(FKey(s, t, c, sp, tp, c)) for c in range(1, v + 1)],
+             Fraction(q_count(QQuery(s, t, sp, tp)) * math.factorial(sp + 2 * tp), 2 ** tp))
+            for sp, tp in constraint_pairs(s, t)]
+    return LpProblem.build([1] * v, rows)
+
+
+def test_presolve_keeps_the_full_lp_optimum():
+    cells = [(s, t) for t in range(6) for s in range(11 - 2 * t) if (s, t) != (0, 0)]
+    assert len(cells) == 35
+    for s, t in cells:
+        full = full_lp(s, t)
+        reduced = build_lp(s, t)
+        assert solve_cell(s, t).lp_value == lp_minimize(full).value, (s, t)
+        columns = [tuple(row[j] for row, _ in full.constraints) for j in range(len(full.objective))]
+        kept = {tuple(row[j] for row, _ in reduced.constraints) for j in range(len(reduced.objective))}
+        assert kept <= set(columns)
+        assert [rhs for _, rhs in reduced.constraints] == [rhs for _, rhs in full.constraints]
+        for col in columns:
+            assert any(all(a >= b for a, b in zip(k, col)) for k in kept), (s, t, col)
+
+
+def test_pareto_columns():
+    cols = [(1, 0, 2), (2, 0, 2), (0, 3, 0), (2, 0, 2), (0, 0, 0), (1, 1, 1)]
+    # (1,0,2) and (0,0,0) are dominated, the second (2,0,2) repeats the first
+    assert pareto_columns(cols) == [1, 2, 5]
+
+
+# Cells with s + 2t = 11 and 12 as this code computes them: regression values,
+# not the paper's (its table stops at dimension 6).
+TABLE_DIM11 = {(1, 5): 16251, (3, 4): 26838, (5, 3): 45958, (7, 2): 92047,
+               (9, 1): 210993, (11, 0): 516465}
+TABLE_DIM12 = {(0, 6): 49737, (2, 5): 72081, (4, 4): 118212, (6, 3): 208906,
+               (8, 2): 426617, (10, 1): 1104387, (12, 0): 2906455}
+
+
+def test_table_through_dimension_twelve():
+    expected = json.loads(BOUNDS_D10_EXPECTED.read_text())["cells"]
+    table = bounds_table(12, 6, 12)
+    got = {(c.s, c.t): c for c in table.cells}
+    assert len(got) == len(expected) + len(TABLE_DIM11) + len(TABLE_DIM12)
+    for want in expected:
+        cell = got[(want["s"], want["t"])]
+        assert (str(cell.lp_value), cell.lower_bound) == (want["lp_value"], want["lower_bound"])
+    assert {key: got[key].lower_bound for key in TABLE_DIM11} == TABLE_DIM11
+    assert {key: got[key].lower_bound for key in TABLE_DIM12} == TABLE_DIM12
 
 
 def test_csv_and_json_output():
