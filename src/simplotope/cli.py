@@ -17,7 +17,6 @@ from .fbounds import DEFAULT_VTABLE, FKey, VMaxUnavailable, VTable, f_bound, loa
 from .lptable import bounds_table
 from .standard import standard_triangulation
 from .tfiles import candidate_to_dict, load_candidate, save_candidate
-from .trisquare import construction_stages, lower_bound_10_argument, minimal_triangulation_10
 from .verifier import TriangulationCandidate, verify
 
 
@@ -177,6 +176,8 @@ def cmd_standard(args) -> int:
 
 def cmd_vmax(args) -> int:
     if args.spec:
+        if args.s is not None or args.t is not None:
+            raise UsageError("vmax takes --spec s,t or --s and --t, not both")
         pair = _parse_int_list(args.spec, "--spec")
         if len(pair) != 2:
             raise UsageError("vmax --spec takes exactly two counts, e.g. 1,2")
@@ -226,6 +227,9 @@ def cmd_fbound(args) -> int:
 
 
 def cmd_case(args) -> int:
+    # imported here so that no other command pays for loading the case study
+    from .trisquare import construction_stages, lower_bound_10_argument, minimal_triangulation_10
+
     if args.check == "all":
         report = lower_bound_10_argument(verbose=True)
         print(f"lower bound for (s,t)=(2,1): {report.lower_bound}, "

@@ -75,15 +75,23 @@ def enumerate_class2() -> list[VertexSimplex]:
     return [x for x in all_simplices(TRI_SQUARE) if x.cls == 2]
 
 
-def factor_permutations() -> list[dict[VertexPoint, VertexPoint]]:
-    """The 2! x 2! x 3! coordinate permutations within factors, as vertex maps."""
+def symmetries() -> list[dict[VertexPoint, VertexPoint]]:
+    """The 48 symmetries of the product, as vertex maps.
+
+    These are the 2! x 2! x 3! coordinate permutations within factors, each
+    alone and followed by the swap of the two segment factors.  In standard
+    coordinates every one is a permutation of coordinates, so a linear
+    automorphism of the polytope.
+    """
     maps = []
-    for p0 in itertools.permutations(range(2)):
-        for p1 in itertools.permutations(range(2)):
-            for p2 in itertools.permutations(range(3)):
-                perm = (p0, p1, p2)
-                maps.append({v: VertexPoint(TRI_SQUARE, tuple(perm[i][v.idx[i]] for i in range(3)))
-                             for v in TRI_SQUARE.vertices()})
+    for swap in (False, True):
+        for perm in itertools.product(itertools.permutations(range(2)), itertools.permutations(range(2)),
+                                      itertools.permutations(range(3))):
+            m = {}
+            for v in TRI_SQUARE.vertices():
+                a, b, c = (perm[i][v.idx[i]] for i in range(3))
+                m[v] = VertexPoint(TRI_SQUARE, (b, a, c) if swap else (a, b, c))
+            maps.append(m)
     return maps
 
 
@@ -197,12 +205,30 @@ class CaseReport:
 
 
 def overlap_matrix(simplices: list[VertexSimplex]) -> list[list[bool]]:
+    """Which pairs of the tri-square simplices have overlapping interiors.
+
+    One exact `interiors_overlap` LP is solved per orbit of pairs under the
+    48 `symmetries()`; the verdict is copied to every image pair (g.a, g.b)
+    that is in the list.  That copy is exact: g is a linear automorphism of
+    the polytope, so int(g.a) and int(g.b) meet in g(int a & int b), which is
+    empty exactly when int a & int b is.  A pair that no earlier verdict
+    reached gets its own LP, so any list of tri-square simplices is handled,
+    closed under the symmetries or not.
+    """
     n = len(simplices)
-    m = [[False] * n for _ in range(n)]
+    index = {x.vertex_set: i for i, x in enumerate(simplices)}
+    images = [[index.get(frozenset(g[v] for v in x.vertices)) for x in simplices] for g in symmetries()]
+    m: list[list[bool | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         m[i][i] = True
         for j in range(i + 1, n):
-            m[i][j] = m[j][i] = interiors_overlap(simplices[i], simplices[j])
+            if m[i][j] is not None:
+                continue
+            m[i][j] = m[j][i] = verdict = interiors_overlap(simplices[i], simplices[j])
+            for image in images:
+                gi, gj = image[i], image[j]
+                if gi is not None and gj is not None:
+                    m[gi][gj] = m[gj][gi] = verdict
     return m
 
 

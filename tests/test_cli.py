@@ -253,6 +253,7 @@ def memo_doc(**fields):
     (None, ["bounds", "--config", "/nonexistent/caps.txt"]),
     (None, ["vmax", "--s", "-1", "--t", "0"]),
     (None, ["vmax", "--spec", "9,9"]),
+    (None, ["vmax", "--spec", "1,1", "--s", "5", "--t", "0"]),
     (None, ["q", "--s", "-1", "--t", "0", "--sp", "0", "--tp", "0"]),
     (None, ["standard", "--spec", "0"]),
     (None, ["fbound", "--s", "-1", "--t", "0", "--c", "1", "--sp", "0", "--tp", "0", "--cp", "1"]),
@@ -275,7 +276,8 @@ def memo_doc(**fields):
         "simplices-not-a-list", "vertex-is-a-number", "simplex-not-a-list",
         "reduction-vertex-not-a-list", "string-vertex-entry", "float-vertex-entry",
         "negative-max-t", "missing-config",
-        "vmax-negative-count", "vmax-without-cap", "q-negative-count", "standard-zero-factor",
+        "vmax-negative-count", "vmax-without-cap", "vmax-spec-and-counts",
+        "q-negative-count", "standard-zero-factor",
         "fbound-negative-count", "fbound-without-cap", "verify-jobs-flag", "case-jobs-flag",
         "memo-not-json", "memo-not-an-object", "memo-key-five-integers", "memo-key-not-integers",
         "memo-value-not-int", "memo-format-missing", "memo-format-unknown",
@@ -297,14 +299,24 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, doc, argv):
 
 
 # Runs one command in a fresh interpreter, then reports its exit code and
-# whether anything on the way imported numpy.
-NO_NUMPY_SCRIPT = """
-import contextlib, io, sys
+# every module imported on the way.
+FRESH_CLI_SCRIPT = """
+import contextlib, io, json, sys
 from simplotope import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(json.dumps([code, sorted(sys.modules)]))
 """
+
+
+def run_fresh(argv):
+    src = str(Path(simplotope.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI_SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
 
 
 @pytest.mark.parametrize("argv", [
@@ -315,9 +327,12 @@ print(code, "numpy" in sys.modules)
     ["vmax", "--spec", "0,3"],
 ], ids=["bounds", "verify", "case", "standard", "vmax"])
 def test_cli_commands_do_not_import_numpy(argv):
-    src = str(Path(simplotope.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT, *argv], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    code, modules = run_fresh(argv)
+    assert code == 0
+    assert "numpy" not in modules
+
+
+def test_verify_does_not_import_the_case_study():
+    code, modules = run_fresh(["verify", "--input", str(bundled_triangulation_path())])
+    assert code == 0
+    assert "simplotope.cli" in modules and "simplotope.trisquare" not in modules

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from simplotope.core import VertexSimplex, corner_simplex
+from simplotope.core import VertexSimplex, all_simplices, corner_simplex, minimal_face
 from simplotope.trisquare import (
     MINIMAL_10,
     SYMBOLS,
@@ -16,9 +16,10 @@ from simplotope.trisquare import (
     decode,
     encode,
     enumerate_class2,
-    factor_permutations,
     minimal_triangulation_10,
+    overlap_matrix,
     symbol_of,
+    symmetries,
     vertex_code,
 )
 from simplotope.verifier import facet_inventory, interiors_overlap, verify
@@ -49,10 +50,54 @@ def test_exactly_24_class_two_simplices():
 
 def test_class_two_single_orbit():
     fat = enumerate_class2()
-    maps = factor_permutations()
-    assert len(maps) == 24
+    maps = symmetries()
+    assert len(maps) == 48
     orbit = {frozenset(m[v] for v in fat[0].vertices) for m in maps}
     assert orbit == {x.vertex_set for x in fat}
+
+
+def test_symmetries_are_automorphisms():
+    vertices = set(TRI_SQUARE.vertices())
+    classes = {x.vertex_set: x.cls for x in all_simplices(TRI_SQUARE)}
+    assert len(classes) == 792
+    zeros = {frozenset(sub): len(minimal_face(sub).zeros)
+             for sub in itertools.combinations(vertices, TRI_SQUARE.dim)}
+    maps = symmetries()
+    assert len({tuple(m[v] for v in TRI_SQUARE.vertices()) for m in maps}) == 48
+    for m in maps:
+        assert set(m) == vertices and set(m.values()) == vertices
+        for vs, cls in classes.items():
+            assert classes[frozenset(m[v] for v in vs)] == cls
+        for vs, n in zeros.items():
+            assert zeros[frozenset(m[v] for v in vs)] == n
+
+
+def test_class_two_pairs_form_14_orbits():
+    fat = [x.vertex_set for x in enumerate_class2()]
+    index = {x: i for i, x in enumerate(fat)}
+    images = [[index[frozenset(m[v] for v in x)] for x in fat] for m in symmetries()]
+    pairs = list(itertools.combinations(range(len(fat)), 2))
+    assert len(pairs) == 276
+    orbits = {frozenset(frozenset((g[i], g[j])) for g in images) for i, j in pairs}
+    assert len(orbits) == 14
+
+
+def test_overlap_matrix_matches_direct_lps():
+    # the slow oracle: one LP for every one of the 276 pairs
+    fat = enumerate_class2()
+    m = overlap_matrix(fat)
+    assert all(m[i][i] for i in range(len(fat)))
+    for i, j in itertools.combinations(range(len(fat)), 2):
+        assert m[i][j] == m[j][i] == interiors_overlap(fat[i], fat[j]), (encode(fat[i]), encode(fat[j]))
+
+
+def test_overlap_matrix_on_a_list_not_closed_under_symmetry():
+    # the ten simplices of a triangulation have pairwise disjoint interiors,
+    # and a repeated entry overlaps its twin
+    sims = list(minimal_triangulation_10().simplices)
+    m = overlap_matrix(sims + sims[:1])
+    assert [[m[i][j] for j in range(10)] for i in range(10)] == [[i == j for j in range(10)] for i in range(10)]
+    assert m[10][0] and m[0][10]
 
 
 def test_every_fat_simplex_has_class2_cube_facet():
