@@ -53,64 +53,9 @@ def _vtable(args) -> VTable:
         raise UsageError(f"cannot read --config {args.config}: {exc}") from exc
 
 
-MEMO_CACHE_FORMAT = 1
-
-
-def _load_memo(path, vtable: VTable) -> None:
-    """Fill the evaluator's memo from a --memo-cache file made with the same caps.
-
-    A missing file is an empty cache.  Anything else that is not a format-1
-    document for this caps table is refused before any F value is computed,
-    so the file is never overwritten.
-    """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        return
-    except (OSError, ValueError, RecursionError) as exc:
-        raise UsageError(f"--memo-cache {path}: not a readable JSON file ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise UsageError(f"--memo-cache {path}: expected a JSON object")
-    fmt = doc.get("format")
-    if type(fmt) is not int or fmt != MEMO_CACHE_FORMAT:
-        raise UsageError(f"--memo-cache {path}: format {fmt!r} is not {MEMO_CACHE_FORMAT}")
-    if doc.get("caps_sha256") != vtable.caps_sha256:
-        raise UsageError(f"--memo-cache {path} was made with other cube caps "
-                         f"(sha256 {doc.get('caps_sha256')!r}, not {vtable.caps_sha256})")
-    entries = doc.get("entries")
-    if not isinstance(entries, dict):
-        raise UsageError(f"--memo-cache {path}: entries must be a JSON object")
-    parsed = {}
-    for key, value in entries.items():
-        try:
-            fkey = tuple(int(x) for x in key.split(","))
-        except ValueError:
-            fkey = ()
-        if len(fkey) != 6:
-            raise UsageError(f"--memo-cache {path}: key {key!r} is not six comma-separated integers")
-        if type(value) is not int:
-            raise UsageError(f"--memo-cache {path}: value {value!r} of key {key!r} is not an integer")
-        parsed[fkey] = value
-    for key, value in parsed.items():
-        vtable.memo.values.setdefault(key, value)
-
-
-def _save_memo(path, vtable: VTable) -> None:
-    entries = {",".join(str(x) for x in key): val for key, val in vtable.memo.values.items()}
-    doc = {"format": MEMO_CACHE_FORMAT, "caps_sha256": vtable.caps_sha256, "entries": entries}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-
-
 def cmd_bounds(args) -> int:
     _nonnegative(("--max-s", args.max_s), ("--max-t", args.max_t), ("--dim-cap", args.dim_cap))
-    vtable = _vtable(args)
-    if args.memo_cache:
-        _load_memo(args.memo_cache, vtable)
-    table = bounds_table(args.max_s, args.max_t, args.dim_cap, vtable=vtable)
-    if args.memo_cache:
-        _save_memo(args.memo_cache, vtable)
+    table = bounds_table(args.max_s, args.max_t, args.dim_cap, vtable=_vtable(args))
     missing = [sk for sk in table.skipped if sk[2] != "beyond dimension cap"]
     if args.format == "json":
         sys.stdout.write(table.to_json())
@@ -262,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-cap", type=int, default=6)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--config", help="cube-cap configuration file")
-    p.add_argument("--memo-cache", help="JSON file persisting the F memo between runs "
-                   "made with the same cube caps")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="certify a triangulation file")

@@ -40,12 +40,14 @@ The search covers every subset without enumerating them all:
   sign.  No float is used anywhere.
 
 A VTable is the F evaluator of one cube-cap table.  It owns a copy of the
-caps, the V values computed from them, the F memo and the sha256 of the
-caps.  F depends on the caps through every class-overflow test, so a memo
-filled under one table is wrong under another (capping V(4,0) at 1 instead
-of 3 moves the (2,2) cell from 68 to 84).  Keeping the memo inside the table
-that computed it makes that reuse impossible in process, and a memo written
-to a file carries the caps hash so that it is refused under other caps.
+caps, the V values computed from them and the F memo.  F depends on the caps
+through every class-overflow test, so a memo filled under one table is wrong
+under another (capping V(4,0) at 1 instead of 3 moves the (2,2) cell from 68
+to 84).  Keeping the memo inside the table that computed it makes that reuse
+impossible.  The memo lives in process only: a memo kept in a file would
+also have to match the code that filled it, and a stored value is trusted
+as it stands, so one stale or altered entry would print a wrong cell with
+exit 0.
 
 The recurrence is pruned by the same zero conventions, so every F value is
 what the plain recursion gives, but far fewer keys are reached (the d = 10
@@ -110,19 +112,30 @@ CUBE_CAP = "configured-cube-cap"
 
 
 def load_cube_caps(path=None) -> dict[int, int]:
-    """Cube maximal-class caps by dimension from a key-value text file."""
+    """Cube maximal-class caps by dimension from a key-value text file.
+
+    Each line holds a dimension and its cap, both >= 1, and no dimension
+    appears twice; a line that breaks this raises ValueError naming it.
+    """
     if path is None:
         text = resources.files("simplotope").joinpath("data/cube_caps.txt").read_text()
     else:
         with open(path) as fh:
             text = fh.read()
     caps = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        dim, cap = line.split()
-        caps[int(dim)] = int(cap)
+        try:
+            dim, cap = (int(x) for x in line.split())
+        except ValueError:
+            raise ValueError(f"line {number} {line!r}: expected two integers") from None
+        if dim < 1 or cap < 1:
+            raise ValueError(f"line {number} {line!r}: dimension and cap must be >= 1")
+        if dim in caps:
+            raise ValueError(f"line {number} {line!r}: dimension {dim} is given twice")
+        caps[dim] = cap
     return caps
 
 
@@ -165,14 +178,6 @@ class VTable:
             self._caps = MappingProxyType(load_cube_caps())
         return self._caps
 
-    @property
-    def caps_sha256(self) -> str:
-        """Fingerprint of the parsed caps: one "dim cap" line per dimension, sorted."""
-        import hashlib  # local import: OpenSSL adds ~4 MB to every process that loads it
-
-        text = "".join(f"{dim} {cap}\n" for dim, cap in sorted(self.caps.items()))
-        return hashlib.sha256(text.encode()).hexdigest()
-
     def get(self, s: int, t: int) -> VEntry:
         """V(s, t) with its provenance, computed on first use."""
         entry = self._values.get((s, t))
@@ -190,7 +195,7 @@ class VTable:
             return VEntry(self.caps[dim], CUBE_CAP)
         raise VMaxUnavailable(f"no cube cap configured for dimension {dim}")
 
-    def f(self, key) -> int:
+    def f(self, s: int, t: int, c: int, sp: int, tp: int, cp: int) -> int:
         """F as the recursion uses it: the conventions, then the 0-face base
         case pinned at 1, then the memoized bound.
 
@@ -201,13 +206,6 @@ class VTable:
         recurrence for class-1 queries as well would not (its 0-face base case
         can undercount vertex footprints).
         """
-        return self._f(*key)
-
-    def recurrence(self, key) -> int:
-        """The raw footprint/shadow recurrence value at one key."""
-        return self._recurrence(*key)
-
-    def _f(self, s: int, t: int, c: int, sp: int, tp: int, cp: int) -> int:
         # the conventions: zero outside the admissible range, 1 on the full shape
         if s < 0 or t < 0 or sp < 0 or tp < 0 or c < 1 or cp < 1:
             return 0
@@ -231,12 +229,12 @@ class VTable:
         memo.misses += 1
         value = comb_bound(key)
         if c > 1:
-            value = min(value, self._recurrence(s, t, c, sp, tp, cp))
+            value = min(value, self.recurrence(s, t, c, sp, tp, cp))
         memo.values[key] = value
         return value
 
-    def _recurrence(self, s: int, t: int, c: int, sp: int, tp: int, cp: int) -> int:
-        """The footprint/shadow double count.
+    def recurrence(self, s: int, t: int, c: int, sp: int, tp: int, cp: int) -> int:
+        """The raw footprint/shadow double count at one key.
 
         Fixing one exterior (sp, tp)-face sigma, every other such face is
         pinned down by its intersection with sigma (the footprint, an exterior
@@ -255,7 +253,7 @@ class VTable:
         values = self._values
         if not es or cp > (values.get((sp, tp)) or self.get(sp, tp))[0]:
             return 0
-        f = self._f
+        f = self.f
         cq = c // cp
         shadow_dim = s + 2 * t - sp - 2 * tp
         kqs = [(k, cp // k) for k in _divisors(cp) if cq % (cp // k) == 0]
@@ -418,7 +416,7 @@ def f_recurrence(key: FKey, vtable: VTable | None = None) -> int:
     count in the prism, 2 for the class-1 prism-face count in the
     triangle-cross-square).
     """
-    return (vtable or DEFAULT_VTABLE).recurrence(key)
+    return (vtable or DEFAULT_VTABLE).recurrence(*key)
 
 
 def f_bound(key: FKey, vtable: VTable | None = None) -> int:
@@ -428,7 +426,7 @@ def f_bound(key: FKey, vtable: VTable | None = None) -> int:
     0-face queries report the geometric vertex count (see comb_bound).
     """
     key = FKey(*key)
-    value = (vtable or DEFAULT_VTABLE).f(key)
+    value = (vtable or DEFAULT_VTABLE).f(*key)
     if value and (key.sp, key.tp) == (0, 0):
         # The geometric count: every vertex of a simplex is an exterior
         # 0-face, and there are s + 2t + 1 of them (all of class 1).

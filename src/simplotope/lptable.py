@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .counting import QQuery, q_count
 from .exact import OPTIMAL, LpProblem, lp_minimize
-from .fbounds import DEFAULT_VTABLE, FKey, VMaxUnavailable, VTable, f_bound
+from .fbounds import DEFAULT_VTABLE, VMaxUnavailable, VTable
 
 
 class InconsistentCellError(Exception):
@@ -122,12 +122,17 @@ def build_lp(s: int, t: int, vtable: VTable | None = None) -> LpProblem:
 
     Column c holds c * F(s, t, c, s', t', c) for each constraint pair.  A row
     that needs support no column gives raises InconsistentCellError.
+
+    F is read from `VTable.f` directly.  That is exact: `f_bound` differs
+    from it only on the (0, 0) shape, and `constraint_pairs` never yields
+    (0, 0).
     """
     if s < 0 or t < 0 or s + 2 * t < 1:
         raise ValueError("the LP needs a positive-dimensional simplotope")
     vtable = vtable or DEFAULT_VTABLE
     pairs = constraint_pairs(s, t)
-    columns = [tuple(c * f_bound(FKey(s, t, c, sp, tp, c), vtable) for sp, tp in pairs)
+    f = vtable.f
+    columns = [tuple(c * f(s, t, c, sp, tp, c) for sp, tp in pairs)
                for c in range(1, vtable.get(s, t).value + 1)]
     rhs = [Fraction(q_count(QQuery(s, t, sp, tp)) * math.factorial(sp + 2 * tp), 2 ** tp)
            for sp, tp in pairs]

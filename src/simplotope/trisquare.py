@@ -23,7 +23,6 @@ from .core import (
     VertexPoint,
     VertexSimplex,
     all_simplices,
-    has_exterior_facet,
     minimal_face,
 )
 from .exact import scaled_inverse
@@ -250,7 +249,9 @@ def lower_bound_10_argument(verbose: bool = False) -> CaseReport:
         f"linear program gives {cell.lp_value}, bound {cell.lower_bound}"))
 
     nondeg = [x for x in all_simplices(TRI_SQUARE) if x.cls > 0]
-    facet_ok = all(has_exterior_facet(x) for x in nondeg)
+    # spots[n] is empty exactly when simplex n has no exterior facet
+    spots = [_exterior_facet_positions(x) for x in nondeg]
+    facet_ok = all(spots)
     max_class = max(x.cls for x in nondeg)
     ingredients.append(Ingredient(
         "exterior-facet-and-class-2", facet_ok and max_class == 2,
@@ -274,10 +275,9 @@ def lower_bound_10_argument(verbose: bool = False) -> CaseReport:
         f"{bad_triples} of {len(fat) * (len(fat) - 1) * (len(fat) - 2) // 6} triples pairwise disjoint"))
 
     parallel_violations = 0
-    for x in nondeg:
-        spots = _exterior_facet_positions(x)
+    for x_spots in spots:
         for i, c in enumerate(TRI_SQUARE.factors):
-            if c == 1 and (i, 0) in spots and (i, 1) in spots:
+            if c == 1 and (i, 0) in x_spots and (i, 1) in x_spots:
                 parallel_violations += 1
     # each prism facet has class 3 and holds only class-1 tetrahedra, so a
     # pair of opposite prisms forces 2 * 3 distinct class-1 cover members

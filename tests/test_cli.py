@@ -10,10 +10,7 @@ import pytest
 
 import simplotope
 from simplotope.cli import main
-from simplotope.fbounds import VTable
 from simplotope.trisquare import bundled_triangulation_path
-
-CAPS_SHA256 = VTable().caps_sha256
 
 
 def run(capsys, *argv):
@@ -45,64 +42,6 @@ def test_bounds_json(capsys):
     doc = json.loads(out)
     cells = {(c["s"], c["t"]): c for c in doc["cells"]}
     assert cells[(1, 1)]["lower_bound"] == 3
-
-
-def test_bounds_memo_cache(tmp_path, capsys):
-    cache = tmp_path / "memo.json"
-    code, first, _ = run(capsys, "bounds", "--max-s", "2", "--max-t", "1",
-                         "--memo-cache", str(cache))
-    assert code == 0 and cache.exists()
-    code, second, _ = run(capsys, "bounds", "--max-s", "2", "--max-t", "1",
-                          "--memo-cache", str(cache))
-    assert code == 0 and first == second
-
-
-def test_memo_cache_from_an_unpruned_evaluator(tmp_path, capsys):
-    # a file written by an evaluator without pruning holds a larger key set
-    from importlib import resources
-
-    from f_oracle import oracle_over_cells
-    from simplotope.fbounds import load_cube_caps
-
-    config = tmp_path / "caps.txt"  # --config gives each run a fresh evaluator
-    config.write_text(resources.files("simplotope").joinpath("data/cube_caps.txt").read_text())
-    bounds = ["bounds", "--max-s", "8", "--max-t", "4", "--dim-cap", "8", "--format", "json",
-              "--config", str(config)]
-    code, plain, _ = run(capsys, *bounds)
-    assert code == 0
-    oracle, _ = oracle_over_cells(load_cube_caps(), 8)
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps({"format": 1, "caps_sha256": CAPS_SHA256, "entries": {
-        ",".join(map(str, key)): value for key, value in oracle.reached.items()}}))
-    code, out, _ = run(capsys, *bounds, "--memo-cache", str(old))
-    assert code == 0 and out == plain
-    assert json.loads(old.read_text())["entries"].keys() == {
-        ",".join(map(str, key)) for key in oracle.reached}
-    new = tmp_path / "new.json"
-    code, out, _ = run(capsys, *bounds, "--memo-cache", str(new))
-    assert code == 0 and out == plain
-    saved = new.read_text()
-    assert len(json.loads(saved)["entries"]) < len(oracle.reached)
-    code, out, _ = run(capsys, *bounds, "--memo-cache", str(new))
-    assert code == 0 and out == plain and new.read_text() == saved
-
-
-def test_memo_cache_refused_under_other_caps(tmp_path, capsys):
-    # a memo filled with the d = 4 cap lowered to 1 once turned (2,2) into 84
-    from importlib import resources
-
-    caps = resources.files("simplotope").joinpath("data/cube_caps.txt").read_text()
-    config = tmp_path / "caps.txt"
-    config.write_text(caps.replace("\n4     3\n", "\n4     1\n"))
-    cache = tmp_path / "m.json"
-    bounds = ["bounds", "--max-s", "6", "--max-t", "2", "--dim-cap", "6", "--memo-cache", str(cache)]
-    code, out, _ = run(capsys, *bounds, "--config", str(config))
-    assert code == 0 and "2,2,84,84,9" in out
-    saved = cache.read_text()
-    code, out, err = run(capsys, *bounds)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "other cube caps" in err
-    assert cache.read_text() == saved
 
 
 def test_verify_bundled(capsys):
@@ -224,15 +163,16 @@ def test_standard_single_segment(capsys):
     assert json.loads(out)["simplices"] == [[[1, 0], [0, 1]]]
 
 
-MEMO = ["bounds", "--max-s", "1", "--max-t", "1", "--memo-cache", "{file}"]
-
-
 # deeper than the JSON parser's recursion limit
 DEEP = "[" * 100_000 + "]" * 100_000
 
+# `bounds --memo-cache` is retired: a file written for it, well formed or
+# not, is refused with the flag and left as it was
+MEMO = ["bounds", "--max-s", "1", "--max-t", "1", "--memo-cache", "{file}"]
+
 
 def memo_doc(**fields):
-    return {"format": 1, "caps_sha256": CAPS_SHA256, "entries": {}, **fields}
+    return {"format": 1, "caps": "0" * 64, "entries": {}, **fields}
 
 
 @pytest.mark.parametrize("doc, argv", [
@@ -260,15 +200,19 @@ def memo_doc(**fields):
     (None, ["fbound", "--s", "20", "--t", "0", "--c", "2", "--sp", "1", "--tp", "0", "--cp", "1"]),
     (None, ["verify", "--input", "{file}", "--jobs", "2"]),
     (None, ["case", "tri-square", "--jobs", "2"]),
+    (None, ["bounds", "--memo-cache", "F"]),
+    ("4 0\n", ["bounds", "--config", "{file}"]),
+    ("5 -3\n", ["bounds", "--config", "{file}"]),
+    ("4 3\n4 1\n", ["vmax", "--s", "4", "--t", "0", "--config", "{file}"]),
     ("not json", MEMO),
     ([1, 2], MEMO),
     (memo_doc(entries={"1,1,2,1,0": 3}), MEMO),
     (memo_doc(entries={"1,1,2,1,0,x": 3}), MEMO),
     (memo_doc(entries={"1,1,2,1,0,1": "3"}), MEMO),
-    ({"caps_sha256": CAPS_SHA256, "entries": {}}, MEMO),
+    ({"entries": {}}, MEMO),
     (memo_doc(format=2), MEMO),
     ({"1,1,2,1,0,1": 3}, MEMO),
-    (memo_doc(caps_sha256="0" * 64), MEMO),
+    (memo_doc(caps="f" * 64, entries={"1,1,2,1,0,1": 6}), MEMO),
     (b"\xff\xfe{}", None),
     (DEEP, None),
     (DEEP, MEMO),
@@ -279,6 +223,7 @@ def memo_doc(**fields):
         "vmax-negative-count", "vmax-without-cap", "vmax-spec-and-counts",
         "q-negative-count", "standard-zero-factor",
         "fbound-negative-count", "fbound-without-cap", "verify-jobs-flag", "case-jobs-flag",
+        "bounds-memo-cache-flag", "caps-zero", "caps-negative", "caps-repeated-dim",
         "memo-not-json", "memo-not-an-object", "memo-key-five-integers", "memo-key-not-integers",
         "memo-value-not-int", "memo-format-missing", "memo-format-unknown",
         "memo-unversioned", "memo-caps-mismatch",

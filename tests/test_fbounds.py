@@ -42,7 +42,7 @@ def test_recurrence_cube_collapse():
     # with t = t' = 0 the recurrence is the plain cube product sum
     key = FKey(3, 0, 2, 2, 0, 1)
     collapsed = sum(
-        DEFAULT_VTABLE.f(FKey(2, 0, 1, i, 0, k)) * DEFAULT_VTABLE.f(FKey(1, 0, 2, 2 - i, 0, 1 // k))
+        DEFAULT_VTABLE.f(2, 0, 1, i, 0, k) * DEFAULT_VTABLE.f(1, 0, 2, 2 - i, 0, 1 // k)
         for i in range(0, 3) for k in (1,))
     assert f_recurrence(key) == collapsed
 
@@ -89,6 +89,21 @@ def test_v_caps():
     assert v_max(3, 1) == (5, CUBE_CAP)
     with pytest.raises(VMaxUnavailable):
         VTable(caps={}).get(9, 0)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0 1\n", "line 1 '0 1'"),
+    ("3 2\n4 0\n", "line 2 '4 0'"),
+    ("5 -3  # negative\n", "line 1 '5 -3'"),
+    ("# d cap\n4 3\n4 1\n", "line 3 '4 1'"),
+    ("4\n", "line 1 '4'"),
+    ("4 x\n", "line 1 '4 x'"),
+], ids=["dim-zero", "cap-zero", "cap-negative", "repeated-dim", "one-field", "not-an-int"])
+def test_load_cube_caps_names_the_bad_line(tmp_path, text, line):
+    path = tmp_path / "caps.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=line):
+        load_cube_caps(path)
 
 
 def test_caps_file_agrees_with_brute_force_small():
@@ -165,7 +180,7 @@ def check_evaluator_against_oracle(caps):
     assert computed <= asked
     assert set(vt.memo.values) <= set(oracle.reached)
     assert len(oracle.reached) > len(vt.memo) > 100
-    wrong = {key: value for key, value in oracle.reached.items() if vt.f(key) != value}
+    wrong = {key: value for key, value in oracle.reached.items() if vt.f(*key) != value}
     assert wrong == {}
     return table
 

@@ -34,6 +34,15 @@ def test_constraint_pairs_range():
     assert (5, 0) in constraint_pairs(3, 2)  # s' may exceed s
 
 
+def test_lp_coefficients_are_f_bound():
+    # build_lp reads VTable.f, which f_bound only overrides on the (0, 0) shape
+    for s, t in [(1, 1), (3, 0), (2, 1), (0, 3), (4, 1)]:
+        v = DEFAULT_VTABLE.get(s, t).value
+        for sp, tp in constraint_pairs(s, t):
+            for c in range(1, v + 1):
+                assert DEFAULT_VTABLE.f(s, t, c, sp, tp, c) == f_bound(FKey(s, t, c, sp, tp, c))
+
+
 def test_build_lp_cube():
     problem = build_lp(3, 0)
     assert len(problem.objective) == 2  # V(3,0) = 2
@@ -196,9 +205,9 @@ def test_build_lp_rejects_point():
 def test_inconsistent_cell_aborts(monkeypatch):
     # a positive requirement with no supporting F values is an internal
     # inconsistency and must abort loudly rather than report infeasibility
-    import simplotope.lptable as lptable
     from simplotope.lptable import InconsistentCellError
 
-    monkeypatch.setattr(lptable, "f_bound", lambda *a, **k: 0)
+    vtable = VTable()
+    monkeypatch.setattr(vtable, "f", lambda *key: 0)
     with pytest.raises(InconsistentCellError):
-        build_lp(1, 1)
+        build_lp(1, 1, vtable)
