@@ -3,7 +3,6 @@
 from .core import (
     FaceId,
     FaceSignature,
-    ReducedPoint,
     SimplotopeSpec,
     VertexPoint,
     VertexSimplex,
@@ -17,12 +16,11 @@ from .core import (
     is_parallel,
     is_tri_positioned,
     minimal_face,
-    reduce_point,
     shadow,
 )
 from .counting import QQuery, q_by_enumeration, q_by_generating_function, q_count
 from .exact import LpProblem, LpResult, det, lp_minimize
-from .fbounds import FKey, VTable, comb_bound, f_bound, f_recurrence, v_max
+from .fbounds import VTable, comb_bound, f_bound
 from .lptable import BoundCell, BoundsTable, bounds_table, build_lp, solve_cell
 from .standard import standard_triangulation
 from .verifier import (

@@ -13,7 +13,7 @@ import sys
 
 from .core import SimplotopeSpec
 from .counting import QQuery, q_by_enumeration, q_by_generating_function, q_count
-from .fbounds import DEFAULT_VTABLE, FKey, VMaxUnavailable, VTable, f_bound, load_cube_caps, v_max
+from .fbounds import DEFAULT_VTABLE, VMaxUnavailable, VTable, f_bound, load_cube_caps
 from .lptable import bounds_table
 from .standard import standard_triangulation
 from .tfiles import candidate_to_dict, load_candidate, save_candidate
@@ -111,7 +111,10 @@ def cmd_standard(args) -> int:
     cand = TriangulationCandidate(spec, tuple(sims))
     meta = {"kind": "standard triangulation", "size": len(sims)}
     if args.out:
-        save_candidate(cand, args.out, coords=args.coords, metadata=meta)
+        try:
+            save_candidate(cand, args.out, coords=args.coords, metadata=meta)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc}") from None
     else:
         doc = candidate_to_dict(cand, coords=args.coords, metadata=meta)
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -133,7 +136,7 @@ def cmd_vmax(args) -> int:
         s, t = args.s, args.t
     _nonnegative(("s", s), ("t", t))
     try:
-        entry = v_max(s, t, vtable=_vtable(args))
+        entry = _vtable(args).get(s, t)
     except VMaxUnavailable as exc:
         raise UsageError(f"V({s},{t}): {exc}") from None
     print(f"{entry.value}")
@@ -161,12 +164,12 @@ def cmd_q(args) -> int:
 
 
 def cmd_fbound(args) -> int:
-    key = FKey(args.s, args.t, args.c, args.sp, args.tp, args.cp)
-    _nonnegative(*((f"--{name}", value) for name, value in zip(FKey._fields, key)))
+    key = (args.s, args.t, args.c, args.sp, args.tp, args.cp)
+    _nonnegative(*zip(("--s", "--t", "--c", "--sp", "--tp", "--cp"), key))
     try:
-        value = f_bound(key, vtable=_vtable(args))
+        value = f_bound(*key, vtable=_vtable(args))
     except VMaxUnavailable as exc:
-        raise UsageError(f"F{tuple(key)}: {exc}") from None
+        raise UsageError(f"F{key}: {exc}") from None
     print(value)
     return 0
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -58,14 +57,6 @@ class SimplotopeSpec:
         return math.prod(c + 1 for c in self.factors)
 
     @property
-    def seg_tri_counts(self) -> tuple[int, int]:
-        """(s, t) for products of segments and triangles only."""
-        if any(c > 2 for c in self.factors):
-            raise ValueError("segment/triangle counts need all factors in {1, 2}")
-        s = sum(1 for c in self.factors if c == 1)
-        return s, len(self.factors) - s
-
-    @property
     def polytope_class(self) -> int:
         """dim! times the volume: the multinomial (sum c_i)! / prod c_i!."""
         v = math.factorial(self.dim)
@@ -80,10 +71,6 @@ class SimplotopeSpec:
         """All vertices, in lexicographic order of their per-factor indices."""
         ranges = [range(c + 1) for c in self.factors]
         return [VertexPoint(self, idx) for idx in itertools.product(*ranges)]
-
-    def coordinates(self) -> list[tuple[int, int]]:
-        """All (factor, position) coordinate labels in standard order."""
-        return [(i, j) for i, c in enumerate(self.factors) for j in range(c + 1)]
 
 
 @dataclass(frozen=True)
@@ -129,45 +116,6 @@ class VertexPoint:
                 if j != self.idx[i]:
                     out.append(VertexPoint(self.spec, self.idx[:i] + (j,) + self.idx[i + 1:]))
         return out
-
-
-@dataclass(frozen=True)
-class ReducedPoint:
-    """A point in reduced coordinates, remembering the reduction pivot."""
-
-    spec: SimplotopeSpec
-    coords: tuple[Fraction, ...]
-    pivot: VertexPoint
-
-    def to_standard(self) -> tuple[Fraction, ...]:
-        """Restore the dropped coordinate of each factor as 1 - (block sum)."""
-        out: list[Fraction] = []
-        pos = 0
-        for i, c in enumerate(self.spec.factors):
-            kept = self.coords[pos:pos + c]
-            pos += c
-            p = self.pivot.idx[i]
-            restored = 1 - sum(kept, Fraction(0))
-            block = list(kept[:p]) + [restored] + list(kept[p:])
-            out.extend(Fraction(x) for x in block)
-        return tuple(out)
-
-
-def reduce_point(spec: SimplotopeSpec, coords: Sequence, pivot: VertexPoint) -> ReducedPoint:
-    """Reduce a standard-coordinate point with respect to a pivot vertex."""
-    if pivot.spec != spec:
-        raise ValueError("pivot comes from a different simplotope")
-    flat = [Fraction(x) for x in coords]
-    if len(flat) != spec.dim + len(spec.factors):
-        raise ValueError("coordinate length does not match the simplotope")
-    out = []
-    pos = 0
-    for i, c in enumerate(spec.factors):
-        block = flat[pos:pos + c + 1]
-        pos += c + 1
-        p = pivot.idx[i]
-        out.extend(block[:p] + block[p + 1:])
-    return ReducedPoint(spec, tuple(out), pivot)
 
 
 @dataclass(frozen=True)
@@ -278,18 +226,6 @@ def minimal_face(points: Sequence[VertexPoint]) -> FaceId:
         used = {p.idx[i] for p in points}
         zeros.update((i, j) for j in range(c + 1) if j not in used)
     return FaceId(spec, frozenset(zeros))
-
-
-def minimal_face_of_coords(spec: SimplotopeSpec, points: Sequence[Sequence]) -> FaceId:
-    """minimal_face for arbitrary points given in standard coordinates."""
-    if not points:
-        raise ValueError("minimal_face needs at least one point")
-    labels = spec.coordinates()
-    if any(len(p) != len(labels) for p in points):
-        raise ValueError("coordinate length does not match the simplotope")
-    zeros = frozenset(labels[k] for k in range(len(labels))
-                      if all(Fraction(p[k]) == 0 for p in points))
-    return FaceId(spec, zeros)
 
 
 class VertexSimplex:

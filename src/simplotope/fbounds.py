@@ -73,11 +73,12 @@ footprint, as the plain recursion does.  A missing cube cap therefore
 skips the same cells with the same reasons.
 
 Two values exist for the 0-face shape.  As a count of exterior 0-faces, a
-nondegenerate simplex has s + 2t + 1 of them (all of its vertices), and that
-is what comb_bound and f_bound report.  Inside the recurrence the base case
-stays pinned at 1 per footprint class, which is what the reference table was
-computed with; the linear program never uses a (0,0) constraint, so the two
-readings never collide there.
+nondegenerate simplex has s + 2t + 1 of them (all of its vertices): that is
+comb_bound's value there, and f_bound, the F that `simplotope fbound` prints,
+reports it.  VTable.f, the F that the recurrence and the linear program read,
+keeps the base case pinned at 1 per footprint class, which is what the
+reference table was computed with; the linear program never uses a (0,0)
+constraint, so the two readings never collide there.
 """
 
 from __future__ import annotations
@@ -90,15 +91,6 @@ from typing import Mapping, NamedTuple
 
 from .core import SimplotopeSpec
 from .counting import comb0
-
-
-class FKey(NamedTuple):
-    s: int
-    t: int
-    c: int
-    sp: int
-    tp: int
-    cp: int
 
 
 class VMaxUnavailable(Exception):
@@ -227,7 +219,7 @@ class VTable:
             memo.hits += 1
             return value
         memo.misses += 1
-        value = comb_bound(key)
+        value = comb_bound(s, t, sp, tp)
         if c > 1:
             value = min(value, self.recurrence(s, t, c, sp, tp, cp))
         memo.values[key] = value
@@ -383,12 +375,7 @@ DEFAULT_VTABLE = VTable()
 DEFAULT_MEMO = DEFAULT_VTABLE.memo
 
 
-def v_max(s: int, t: int, vtable: VTable | None = None) -> VEntry:
-    """Largest possible class of a simplex in a cover, with provenance."""
-    return (vtable or DEFAULT_VTABLE).get(s, t)
-
-
-def comb_bound(key: FKey) -> int:
+def comb_bound(s: int, t: int, sp: int, tp: int) -> int:
     """Combinatorial bound on exterior-face counts; ignores the classes.
 
     Faces of dimension >= 2 in distinct, non-parallel, non-tri-positioned
@@ -396,7 +383,6 @@ def comb_bound(key: FKey) -> int:
     free-coordinate choices bounds the face count.  Edges are capped at
     s + 3t and a simplex has at most s + 2t + 1 vertices on 0-faces.
     """
-    s, t, _, sp, tp, _ = key
     dim = sp + 2 * tp
     if dim >= 2:
         total = 0
@@ -408,27 +394,14 @@ def comb_bound(key: FKey) -> int:
     return s + 2 * t + 1
 
 
-def f_recurrence(key: FKey, vtable: VTable | None = None) -> int:
-    """The raw footprint/shadow recurrence value at one key.
-
-    Sub-queries go through the same evaluator f_bound uses, so the worked
-    examples come out exactly as tabulated (3 for the class-1 square-face
-    count in the prism, 2 for the class-1 prism-face count in the
-    triangle-cross-square).
-    """
-    return (vtable or DEFAULT_VTABLE).recurrence(*key)
-
-
-def f_bound(key: FKey, vtable: VTable | None = None) -> int:
+def f_bound(s: int, t: int, c: int, sp: int, tp: int, cp: int,
+            vtable: VTable = DEFAULT_VTABLE) -> int:
     """Upper bound on exterior-face counts, zero conventions applied first.
 
-    comb_bound for class-1 queries, min(comb_bound, recurrence) above that;
-    0-face queries report the geometric vertex count (see comb_bound).
+    VTable.f everywhere but on the 0-face shape, where a nonzero value is
+    the geometric vertex count s + 2t + 1 (see comb_bound).
     """
-    key = FKey(*key)
-    value = (vtable or DEFAULT_VTABLE).f(*key)
-    if value and (key.sp, key.tp) == (0, 0):
-        # The geometric count: every vertex of a simplex is an exterior
-        # 0-face, and there are s + 2t + 1 of them (all of class 1).
-        return comb_bound(key)
+    value = vtable.f(s, t, c, sp, tp, cp)
+    if value and (sp, tp) == (0, 0):
+        return comb_bound(s, t, sp, tp)
     return value

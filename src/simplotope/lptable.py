@@ -117,19 +117,19 @@ def pareto_columns(columns: list[tuple[int, ...]]) -> list[int]:
     return sorted(kept)
 
 
-def build_lp(s: int, t: int, vtable: VTable | None = None) -> LpProblem:
+def build_lp(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> LpProblem:
     """The cover LP of (s, t) with its dominated class columns dropped.
 
     Column c holds c * F(s, t, c, s', t', c) for each constraint pair.  A row
     that needs support no column gives raises InconsistentCellError.
 
-    F is read from `VTable.f` directly.  That is exact: `f_bound` differs
-    from it only on the (0, 0) shape, and `constraint_pairs` never yields
-    (0, 0).
+    F is `VTable.f`, with the 0-face base case pinned at 1.  The public
+    `f_bound` reports the vertex count on the (0, 0) shape instead, and
+    agrees with `VTable.f` everywhere else; `constraint_pairs` never yields
+    (0, 0), so the LP is the same under either reading.
     """
     if s < 0 or t < 0 or s + 2 * t < 1:
         raise ValueError("the LP needs a positive-dimensional simplotope")
-    vtable = vtable or DEFAULT_VTABLE
     pairs = constraint_pairs(s, t)
     f = vtable.f
     columns = [tuple(c * f(s, t, c, sp, tp, c) for sp, tp in pairs)
@@ -145,9 +145,8 @@ def build_lp(s: int, t: int, vtable: VTable | None = None) -> LpProblem:
     return LpProblem.build([1] * len(kept), rows)
 
 
-def solve_cell(s: int, t: int, vtable: VTable | None = None) -> BoundCell:
+def solve_cell(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> BoundCell:
     """Exact LP optimum for one (s, t) cell; the bound is its ceiling."""
-    vtable = vtable or DEFAULT_VTABLE
     problem = build_lp(s, t, vtable)
     result = lp_minimize(problem)
     if result.status != OPTIMAL:
@@ -165,7 +164,7 @@ def solve_cell(s: int, t: int, vtable: VTable | None = None) -> BoundCell:
 
 
 def bounds_table(max_s: int, max_t: int, dim_cap: int,
-                 vtable: VTable | None = None) -> BoundsTable:
+                 vtable: VTable = DEFAULT_VTABLE) -> BoundsTable:
     """All cells with s <= max_s, t <= max_t, s + 2t <= dim_cap.
 
     Cells whose V value is unavailable (no brute force, no configured cap)

@@ -26,6 +26,7 @@ from .core import (
     minimal_face,
 )
 from .exact import scaled_inverse
+from .fbounds import DEFAULT_VTABLE
 from .lptable import solve_cell
 from .standard import standard_triangulation
 from .verifier import TriangulationCandidate, interiors_overlap, verify
@@ -119,13 +120,6 @@ def center_in_facet(x: VertexSimplex) -> tuple[Fraction, ...]:
 def minimal_triangulation_10() -> TriangulationCandidate:
     """The minimal ten-simplex triangulation, decoded from its symbols."""
     return TriangulationCandidate(TRI_SQUARE, tuple(decode(w) for w in MINIMAL_10))
-
-
-def bundled_triangulation_path():
-    """Path of the shipped JSON copy of the ten-simplex triangulation."""
-    from importlib import resources
-
-    return resources.files("simplotope").joinpath("data/tri_square_minimal.json")
 
 
 # --- the 12 -> 11 -> 10 construction ---------------------------------------
@@ -281,10 +275,8 @@ def lower_bound_10_argument(verbose: bool = False) -> CaseReport:
                 parallel_violations += 1
     # each prism facet has class 3 and holds only class-1 tetrahedra, so a
     # pair of opposite prisms forces 2 * 3 distinct class-1 cover members
-    from .fbounds import v_max
-
     prism_class = SimplotopeSpec.seg_tri(1, 1).polytope_class
-    per_pair = 2 * -(-prism_class // v_max(1, 1).value)
+    per_pair = 2 * -(-prism_class // DEFAULT_VTABLE.get(1, 1).value)
     ingredients.append(Ingredient(
         "opposite-prisms-need-six", parallel_violations == 0 and per_pair == 6,
         "no simplex has exterior facets in opposite prism facets; "

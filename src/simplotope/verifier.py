@@ -54,7 +54,7 @@ argument.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import SimplotopeSpec, VertexPoint, VertexSimplex, minimal_face
@@ -302,24 +302,3 @@ def adjacency_graph(cand: TriangulationCandidate) -> tuple[tuple[int, int], ...]
     along a common facet.
     """
     return _adjacency(_facet_owners(cand))
-
-
-def facet_inventory(cand: TriangulationCandidate):
-    """Split every simplex facet into exterior ones and interior ones.
-
-    Returns (exterior, interior) where exterior maps a simplotope facet's
-    zero coordinate to the list of (simplex index, facet vertex tuple) lying
-    in it, and interior counts how often each facet vertex set occurs, keyed
-    by the sorted vertex indices.  A facet is a d-vertex subset of a simplex,
-    with its vertices in index order.
-    """
-    exterior = defaultdict(list)
-    interior: Counter = Counter()
-    for facet, own in _facet_owners(cand).items():
-        zeros = minimal_face(facet).zeros
-        if zeros:
-            for z in sorted(zeros):
-                exterior[z].extend((i, facet) for i, _ in own)
-        else:
-            interior[tuple(v.idx for v in facet)] = len(own)
-    return exterior, interior

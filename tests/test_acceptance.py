@@ -23,8 +23,7 @@ from simplotope.core import (
     has_exterior_facet,
 )
 from simplotope.counting import ENUM_DIM_LIMIT, QQuery, q_by_enumeration, q_by_generating_function, q_count
-from simplotope.fbounds import BRUTE_FORCE, FKey, comb_bound, f_bound, f_recurrence, v_max
-from simplotope.fbounds import DEFAULT_VTABLE
+from simplotope.fbounds import BRUTE_FORCE, DEFAULT_VTABLE, comb_bound, f_bound
 from simplotope.lptable import bounds_table
 from simplotope.standard import standard_triangulation
 from simplotope.trisquare import (
@@ -87,14 +86,14 @@ def test_criterion_02_v_values():
     start = time.time()
     pinned = [((1, 1), 1), ((0, 2), 1), ((2, 1), 2), ((1, 2), 3), ((0, 3), 4), ((3, 0), 2)]
     for (s, t), want in pinned:
-        entry = v_max(s, t)
+        entry = DEFAULT_VTABLE.get(s, t)
         assert entry.value == want and entry.provenance == BRUTE_FORCE, (s, t, entry)
     report(2, f"brute force reproduces all six reference V values ({time.time() - start:.0f}s)")
 
 
 def test_criterion_03_recurrence_worked_examples():
-    assert f_recurrence(FKey(1, 1, 1, 2, 0, 1)) == 3
-    assert f_recurrence(FKey(2, 1, 1, 1, 1, 1)) == 2
+    assert DEFAULT_VTABLE.recurrence(1, 1, 1, 2, 0, 1) == 3
+    assert DEFAULT_VTABLE.recurrence(2, 1, 1, 1, 1, 1) == 2
     # term for term, first example: 0 + 2*1 + 1*1
     sub = DEFAULT_VTABLE.f  # F as the recurrence sees it, 0-face base case pinned at 1
     terms1 = [sub(2, 0, 1, i, 0, 1) * sub(1, 0, 1, 2 - i, 0, 1) for i in range(3)]
@@ -133,7 +132,7 @@ def test_criterion_05_corner_extremality():
                 if sp + 2 * tp < 2 or sp + 2 * tp > s + 2 * t:
                     continue
                 got = len(exterior_faces(x, (sp, tp)))
-                assert got == comb_bound(FKey(s, t, 1, sp, tp, 1)), (s, t, sp, tp)
+                assert got == comb_bound(s, t, sp, tp), (s, t, sp, tp)
         assert len(exterior_faces(x, (1, 0))) == s + 3 * t
     report(5, f"corner simplices meet the combinatorial bound for all "
               f"{len(pairs)} products with dimension <= 5")
@@ -153,7 +152,7 @@ def test_criterion_06_f_soundness():
                         continue
                     counts = Counter(face_class(f[0]) for f in exterior_faces(x, (sp, tp)))
                     for cp, n in counts.items():
-                        assert n <= f_bound(FKey(s, t, x.cls, sp, tp, cp)), \
+                        assert n <= f_bound(s, t, x.cls, sp, tp, cp), \
                             (s, t, x.cls, sp, tp, cp, n)
                         checked += 1
     report(6, f"exact exterior-face counts never exceed the bound on the four products "

@@ -1,0 +1,98 @@
+"""Every module-level function and class of the package is used by a command
+or kept on purpose.
+
+A name is used when the code that `simplotope` runs can reach it: start from
+`cli.main` and from every module-level statement that is not a definition
+(those run on import), then follow each identifier to the definition of that
+name.  `__init__.py` re-exports do not count as a use.  The names listed in
+KEPT are extra starting points, each with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+import simplotope
+
+PACKAGE = Path(simplotope.__file__).parent
+ENTRY = "main"  # `simplotope = "simplotope.cli:main"` in pyproject.toml
+
+TRACED = "traced by perfbench: its module and name must stay until the benchmark changes"
+ORACLE = "test oracle: tier-1 checks a fast path or a proof step against it"
+KEPT = {
+    "adjacency_graph": TRACED,
+    "facet_rows": TRACED,
+    "has_exterior_facet": TRACED,
+    "meet_face_to_face": ORACLE,
+    "exterior_faces": ORACLE,
+    "face_class": ORACLE,
+    "footprint": ORACLE,
+    "shadow": ORACLE,
+    "corner_simplex": ORACLE,
+    "is_parallel": ORACLE,
+    "is_tri_positioned": ORACLE,
+    "enumerate_class2": ORACLE,
+}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def identifiers(node):
+    """Every name and attribute a piece of code mentions."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def reference_graph(sources):
+    """({definition: identifiers it mentions}, identifiers of module-level code)
+    over the module sources given."""
+    uses, on_import = {}, set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, DEFINITIONS):
+                uses[stmt.name] = set(identifiers(stmt)) - {stmt.name}
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                on_import.update(identifiers(stmt))
+    return uses, on_import
+
+
+def reachable(uses, start):
+    seen, todo = set(), [name for name in start if name in uses]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += [n for n in uses[name] if n in uses and n not in seen]
+    return seen
+
+
+def package_sources():
+    return [path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+
+
+def test_every_definition_is_used_or_kept():
+    uses, on_import = reference_graph(package_sources())
+    used = reachable(uses, {ENTRY} | on_import | set(KEPT))
+    assert sorted(set(uses) - used) == []
+
+
+def test_kept_names_exist_and_no_command_uses_them():
+    uses, on_import = reference_graph(package_sources())
+    by_commands = reachable(uses, {ENTRY} | on_import)
+    assert sorted(set(KEPT) - set(uses)) == []
+    assert sorted(set(KEPT) & by_commands) == []
+    assert set(KEPT.values()) <= {TRACED, ORACLE}
+
+
+def test_scan_follows_calls_methods_and_module_code():
+    sources = [
+        "def main():\n    return B().run()\n\ndef dead():\n    return helper()\n",
+        "class B:\n    def run(self):\n        return self.step()\n\n"
+        "    def step(self):\n        return helper()\n\n"
+        "def helper():\n    return 1\n\nDEFAULT = Table()\n\nclass Table:\n    pass\n",
+    ]
+    uses, on_import = reference_graph(sources)
+    used = reachable(uses, {"main"} | on_import)
+    assert sorted(set(uses) - used) == ["dead"]

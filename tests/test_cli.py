@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import simplotope
 from simplotope.cli import main
-from simplotope.trisquare import bundled_triangulation_path
+
+BUNDLED = str(resources.files("simplotope").joinpath("data/tri_square_minimal.json"))
 
 
 def run(capsys, *argv):
@@ -45,14 +47,13 @@ def test_bounds_json(capsys):
 
 
 def test_verify_bundled(capsys):
-    code, out, _ = run(capsys, "verify", "--input", str(bundled_triangulation_path()))
+    code, out, _ = run(capsys, "verify", "--input", BUNDLED)
     assert code == 0
     assert "CERTIFIED" in out
 
 
 def test_verify_json(capsys):
-    code, out, _ = run(capsys, "verify", "--input", str(bundled_triangulation_path()),
-                       "--format", "json")
+    code, out, _ = run(capsys, "verify", "--input", BUNDLED, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["certified"] is True and doc["n_simplices"] == 10
@@ -125,6 +126,12 @@ def test_fbound(capsys):
     assert code == 0 and out.strip() == "2"
 
 
+def test_fbound_counts_every_vertex_as_a_zero_face(capsys):
+    code, out, _ = run(capsys, "fbound", "--s", "1", "--t", "1", "--c", "1",
+                       "--sp", "0", "--tp", "0", "--cp", "1")
+    assert code == 0 and out.strip() == "4"
+
+
 def test_case_tri_square_fast(capsys):
     code, out, _ = run(capsys, "case", "tri-square")
     assert code == 0
@@ -148,8 +155,6 @@ def test_bounds_missing_caps_fails(tmp_path, capsys):
 
 
 def test_bounds_with_explicit_default_config(capsys):
-    from importlib import resources
-
     path = resources.files("simplotope").joinpath("data/cube_caps.txt")
     code, out, _ = run(capsys, "bounds", "--max-s", "3", "--max-t", "0",
                        "--config", str(path))
@@ -216,6 +221,7 @@ def memo_doc(**fields):
     (b"\xff\xfe{}", None),
     (DEEP, None),
     (DEEP, MEMO),
+    (None, ["standard", "--spec", "1", "--out", "{file}/x.json"]),
 ], ids=["top-level-list", "zero-factor", "non-integer-factors", "repeated-vertex",
         "simplices-not-a-list", "vertex-is-a-number", "simplex-not-a-list",
         "reduction-vertex-not-a-list", "string-vertex-entry", "float-vertex-entry",
@@ -227,7 +233,7 @@ def memo_doc(**fields):
         "memo-not-json", "memo-not-an-object", "memo-key-five-integers", "memo-key-not-integers",
         "memo-value-not-int", "memo-format-missing", "memo-format-unknown",
         "memo-unversioned", "memo-caps-mismatch",
-        "not-utf8", "deeply-nested", "memo-deeply-nested"])
+        "not-utf8", "deeply-nested", "memo-deeply-nested", "standard-unwritable-out"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, doc, argv):
     f = tmp_path / "input.json"
     if isinstance(doc, bytes):
@@ -266,7 +272,7 @@ def run_fresh(argv):
 
 @pytest.mark.parametrize("argv", [
     ["bounds", "--max-s", "3", "--max-t", "3", "--dim-cap", "6"],  # reaches V(0,3)
-    ["verify", "--input", str(bundled_triangulation_path())],
+    ["verify", "--input", BUNDLED],
     ["case", "tri-square", "--check", "all"],
     ["standard", "--spec", "1,2"],
     ["vmax", "--spec", "0,3"],
@@ -278,6 +284,6 @@ def test_cli_commands_do_not_import_numpy(argv):
 
 
 def test_verify_does_not_import_the_case_study():
-    code, modules = run_fresh(["verify", "--input", str(bundled_triangulation_path())])
+    code, modules = run_fresh(["verify", "--input", BUNDLED])
     assert code == 0
     assert "simplotope.cli" in modules and "simplotope.trisquare" not in modules

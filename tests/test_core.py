@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -20,8 +19,6 @@ from simplotope.core import (
     is_parallel,
     is_tri_positioned,
     minimal_face,
-    minimal_face_of_coords,
-    reduce_point,
     shadow,
 )
 
@@ -38,50 +35,23 @@ def nondegenerate(spec):
 def test_spec_basics():
     assert S21.dim == 4
     assert S21.n_vertices == 12
-    assert S21.seg_tri_counts == (2, 1)
     assert S21.polytope_class == 12
     assert SimplotopeSpec.of(2, 2).polytope_class == 6
     with pytest.raises(ValueError):
         SimplotopeSpec(())
     with pytest.raises(ValueError):
         SimplotopeSpec((1, 0))
-    with pytest.raises(ValueError):
-        SimplotopeSpec.of(1, 3).seg_tri_counts
-
-
-def test_reduce_paper_example():
-    spec = SimplotopeSpec.of(2, 2)
-    pivot = spec.vertex((2, 1))
-    p = [Fraction(1, 5), Fraction(3, 10), Fraction(1, 2),
-         Fraction(1, 10), Fraction(3, 10), Fraction(3, 5)]
-    rp = reduce_point(spec, p, pivot)
-    assert rp.coords == (Fraction(1, 5), Fraction(3, 10), Fraction(1, 10), Fraction(3, 5))
-    assert list(rp.to_standard()) == p
 
 
 def test_reduce_pivot_to_zero():
-    pivot = S21.vertex((1, 0, 2))
-    rp = reduce_point(S21, pivot.standard(), pivot)
-    assert all(c == 0 for c in rp.coords)
-
-
-def test_reduce_round_trip_random():
-    rng = random.Random(5)
-    spec = SimplotopeSpec.of(1, 2, 3)
-    for _ in range(25):
-        coords = []
-        for c in spec.factors:
-            cuts = sorted(Fraction(rng.randint(0, 24), 24) for _ in range(c))
-            block = [b - a for a, b in zip([Fraction(0)] + cuts, cuts + [Fraction(1)])]
-            coords.extend(block)
-        pivot = spec.vertex(tuple(rng.randint(0, c) for c in spec.factors))
-        rp = reduce_point(spec, coords, pivot)
-        assert list(rp.to_standard()) == coords
+    # only the pivot reduces to the zero vector, whichever vertex it is
+    for pivot in S21.vertices():
+        assert [v for v in S21.vertices() if not any(v.reduced(pivot))] == [pivot]
 
 
 def test_reduce_rejects_mismatched_spec():
     with pytest.raises(ValueError):
-        reduce_point(S21, [0] * 7, SimplotopeSpec.of(2, 2).vertex((0, 0)))
+        S21.vertex((0, 0, 0)).reduced(SimplotopeSpec.of(2, 2).vertex((0, 0)))
 
 
 # --- classes ----------------------------------------------------------------
@@ -136,15 +106,6 @@ def test_simplex_validation():
 
 # --- faces ------------------------------------------------------------------
 
-def test_minimal_face_of_coords_paper_example():
-    spec = SimplotopeSpec.of(2, 2)
-    p1 = [1, 0, 0, Fraction(1, 2), 0, Fraction(1, 2)]
-    p2 = [0, 0, 1, 1, 0, 0]
-    fid = minimal_face_of_coords(spec, [p1, p2])
-    assert fid.zeros == frozenset({(0, 1), (1, 1)})
-    assert fid.dim == 2
-
-
 def test_minimal_face_extremes():
     v = S21.vertex((1, 0, 2))
     fid = minimal_face([v])
@@ -171,8 +132,7 @@ def test_exterior_faces_corner_counts():
 
 
 def test_exterior_faces_whole_simplex():
-    for spec in [S11, S21]:
-        s, t = spec.seg_tri_counts
+    for spec, (s, t) in [(S11, (1, 1)), (S21, (2, 1))]:
         for x in random.Random(3).sample(nondegenerate(spec), 10):
             found = exterior_faces(x, (s, t))
             assert len(found) == 1 and set(found[0][0]) == x.vertex_set

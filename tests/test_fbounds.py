@@ -18,7 +18,6 @@ from simplotope.fbounds import (
     BRUTE_FORCE,
     CUBE_CAP,
     DEFAULT_VTABLE,
-    FKey,
     VMaxUnavailable,
     VTable,
     _brute_force_vmax,
@@ -26,55 +25,60 @@ from simplotope.fbounds import (
     _stabilizer_orbits,
     comb_bound,
     f_bound,
-    f_recurrence,
     load_cube_caps,
-    v_max,
 )
 from simplotope.lptable import bounds_table
 
 
 def test_recurrence_worked_examples():
-    assert f_recurrence(FKey(1, 1, 1, 2, 0, 1)) == 3
-    assert f_recurrence(FKey(2, 1, 1, 1, 1, 1)) == 2
+    assert DEFAULT_VTABLE.recurrence(1, 1, 1, 2, 0, 1) == 3
+    assert DEFAULT_VTABLE.recurrence(2, 1, 1, 1, 1, 1) == 2
 
 
 def test_recurrence_cube_collapse():
     # with t = t' = 0 the recurrence is the plain cube product sum
-    key = FKey(3, 0, 2, 2, 0, 1)
     collapsed = sum(
         DEFAULT_VTABLE.f(2, 0, 1, i, 0, k) * DEFAULT_VTABLE.f(1, 0, 2, 2 - i, 0, 1 // k)
         for i in range(0, 3) for k in (1,))
-    assert f_recurrence(key) == collapsed
+    assert DEFAULT_VTABLE.recurrence(3, 0, 2, 2, 0, 1) == collapsed
 
 
 def test_comb_bound_cases():
-    assert comb_bound(FKey(1, 1, 1, 2, 0, 1)) == 2
-    assert comb_bound(FKey(1, 1, 1, 1, 0, 1)) == 4     # s + 3t
-    assert comb_bound(FKey(2, 1, 1, 2, 1, 1)) == 1     # whole-simplex shape
-    assert comb_bound(FKey(2, 1, 1, 0, 0, 1)) == 5     # every vertex is a 0-face
+    assert comb_bound(1, 1, 2, 0) == 2
+    assert comb_bound(1, 1, 1, 0) == 4     # s + 3t
+    assert comb_bound(2, 1, 2, 1) == 1     # whole-simplex shape
+    assert comb_bound(2, 1, 0, 0) == 5     # every vertex is a 0-face
+
+
+def test_zero_face_readings():
+    # f_bound reports the geometric count s + 2t + 1 of exterior 0-faces;
+    # VTable.f, which the recurrence and the LP read, keeps the pinned 1
+    assert f_bound(2, 1, 2, 0, 0, 1) == 5
+    assert f_bound(2, 1, 2, 0, 0, 2) == 0
+    assert DEFAULT_VTABLE.f(2, 1, 2, 0, 0, 1) == 1
 
 
 def test_f_bound_examples():
-    assert f_bound(FKey(1, 1, 1, 2, 0, 1)) == 2
-    assert f_bound(FKey(3, 0, 2, 1, 0, 2)) == 0
-    assert f_bound(FKey(2, 1, 1, 2, 1, 1)) == 1
-    assert f_bound(FKey(2, 1, 2, 2, 1, 2)) == 1
+    assert f_bound(1, 1, 1, 2, 0, 1) == 2
+    assert f_bound(3, 0, 2, 1, 0, 2) == 0
+    assert f_bound(2, 1, 1, 2, 1, 1) == 1
+    assert f_bound(2, 1, 2, 2, 1, 2) == 1
 
 
 def test_f_bound_zero_conventions():
-    assert f_bound(FKey(1, 1, 1, 2, 1, 1)) == 0        # s'+2t' > s+2t
-    assert f_bound(FKey(-1, 1, 1, 0, 1, 1)) == 0
-    assert f_bound(FKey(1, 1, 0, 1, 0, 1)) == 0        # c < 1
-    assert f_bound(FKey(1, 1, 1, 1, 0, 3)) == 0        # c' does not divide c
-    assert f_bound(FKey(1, 1, 2, 1, 0, 1)) == 0        # c > V(1,1) = 1
-    assert f_bound(FKey(3, 0, 2, 1, 0, 2)) == 0        # c' > V(1,0) = 1
-    assert f_bound(FKey(2, 1, 2, 2, 1, 1)) == 0        # full shape, c' != c
+    assert f_bound(1, 1, 1, 2, 1, 1) == 0        # s'+2t' > s+2t
+    assert f_bound(-1, 1, 1, 0, 1, 1) == 0
+    assert f_bound(1, 1, 0, 1, 0, 1) == 0        # c < 1
+    assert f_bound(1, 1, 1, 1, 0, 3) == 0        # c' does not divide c
+    assert f_bound(1, 1, 2, 1, 0, 1) == 0        # c > V(1,1) = 1
+    assert f_bound(3, 0, 2, 1, 0, 2) == 0        # c' > V(1,0) = 1
+    assert f_bound(2, 1, 2, 2, 1, 1) == 0        # full shape, c' != c
 
 
 def test_v_values():
     for (s, t), want in [((1, 1), 1), ((0, 2), 1), ((2, 1), 2), ((1, 2), 3), ((3, 0), 2),
                          ((1, 0), 1), ((2, 0), 1), ((0, 1), 1), ((0, 3), 4)]:
-        entry = v_max(s, t)
+        entry = DEFAULT_VTABLE.get(s, t)
         assert entry.value == want
         assert entry.provenance == BRUTE_FORCE
 
@@ -82,11 +86,11 @@ def test_v_values():
 def test_v_caps():
     caps = load_cube_caps()
     assert caps[7] == 32 and caps[13] == 9477
-    entry = v_max(7, 0)
+    entry = DEFAULT_VTABLE.get(7, 0)
     assert entry == (32, CUBE_CAP)
     # four or more factors fall back to the cube cap of their dimension
-    assert v_max(2, 2) == (9, CUBE_CAP)
-    assert v_max(3, 1) == (5, CUBE_CAP)
+    assert DEFAULT_VTABLE.get(2, 2) == (9, CUBE_CAP)
+    assert DEFAULT_VTABLE.get(3, 1) == (5, CUBE_CAP)
     with pytest.raises(VMaxUnavailable):
         VTable(caps={}).get(9, 0)
 
@@ -155,16 +159,16 @@ def test_stabilizer_generators_fix_vertex_zero_and_classes(s, t):
 def test_v_never_exceeds_cap():
     caps = load_cube_caps()
     for s, t in [(1, 1), (0, 2), (2, 1), (1, 2), (3, 0)]:
-        assert v_max(s, t).value <= caps[s + 2 * t]
+        assert DEFAULT_VTABLE.get(s, t).value <= caps[s + 2 * t]
 
 
 def test_memo_behavior():
     vt = VTable()
-    assert f_bound(FKey(2, 1, 2, 1, 1, 1), vt) == f_bound(FKey(2, 1, 2, 1, 1, 1))
+    assert f_bound(2, 1, 2, 1, 1, 1, vtable=vt) == f_bound(2, 1, 2, 1, 1, 1)
     memo = vt.memo
     n = len(memo)
     assert n > 0 and memo.misses == n
-    f_bound(FKey(2, 1, 2, 1, 1, 1), vt)
+    f_bound(2, 1, 2, 1, 1, 1, vtable=vt)
     assert len(memo) == n  # append-only, nothing recomputed
     assert memo.hits >= 1
 
@@ -214,7 +218,7 @@ def test_corner_extremality_small():
             for tp in range(0, t + 1):
                 if sp + 2 * tp < 2 or sp + 2 * tp > s + 2 * t:
                     continue
-                assert len(exterior_faces(x, (sp, tp))) == comb_bound(FKey(s, t, 1, sp, tp, 1))
+                assert len(exterior_faces(x, (sp, tp))) == comb_bound(s, t, sp, tp)
         assert len(exterior_faces(x, (1, 0))) == s + 3 * t
 
 
@@ -230,7 +234,7 @@ def test_f_positive_where_faces_exist():
                     if sp + 2 * tp > s + 2 * t:
                         continue
                     if q_count(QQuery(s, t, sp, tp)) > 0:
-                        assert f_bound(FKey(s, t, 1, sp, tp, 1)) >= 1, (s, t, sp, tp)
+                        assert f_bound(s, t, 1, sp, tp, 1) >= 1, (s, t, sp, tp)
 
 
 def test_soundness_prism_exhaustive():
@@ -244,7 +248,7 @@ def test_soundness_prism_exhaustive():
                     continue
                 counts = Counter(face_class(f[0]) for f in exterior_faces(x, (sp, tp)))
                 for cp, n in counts.items():
-                    assert n <= f_bound(FKey(1, 1, x.cls, sp, tp, cp))
+                    assert n <= f_bound(1, 1, x.cls, sp, tp, cp)
 
 
 def test_soundness_dim_five_sampled():
@@ -268,5 +272,5 @@ def test_soundness_dim_five_sampled():
                     continue
                 counts = Counter(face_class(f[0]) for f in exterior_faces(x, (sp, tp)))
                 for cp, n in counts.items():
-                    assert n <= f_bound(FKey(1, 2, x.cls, sp, tp, cp)), \
+                    assert n <= f_bound(1, 2, x.cls, sp, tp, cp), \
                         (x.cls, sp, tp, cp, n)

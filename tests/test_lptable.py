@@ -9,7 +9,7 @@ import pytest
 
 from simplotope.counting import QQuery, q_count
 from simplotope.exact import OPTIMAL, LpProblem, lp_minimize
-from simplotope.fbounds import DEFAULT_VTABLE, FKey, VTable, f_bound, load_cube_caps
+from simplotope.fbounds import DEFAULT_VTABLE, VTable, f_bound, load_cube_caps
 from simplotope.lptable import (
     bounds_table,
     build_lp,
@@ -40,7 +40,7 @@ def test_lp_coefficients_are_f_bound():
         v = DEFAULT_VTABLE.get(s, t).value
         for sp, tp in constraint_pairs(s, t):
             for c in range(1, v + 1):
-                assert DEFAULT_VTABLE.f(s, t, c, sp, tp, c) == f_bound(FKey(s, t, c, sp, tp, c))
+                assert DEFAULT_VTABLE.f(s, t, c, sp, tp, c) == f_bound(s, t, c, sp, tp, c)
 
 
 def test_build_lp_cube():
@@ -128,8 +128,8 @@ LP_DIM6_D4_CAP_1 = {**LP_DIM6, (2, 2): "84", (3, 1): "204/5", (4, 0): "24",
 def test_each_cap_table_has_its_own_memo():
     caps = load_cube_caps()
     caps[4] = 1
-    for vtable, want in [(VTable(caps), LP_DIM6_D4_CAP_1), (None, LP_DIM6),
-                         (VTable(caps), LP_DIM6_D4_CAP_1), (None, LP_DIM6)]:
+    for vtable, want in [(VTable(caps), LP_DIM6_D4_CAP_1), (DEFAULT_VTABLE, LP_DIM6),
+                         (VTable(caps), LP_DIM6_D4_CAP_1), (DEFAULT_VTABLE, LP_DIM6)]:
         table = bounds_table(6, 2, 6, vtable=vtable)
         assert {(c.s, c.t): str(c.lp_value) for c in table.cells} == want
 
@@ -137,7 +137,7 @@ def test_each_cap_table_has_its_own_memo():
 def full_lp(s, t):
     """The cover LP with every class column, written out from f_bound and q_count."""
     v = DEFAULT_VTABLE.get(s, t).value
-    rows = [([c * f_bound(FKey(s, t, c, sp, tp, c)) for c in range(1, v + 1)],
+    rows = [([c * f_bound(s, t, c, sp, tp, c) for c in range(1, v + 1)],
              Fraction(q_count(QQuery(s, t, sp, tp)) * math.factorial(sp + 2 * tp), 2 ** tp))
             for sp, tp in constraint_pairs(s, t)]
     return LpProblem.build([1] * v, rows)

@@ -2,6 +2,7 @@
 
 import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -134,9 +135,7 @@ def mutants(count, seed):
     Each replacement is a JSON value that serializes differently from the
     node it replaces.
     """
-    from simplotope.trisquare import bundled_triangulation_path
-
-    text = bundled_triangulation_path().read_text()
+    text = resources.files("simplotope").joinpath("data/tri_square_minimal.json").read_text()
     rng = random.Random(seed)
     for _ in range(count):
         doc = json.loads(text)

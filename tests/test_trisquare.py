@@ -1,11 +1,13 @@
 """The triangle-cross-square case study."""
 
 import itertools
+from collections import Counter, defaultdict
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from simplotope.core import VertexSimplex, all_simplices, corner_simplex, minimal_face
+from simplotope.core import VertexSimplex, all_simplices, corner_simplex, face_class, minimal_face
 from simplotope.trisquare import (
     MINIMAL_10,
     SYMBOLS,
@@ -22,7 +24,7 @@ from simplotope.trisquare import (
     symmetries,
     vertex_code,
 )
-from simplotope.verifier import facet_inventory, interiors_overlap, verify
+from simplotope.verifier import interiors_overlap, verify
 
 
 def canon(word):
@@ -156,16 +158,23 @@ def test_boundary_tiling():
     # the exterior facets of the ten simplices tile every simplotope facet:
     # classes sum to the facet class and no two overlap inside one facet
     cand = minimal_triangulation_10()
-    exterior, interior = facet_inventory(cand)
+    exterior = defaultdict(list)
+    interior: Counter = Counter()
+    for x in cand.simplices:
+        for facet in itertools.combinations(x.vertices, TRI_SQUARE.dim):
+            zeros = minimal_face(facet).zeros
+            for z in zeros:
+                exterior[z].append(facet)
+            if not zeros:
+                interior[frozenset(facet)] += 1
     assert all(n == 2 for n in interior.values())
-    from simplotope.core import face_class
     for i, c in enumerate(TRI_SQUARE.factors):
         for j in range(c + 1):
-            entries = exterior.get((i, j), [])
-            total = sum(face_class(facet) for _, facet in entries)
+            entries = exterior[(i, j)]
+            total = sum(face_class(facet) for facet in entries)
             facet_class = 3 if c == 1 else 6
             assert total == facet_class, (i, j, total)
-            for (_, fa), (_, fb) in itertools.combinations(entries, 2):
+            for fa, fb in itertools.combinations(entries, 2):
                 assert not interiors_overlap(VertexSimplex(TRI_SQUARE, fa),
                                              VertexSimplex(TRI_SQUARE, fb))
 
@@ -184,8 +193,7 @@ def test_construction_replay():
 
 def test_bundled_file_matches():
     from simplotope.tfiles import load_candidate
-    from simplotope.trisquare import bundled_triangulation_path
 
-    cand = load_candidate(bundled_triangulation_path())
+    cand = load_candidate(resources.files("simplotope").joinpath("data/tri_square_minimal.json"))
     want = {x.vertex_set for x in minimal_triangulation_10().simplices}
     assert {x.vertex_set for x in cand.simplices} == want

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,6 @@ from simplotope.verifier import (
     TriangulationCandidate,
     _global_pivot,
     adjacency_graph,
-    facet_inventory,
     facet_rows,
     interiors_overlap,
     meet_face_to_face,
@@ -166,13 +166,16 @@ def test_facet_matching_in_certified_partition():
     for spec in [SimplotopeSpec.of(2, 2), SimplotopeSpec.of(1, 1, 2)]:
         cand = TriangulationCandidate(spec, tuple(standard_triangulation(spec)))
         assert verify(cand).certified
-        exterior, interior = facet_inventory(cand)
-        assert all(n == 2 for n in interior.values())
-        d = spec.dim
-        # exterior facets lying in facet z have all vertices off coordinate z
-        for z, entries in exterior.items():
-            for i, facet in entries:
-                assert z in minimal_face(facet).zeros
+        interior: Counter = Counter()
+        for x in cand.simplices:
+            for facet in itertools.combinations(x.vertices, spec.dim):
+                zeros = minimal_face(facet).zeros
+                if zeros:
+                    # exterior facets lying in facet z have all vertices off coordinate z
+                    assert all(v.idx[i] != j for i, j in zeros for v in facet)
+                else:
+                    interior[frozenset(facet)] += 1
+        assert interior and all(n == 2 for n in interior.values())
 
 
 def test_facet_rows_are_scaled_barycentric_functionals():
