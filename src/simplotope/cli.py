@@ -3,6 +3,9 @@
 Exit codes: 0 on success (and for verify: certified), 1 on a failed check or
 an uncertified input, 2 on usage errors.  Rationals stay exact ("p/q") in
 every output; nothing is ever rounded.
+
+Each command imports the package modules it needs inside its own function,
+so that no command, and no `--help`, pays for loading the others.
 """
 
 from __future__ import annotations
@@ -10,14 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .core import SimplotopeSpec
-from .counting import QQuery, q_by_enumeration, q_by_generating_function, q_count
-from .fbounds import DEFAULT_VTABLE, VMaxUnavailable, VTable, f_bound, load_cube_caps
-from .lptable import bounds_table
-from .standard import standard_triangulation
-from .tfiles import candidate_to_dict, load_candidate, save_candidate
-from .verifier import TriangulationCandidate, verify
 
 
 class UsageError(Exception):
@@ -44,7 +39,10 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise UsageError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
-def _vtable(args) -> VTable:
+def _vtable(args):
+    """The F evaluator of --config's caps, or of the packaged caps without it."""
+    from .fbounds import DEFAULT_VTABLE, VTable, load_cube_caps
+
     if not getattr(args, "config", None):
         return DEFAULT_VTABLE
     try:
@@ -54,6 +52,8 @@ def _vtable(args) -> VTable:
 
 
 def cmd_bounds(args) -> int:
+    from .lptable import bounds_table
+
     _nonnegative(("--max-s", args.max_s), ("--max-t", args.max_t), ("--dim-cap", args.dim_cap))
     table = bounds_table(args.max_s, args.max_t, args.dim_cap, vtable=_vtable(args))
     missing = [sk for sk in table.skipped if sk[2] != "beyond dimension cap"]
@@ -69,6 +69,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .tfiles import load_candidate
+    from .verifier import verify
+
     try:
         cand = load_candidate(args.input)
     except (OSError, ValueError, RecursionError) as exc:
@@ -103,6 +106,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_standard(args) -> int:
+    from .core import SimplotopeSpec
+    from .standard import standard_triangulation
+    from .tfiles import candidate_to_dict, save_candidate
+    from .verifier import TriangulationCandidate
+
     try:
         spec = SimplotopeSpec(_parse_int_list(args.spec, "--spec"))
     except ValueError as exc:
@@ -123,6 +131,8 @@ def cmd_standard(args) -> int:
 
 
 def cmd_vmax(args) -> int:
+    from .fbounds import VMaxUnavailable
+
     if args.spec:
         if args.s is not None or args.t is not None:
             raise UsageError("vmax takes --spec s,t or --s and --t, not both")
@@ -145,6 +155,8 @@ def cmd_vmax(args) -> int:
 
 
 def cmd_q(args) -> int:
+    from .counting import QQuery, q_by_enumeration, q_by_generating_function, q_count
+
     _nonnegative(("--s", args.s), ("--t", args.t), ("--sp", args.sp), ("--tp", args.tp))
     query = QQuery(args.s, args.t, args.sp, args.tp)
     value = q_count(query)
@@ -164,6 +176,8 @@ def cmd_q(args) -> int:
 
 
 def cmd_fbound(args) -> int:
+    from .fbounds import VMaxUnavailable, f_bound
+
     key = (args.s, args.t, args.c, args.sp, args.tp, args.cp)
     _nonnegative(*zip(("--s", "--t", "--c", "--sp", "--tp", "--cp"), key))
     try:
@@ -175,8 +189,8 @@ def cmd_fbound(args) -> int:
 
 
 def cmd_case(args) -> int:
-    # imported here so that no other command pays for loading the case study
     from .trisquare import construction_stages, lower_bound_10_argument, minimal_triangulation_10
+    from .verifier import verify
 
     if args.check == "all":
         report = lower_bound_10_argument(verbose=True)

@@ -25,14 +25,29 @@ The search covers every subset without enumerating them all:
   the other d vertices' reduced coordinates at vertex 0.
 - The group H generated by swapping positions a, a + 1 >= 1 inside one
   factor and by swapping two factors of equal size fixes vertex 0 and
-  permutes those coordinates, so it preserves |det| too.  Its orbits on the
-  other vertices, O_1, ..., O_m in a fixed order, come from union-find over
-  the generators.
-- If O_k is the first orbit a d-set meets, H moves the set to one holding
-  the representative r_k of O_k, with the rest drawn from O_k, ..., O_m.
-  One depth-first search per orbit, over such sets in increasing vertex
-  order, therefore meets a set of every class.
-- Each level of a search adds one vector and eliminates it against the
+  permutes those coordinates, so it preserves |det| too.  It is closed
+  from the generators by composition: s! t! 2^t elements (48 for (0, 3),
+  8 for (1, 2)).
+- One depth-first search adds vertices 1, ..., n - 1 in increasing order
+  (orderly generation).  A set S of vertices, written as its sorted tuple,
+  is canonical if no g in H maps it to a lexicographically smaller sorted
+  tuple; every H-orbit holds exactly one canonical set.  Canonicity is
+  hereditary: if g(S') < S' for S' = S minus its largest vertex, then the
+  j-th smallest element of g(S) is at most that of g(S'), so g(S) < S as
+  well.  Every prefix of a canonical set is therefore canonical, so
+  cutting non-canonical prefixes keeps the canonical set of every orbit of
+  d-sets as a leaf: a set of every class.
+- The test runs on prefixes of at most d - 2 vertices only.  Any depth is
+  sound: a canonical set passes the test at every prefix, and a leaf the
+  test did not cut is still a d-set, so it cannot raise the maximum.  The
+  depth only trades cost.  A test is |H| - 1 sorted images, while below a
+  prefix of d - 1 vertices lies a single level of leaves, one elimination
+  step each, which is cheaper than the test that would cut them.  Measured
+  on V(0, 3) (2 vCPUs, Python 3.11): about 0.09 s testing prefixes up to
+  d - 2 vertices (6,589 leaves), 0.15 s up to d - 3, 0.18 s up to d - 1
+  and 0.4 s at every level, against 0.39 s for a split over first-choice
+  orbits alone.
+- Each level of the search adds one vector and eliminates it against the
   levels below by fraction-free Bareiss steps, whose divisions are exact by
   Sylvester's identity.  A vector that eliminates to zero is dependent on
   the ones chosen, so that branch and every superset of it is degenerate
@@ -87,7 +102,7 @@ import functools
 import itertools
 from importlib import resources
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .core import SimplotopeSpec
 from .counting import comb0
@@ -302,37 +317,34 @@ def _stabilizer_generators(spec: SimplotopeSpec) -> list[list[int]]:
     return perms
 
 
-def _stabilizer_orbits(spec: SimplotopeSpec) -> list[list[int]]:
-    """Orbits of the generators' group on vertices 1..n-1 by union-find, each
-    sorted, ordered by their smallest vertex."""
-    n = spec.n_vertices
-    parent = list(range(n))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for perm in _stabilizer_generators(spec):
-        for i, j in enumerate(perm):
-            parent[root(i)] = root(j)
-    orbits: dict[int, list[int]] = {}
-    for i in range(1, n):
-        orbits.setdefault(root(i), []).append(i)
-    return sorted(orbits.values())
+def _stabilizer_group(spec: SimplotopeSpec) -> list[tuple[int, ...]]:
+    """The group the stabilizer generators compose to, identity first."""
+    generators = _stabilizer_generators(spec)
+    group = [tuple(range(spec.n_vertices))]
+    seen = set(group)
+    for g in group:  # grows while it is read: a breadth-first closure
+        for h in generators:
+            hg = tuple(h[i] for i in g)
+            if hg not in seen:
+                seen.add(hg)
+                group.append(hg)
+    return group
 
 
-def _brute_force_vmax(s: int, t: int) -> int:
-    """Largest class over every (s+2t+1)-subset of the simplotope's vertices.
+def _orderly_leaves(spec: SimplotopeSpec) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The leaves of the orderly search, with their classes.
 
-    The orbit split and the search are described in the module docstring.
+    A leaf is a sorted d-tuple of vertices other than vertex 0 that spans,
+    with vertex 0, a nondegenerate simplex of the given class.  Every orbit
+    of such tuples under the stabilizer group has a leaf (its canonical
+    tuple); the search and the depth of its canonicity test are described
+    in the module docstring.
     """
-    spec = SimplotopeSpec.seg_tri(s, t)
     d = spec.dim
     verts = spec.vertices()
     vecs = [v.reduced(verts[0]) for v in verts]
-    orbits = _stabilizer_orbits(spec)
-    best = 0
+    others = _stabilizer_group(spec)[1:]
+    chosen: list[int] = []
     # level k holds the k-th chosen vector after Bareiss elimination against
     # levels 0..k-1, its pivot column and its pivot; pivots[k] divides step k + 1
     rows: list[list[int]] = [[]] * d
@@ -353,20 +365,30 @@ def _brute_force_vmax(s: int, t: int) -> int:
                 return True
         return False
 
-    def search(level: int, start: int, pool: list[int]) -> None:
-        nonlocal best
-        if level == d:
-            best = max(best, abs(pivots[d]))
-            return
-        for pos in range(start, len(pool)):
-            if push(level, vecs[pool[pos]]):
-                search(level + 1, pos + 1, pool)
+    def canonical() -> bool:
+        """No symmetry maps the chosen vertices to a lexicographically smaller set."""
+        for g in others:
+            if sorted(map(g.__getitem__, chosen)) < chosen:
+                return False
+        return True
 
-    for k, orbit in enumerate(orbits):
-        rep = orbit[0]
-        push(0, vecs[rep])  # never dependent: only vertex 0 reduces to zero
-        search(1, 0, sorted(i for o in orbits[k:] for i in o if i != rep))
-    return best
+    def search(level: int, start: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if level == d:
+            yield tuple(chosen), abs(pivots[d])
+            return
+        test = level < d - 2  # the new prefix holds at most d - 2 vertices
+        for v in range(start, len(vecs)):
+            chosen.append(v)
+            if (not test or canonical()) and push(level, vecs[v]):
+                yield from search(level + 1, v + 1)
+            chosen.pop()
+
+    return search(0, 1)  # vertex 0 is in the simplex and reduces to the zero vector
+
+
+def _brute_force_vmax(s: int, t: int) -> int:
+    """Largest class over every (s+2t+1)-subset of the simplotope's vertices."""
+    return max(cls for _, cls in _orderly_leaves(SimplotopeSpec.seg_tri(s, t)))
 
 
 # The evaluator of the packaged caps.  DEFAULT_MEMO is its memo under a second

@@ -260,13 +260,18 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def run_fresh(argv):
+def run_python(script, *argv):
+    """What `script` prints as JSON, run in a fresh interpreter that imports this package."""
     src = str(Path(simplotope.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", FRESH_CLI_SCRIPT, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def run_fresh(argv):
+    code, modules = run_python(FRESH_CLI_SCRIPT, *argv)
     return code, set(modules)
 
 
@@ -281,6 +286,16 @@ def test_cli_commands_do_not_import_numpy(argv):
     code, modules = run_fresh(argv)
     assert code == 0
     assert "numpy" not in modules
+
+
+def test_importing_the_cli_loads_no_command_module():
+    # each command imports what it needs; `--help` and the module itself load
+    # none of the bounds, counting or case-study code
+    modules = set(run_python("import json, sys\nimport simplotope.cli\n"
+                             "print(json.dumps(sorted(sys.modules)))"))
+    assert "simplotope.cli" in modules
+    assert modules.isdisjoint({"simplotope.fbounds", "simplotope.lptable", "simplotope.counting",
+                               "simplotope.trisquare"})
 
 
 def test_verify_does_not_import_the_case_study():

@@ -1,5 +1,8 @@
 """Exterior-face bounds F and maximum classes V."""
 
+import itertools
+import math
+import random
 from collections import Counter
 
 import pytest
@@ -21,8 +24,9 @@ from simplotope.fbounds import (
     VMaxUnavailable,
     VTable,
     _brute_force_vmax,
+    _orderly_leaves,
     _stabilizer_generators,
-    _stabilizer_orbits,
+    _stabilizer_group,
     comb_bound,
     f_bound,
     load_cube_caps,
@@ -125,17 +129,11 @@ def test_brute_force_vmax_matches_enumeration(s, t):
     assert _brute_force_vmax(s, t) == v_by_enumeration(s, t)
 
 
-@pytest.mark.parametrize("s, t", [(3, 0), (2, 1), (1, 2), (0, 3)])
-def test_stabilizer_generators_fix_vertex_zero_and_classes(s, t):
-    # a generator that is not a class-preserving symmetry fixing vertex 0
-    # would make the V search skip subsets and undercount V silently
-    import random
-
-    spec = SimplotopeSpec.seg_tri(s, t)
+def check_symmetries(spec, perms):
+    """Each perm is a vertex permutation that fixes vertex 0 and keeps the
+    class of 50 seeded nondegenerate simplices."""
     verts = spec.vertices()
     n = len(verts)
-    gens = _stabilizer_generators(spec)
-    assert gens
 
     def cls(sub):
         return VertexSimplex(spec, [verts[i] for i in sub]).cls
@@ -146,14 +144,57 @@ def test_stabilizer_generators_fix_vertex_zero_and_classes(s, t):
         sub = rng.sample(range(n), spec.dim + 1)
         if cls(sub):
             samples.append(sub)
-    for perm in gens:
+    for perm in perms:
         assert sorted(perm) == list(range(n))
         assert perm[0] == 0
         for sub in samples:
             assert cls([perm[i] for i in sub]) == cls(sub)
-    orbits = _stabilizer_orbits(spec)
-    assert sum(len(o) for o in orbits) == n - 1
-    assert sorted(i for o in orbits for i in o) == list(range(1, n))
+
+
+@pytest.mark.parametrize("s, t", [(3, 0), (2, 1), (1, 2), (0, 3)])
+def test_stabilizer_generators_fix_vertex_zero_and_classes(s, t):
+    # a generator that is not a class-preserving symmetry fixing vertex 0
+    # would make the V search skip subsets and undercount V silently
+    spec = SimplotopeSpec.seg_tri(s, t)
+    gens = _stabilizer_generators(spec)
+    assert gens
+    check_symmetries(spec, gens)
+
+
+@pytest.mark.parametrize("s, t", [(3, 0), (2, 1), (1, 2), (0, 3)])
+def test_stabilizer_group_order_and_symmetries(s, t):
+    # s! t! 2^t (48 for (0, 3)): permutations of the segments, of the
+    # triangles, and the swap of the two non-zero positions in each triangle
+    spec = SimplotopeSpec.seg_tri(s, t)
+    group = _stabilizer_group(spec)
+    assert len(group) == math.factorial(s) * math.factorial(t) * 2 ** t
+    assert len(set(group)) == len(group)
+    assert group[0] == tuple(range(spec.n_vertices))
+    assert {tuple(g) for g in _stabilizer_generators(spec)} <= set(group)
+    check_symmetries(spec, group)
+
+
+@pytest.mark.parametrize("s, t", [(3, 0), (2, 1), (0, 2), (1, 2)])
+def test_orderly_leaves_meet_every_orbit(s, t):
+    # the orbits of the nondegenerate d-sets at vertex 0 come from every
+    # d-subset by itertools.combinations, each named by its smallest image;
+    # the pruned search must leave a leaf in each, with the right class
+    spec = SimplotopeSpec.seg_tri(s, t)
+    verts = spec.vertices()
+    group = _stabilizer_group(spec)
+
+    def cls(sub):
+        return VertexSimplex(spec, [verts[0]] + [verts[i] for i in sub]).cls
+
+    def orbit(sub):
+        return min(tuple(sorted(g[i] for i in sub)) for g in group)
+
+    nondegenerate = [sub for sub in itertools.combinations(range(1, len(verts)), spec.dim)
+                     if cls(sub)]
+    leaves = list(_orderly_leaves(spec))
+    assert all(value == cls(sub) for sub, value in leaves)
+    assert {orbit(sub) for sub, _ in leaves} == {orbit(sub) for sub in nondegenerate}
+    assert len(leaves) < len(nondegenerate)  # the canonicity test did cut
 
 
 def test_v_never_exceeds_cap():
@@ -254,8 +295,6 @@ def test_soundness_prism_exhaustive():
 def test_soundness_dim_five_sampled():
     # a seeded sample of the segment-cross-two-triangles product, whose LP
     # cell relies on bounds up to class 3
-    import random
-
     spec = SimplotopeSpec.seg_tri(1, 2)
     verts = spec.vertices()
     rng = random.Random(17)
