@@ -193,7 +193,9 @@ def cmd_case(args) -> int:
     from .verifier import verify
 
     if args.check == "all":
-        report = lower_bound_10_argument(verbose=True)
+        report = lower_bound_10_argument()
+        for ing in report.ingredients:
+            print(f"  [{'ok' if ing.ok else 'FAIL'}] {ing.name}: {ing.detail}")
         print(f"lower bound for (s,t)=(2,1): {report.lower_bound}, "
               f"achieved by a triangulation of size {report.achieved_by}")
         if not report.ok:

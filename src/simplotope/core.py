@@ -118,6 +118,32 @@ class VertexPoint:
         return out
 
 
+def symmetries(spec: SimplotopeSpec, fixing_vertex_0: bool = False) -> list[tuple[int, ...]]:
+    """The product's automorphisms as permutations of `spec.vertices()` indices.
+
+    The group is the direct product of the position permutations inside each
+    factor and the permutations of equal-size factors: prod (c_i + 1)! times
+    prod m_k! elements, m_k the number of factors of size k.  With
+    fixing_vertex_0, only the position permutations that keep position 0
+    enter, which gives the stabilizer of vertex 0 (prod c_i! times prod m_k!
+    elements).  Every element permutes standard coordinates, so it is a
+    linear automorphism of the polytope and preserves classes and faces.
+    The identity comes first.
+    """
+    verts = [v.idx for v in spec.vertices()]
+    index = {idx: i for i, idx in enumerate(verts)}
+    n = len(spec.factors)
+    if fixing_vertex_0:
+        moves = [[(0,) + p for p in itertools.permutations(range(1, c + 1))] for c in spec.factors]
+    else:
+        moves = [list(itertools.permutations(range(c + 1))) for c in spec.factors]
+    # factor i of an image takes its position from factor order[i], of equal size
+    orders = [order for order in itertools.permutations(range(n))
+              if all(spec.factors[i] == spec.factors[j] for i, j in enumerate(order))]
+    return [tuple(index[tuple(move[i][v[j]] for i, j in enumerate(order))] for v in verts)
+            for order in orders for move in itertools.product(*moves)]
+
+
 @dataclass(frozen=True)
 class FaceSignature:
     """Face shape for segment/triangle products: s' segments, t' triangles.
@@ -326,14 +352,19 @@ def exterior_faces(x: VertexSimplex, sig: tuple[int, int]) -> list[tuple[tuple[V
     return out
 
 
-def has_exterior_facet(x: VertexSimplex) -> bool:
-    """True when some d of the d+1 vertices lie in a facet of the simplotope."""
+def exterior_facet_positions(x: VertexSimplex) -> set[tuple[int, int]]:
+    """Zero coordinates of the simplotope facets that hold a facet of x."""
     if x.cls == 0:
         raise ValueError("exterior facets are only defined for nondegenerate simplices")
+    spots = set()
     for subset in itertools.combinations(x.vertices, len(x.vertices) - 1):
-        if len(minimal_face(subset).zeros) >= 1:
-            return True
-    return False
+        spots.update(minimal_face(subset).zeros)
+    return spots
+
+
+def has_exterior_facet(x: VertexSimplex) -> bool:
+    """True when some d of the d+1 vertices lie in a facet of the simplotope."""
+    return bool(exterior_facet_positions(x))
 
 
 def is_parallel(f1: FaceId, f2: FaceId) -> bool:

@@ -44,7 +44,8 @@ def q_count(q: QQuery) -> int:
     where q counts the face's segment factors that come from segment factors.
     """
     total = 0
-    for qq in range(0, q.sp + 1):
+    # only C(s, qq) C(t - tp, sp - qq) != 0 counts: sp - (t - tp) <= qq <= min(s, sp)
+    for qq in range(max(0, q.sp - (q.t - q.tp)), min(q.s, q.sp) + 1):
         term = comb0(q.s, qq) * comb0(q.t - q.tp, q.sp - qq)
         if term:
             total += term * 2 ** (q.s - qq) * 3 ** (q.t - q.tp)

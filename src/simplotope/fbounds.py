@@ -23,11 +23,11 @@ The search covers every subset without enumerating them all:
 - The symmetry group of the product is vertex-transitive and preserves
   classes, so some largest simplex contains vertex 0.  Its class is |det| of
   the other d vertices' reduced coordinates at vertex 0.
-- The group H generated by swapping positions a, a + 1 >= 1 inside one
-  factor and by swapping two factors of equal size fixes vertex 0 and
-  permutes those coordinates, so it preserves |det| too.  It is closed
-  from the generators by composition: s! t! 2^t elements (48 for (0, 3),
-  8 for (1, 2)).
+- The stabilizer H of vertex 0, `core.symmetries(spec, fixing_vertex_0=True)`,
+  is the direct product of the position permutations that keep position 0
+  inside each factor and the permutations of equal-size factors: s! t! 2^t
+  elements (48 for (0, 3), 8 for (1, 2)).  It permutes the reduced
+  coordinates taken at vertex 0, so it preserves |det| too.
 - One depth-first search adds vertices 1, ..., n - 1 in increasing order
   (orderly generation).  A set S of vertices, written as its sorted tuple,
   is canonical if no g in H maps it to a lexicographically smaller sorted
@@ -99,12 +99,11 @@ constraint, so the two readings never collide there.
 from __future__ import annotations
 
 import functools
-import itertools
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .core import SimplotopeSpec
+from .core import SimplotopeSpec, symmetries
 from .counting import comb0
 
 
@@ -292,45 +291,6 @@ class VTable:
         return best
 
 
-def _stabilizer_generators(spec: SimplotopeSpec) -> list[list[int]]:
-    """Generators of a group of symmetries fixing vertex 0, as vertex permutations.
-
-    Vertices are numbered in the order of `spec.vertices()`.  Inside each
-    factor, positions a and a + 1 are swapped for every a >= 1, so position 0
-    stays put; any two factors of the same size are swapped.  Both kinds
-    permute the reduced coordinates taken at vertex 0, so they preserve the
-    class of every vertex simplex.
-    """
-    verts = spec.vertices()
-    index = {v.idx: i for i, v in enumerate(verts)}
-    n = len(spec.factors)
-    perms = []
-    for f, c in enumerate(spec.factors):
-        for a in range(1, c):
-            swap = {a: a + 1, a + 1: a}
-            perms.append([index[tuple(swap.get(j, j) if i == f else j for i, j in enumerate(v.idx))]
-                          for v in verts])
-    for f, g in itertools.combinations(range(n), 2):
-        if spec.factors[f] == spec.factors[g]:
-            swap = {f: g, g: f}
-            perms.append([index[tuple(v.idx[swap.get(i, i)] for i in range(n))] for v in verts])
-    return perms
-
-
-def _stabilizer_group(spec: SimplotopeSpec) -> list[tuple[int, ...]]:
-    """The group the stabilizer generators compose to, identity first."""
-    generators = _stabilizer_generators(spec)
-    group = [tuple(range(spec.n_vertices))]
-    seen = set(group)
-    for g in group:  # grows while it is read: a breadth-first closure
-        for h in generators:
-            hg = tuple(h[i] for i in g)
-            if hg not in seen:
-                seen.add(hg)
-                group.append(hg)
-    return group
-
-
 def _orderly_leaves(spec: SimplotopeSpec) -> Iterator[tuple[tuple[int, ...], int]]:
     """The leaves of the orderly search, with their classes.
 
@@ -343,7 +303,7 @@ def _orderly_leaves(spec: SimplotopeSpec) -> Iterator[tuple[tuple[int, ...], int
     d = spec.dim
     verts = spec.vertices()
     vecs = [v.reduced(verts[0]) for v in verts]
-    others = _stabilizer_group(spec)[1:]
+    others = symmetries(spec, fixing_vertex_0=True)[1:]
     chosen: list[int] = []
     # level k holds the k-th chosen vector after Bareiss elimination against
     # levels 0..k-1, its pivot column and its pivot; pivots[k] divides step k + 1
@@ -397,6 +357,7 @@ DEFAULT_VTABLE = VTable()
 DEFAULT_MEMO = DEFAULT_VTABLE.memo
 
 
+@functools.cache  # every F memo miss asks; the four integers are its whole input
 def comb_bound(s: int, t: int, sp: int, tp: int) -> int:
     """Combinatorial bound on exterior-face counts; ignores the classes.
 

@@ -23,7 +23,8 @@ from .core import (
     VertexPoint,
     VertexSimplex,
     all_simplices,
-    minimal_face,
+    exterior_facet_positions,
+    symmetries,
 )
 from .exact import scaled_inverse
 from .fbounds import DEFAULT_VTABLE
@@ -73,26 +74,6 @@ def encode(x: VertexSimplex) -> str:
 def enumerate_class2() -> list[VertexSimplex]:
     """All class-2 vertex simplices, by exhaustive search over C(12,5) subsets."""
     return [x for x in all_simplices(TRI_SQUARE) if x.cls == 2]
-
-
-def symmetries() -> list[dict[VertexPoint, VertexPoint]]:
-    """The 48 symmetries of the product, as vertex maps.
-
-    These are the 2! x 2! x 3! coordinate permutations within factors, each
-    alone and followed by the swap of the two segment factors.  In standard
-    coordinates every one is a permutation of coordinates, so a linear
-    automorphism of the polytope.
-    """
-    maps = []
-    for swap in (False, True):
-        for perm in itertools.product(itertools.permutations(range(2)), itertools.permutations(range(2)),
-                                      itertools.permutations(range(3))):
-            m = {}
-            for v in TRI_SQUARE.vertices():
-                a, b, c = (perm[i][v.idx[i]] for i in range(3))
-                m[v] = VertexPoint(TRI_SQUARE, (b, a, c) if swap else (a, b, c))
-            maps.append(m)
-    return maps
 
 
 def center_in_facet(x: VertexSimplex) -> tuple[Fraction, ...]:
@@ -201,16 +182,19 @@ def overlap_matrix(simplices: list[VertexSimplex]) -> list[list[bool]]:
     """Which pairs of the tri-square simplices have overlapping interiors.
 
     One exact `interiors_overlap` LP is solved per orbit of pairs under the
-    48 `symmetries()`; the verdict is copied to every image pair (g.a, g.b)
-    that is in the list.  That copy is exact: g is a linear automorphism of
-    the polytope, so int(g.a) and int(g.b) meet in g(int a & int b), which is
-    empty exactly when int a & int b is.  A pair that no earlier verdict
-    reached gets its own LP, so any list of tri-square simplices is handled,
-    closed under the symmetries or not.
+    product's 48 symmetries, `core.symmetries(TRI_SQUARE)`; the verdict is
+    copied to every image pair (g.a, g.b) that is in the list.  That copy is
+    exact: g is a linear automorphism of the polytope, so int(g.a) and
+    int(g.b) meet in g(int a & int b), which is empty exactly when
+    int a & int b is.  A pair that no earlier verdict reached gets its own
+    LP, so any list of tri-square simplices is handled, closed under the
+    symmetries or not.
     """
     n = len(simplices)
-    index = {x.vertex_set: i for i, x in enumerate(simplices)}
-    images = [[index.get(frozenset(g[v] for v in x.vertices)) for x in simplices] for g in symmetries()]
+    position = {v: k for k, v in enumerate(TRI_SQUARE.vertices())}
+    keys = [frozenset(position[v] for v in x.vertices) for x in simplices]
+    index = {key: i for i, key in enumerate(keys)}
+    images = [[index.get(frozenset(map(g.__getitem__, key))) for key in keys] for g in symmetries(TRI_SQUARE)]
     m: list[list[bool | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         m[i][i] = True
@@ -225,15 +209,7 @@ def overlap_matrix(simplices: list[VertexSimplex]) -> list[list[bool]]:
     return m
 
 
-def _exterior_facet_positions(x: VertexSimplex) -> set[tuple[int, int]]:
-    """Zero coordinates of simplotope facets containing an exterior facet of x."""
-    spots = set()
-    for sub in itertools.combinations(x.vertices, len(x.vertices) - 1):
-        spots.update(minimal_face(sub).zeros)
-    return spots
-
-
-def lower_bound_10_argument(verbose: bool = False) -> CaseReport:
+def lower_bound_10_argument() -> CaseReport:
     """Machine-check every ingredient of the size-10 lower bound."""
     ingredients = []
 
@@ -244,7 +220,7 @@ def lower_bound_10_argument(verbose: bool = False) -> CaseReport:
 
     nondeg = [x for x in all_simplices(TRI_SQUARE) if x.cls > 0]
     # spots[n] is empty exactly when simplex n has no exterior facet
-    spots = [_exterior_facet_positions(x) for x in nondeg]
+    spots = [exterior_facet_positions(x) for x in nondeg]
     facet_ok = all(spots)
     max_class = max(x.cls for x in nondeg)
     ingredients.append(Ingredient(
@@ -292,8 +268,4 @@ def lower_bound_10_argument(verbose: bool = False) -> CaseReport:
     # so exactly 3 + 6 with total class 12: an interior-disjoint partition
     # with three pairwise-disjoint class-2 simplices, which is impossible.
     ok = all(i.ok for i in ingredients)
-    report = CaseReport(tuple(ingredients), 10 if ok else 9, len(MINIMAL_10))
-    if verbose:
-        for ing in report.ingredients:
-            print(f"  [{'ok' if ing.ok else 'FAIL'}] {ing.name}: {ing.detail}")
-    return report
+    return CaseReport(tuple(ingredients), 10 if ok else 9, len(MINIMAL_10))

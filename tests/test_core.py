@@ -1,7 +1,9 @@
 """Simplotope model: coordinates, classes, faces, exterior structure."""
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +22,7 @@ from simplotope.core import (
     is_tri_positioned,
     minimal_face,
     shadow,
+    symmetries,
 )
 
 S21 = SimplotopeSpec.seg_tri(2, 1)
@@ -102,6 +105,56 @@ def test_simplex_validation():
         VertexSimplex(S21, [v, v])
     with pytest.raises(ValueError):
         class_of(VertexSimplex(S21, [v]), v)
+
+
+# --- symmetries -------------------------------------------------------------
+
+SYMMETRY_CASES = [(factors, mode) for factors in [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2), (1, 2), (1, 3)]
+                  for mode in (False, True)] + [((2, 2, 2), True)]
+
+
+@pytest.mark.parametrize("factors, fixing_vertex_0", SYMMETRY_CASES,
+                         ids=["x".join(map(str, f)) + ("-stabilizer" if m else "-full")
+                              for f, m in SYMMETRY_CASES])
+def test_symmetries(factors, fixing_vertex_0):
+    # (1, 1, 2) is the tri-square, whose 48 symmetries copy overlap verdicts;
+    # the V search runs under the stabilizers.  The full group of (2, 2, 2)
+    # is left out: its closure check is 1.7M compositions.
+    spec = SimplotopeSpec(factors)
+    group = symmetries(spec, fixing_vertex_0=fixing_vertex_0)
+    n = spec.n_vertices
+    shift = 0 if fixing_vertex_0 else 1
+    order = math.prod(math.factorial(c + shift) for c in factors)
+    order *= math.prod(math.factorial(m) for m in Counter(factors).values())
+    assert len(group) == len(set(group)) == order
+    assert group[0] == tuple(range(n))
+    assert all(sorted(g) == list(range(n)) for g in group)
+    # built as a product, with no closure loop to vouch for it: check closure
+    elements = set(group)
+    assert all(tuple(g[i] for i in h) in elements for g in group for h in group)
+    if fixing_vertex_0:
+        assert all(g[0] == 0 for g in group)
+
+    verts = spec.vertices()
+
+    def cls(sub):
+        return VertexSimplex(spec, [verts[i] for i in sub]).cls
+
+    def zeros(sub):
+        return len(minimal_face([verts[i] for i in sub]).zeros)
+
+    rng = random.Random(5)
+    samples = []
+    while len(samples) < 20:
+        sub = rng.sample(range(n), spec.dim + 1)
+        if cls(sub):
+            samples.append(sub)
+    for g in group:
+        for sub in samples:
+            image = [g[i] for i in sub]
+            assert cls(image) == cls(sub)
+            # a facet-sized and an edge-sized subset keep their minimal faces' zero counts
+            assert zeros(image[1:]) == zeros(sub[1:]) and zeros(image[:2]) == zeros(sub[:2])
 
 
 # --- faces ------------------------------------------------------------------

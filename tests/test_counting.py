@@ -2,9 +2,11 @@
 
 import pytest
 
+from simplotope import counting
 from simplotope.counting import (
     ENUM_DIM_LIMIT,
     QQuery,
+    comb0,
     q_by_enumeration,
     q_by_generating_function,
     q_count,
@@ -39,6 +41,23 @@ def test_out_of_range_vanishes():
     assert q_count(QQuery(2, 0, 1, 1)) == 0
     with pytest.raises(ValueError):
         QQuery(-1, 0, 0, 0)
+
+
+def test_huge_sp_returns_at_once(monkeypatch):
+    # only s' - (t - t') <= q <= min(s, s') can contribute; a loop over
+    # every q <= s' would run 10^12 times, so more than a few binomials
+    # mean it does
+    calls = []
+
+    def counted(n, k):
+        calls.append((n, k))
+        if len(calls) > 10:
+            raise AssertionError("q_count loops over terms that vanish")
+        return comb0(n, k)
+
+    monkeypatch.setattr(counting, "comb0", counted)
+    assert q_count(QQuery(1, 0, 10**12, 0)) == 0
+    assert q_count(QQuery(10**12, 1, 10**12, 0)) == 3 + 6 * 10**12  # 15 at s = s' = 2
 
 
 def test_triple_agreement():

@@ -16,6 +16,7 @@ from simplotope.core import (
     corner_simplex,
     exterior_faces,
     face_class,
+    symmetries,
 )
 from simplotope.fbounds import (
     BRUTE_FORCE,
@@ -25,8 +26,6 @@ from simplotope.fbounds import (
     VTable,
     _brute_force_vmax,
     _orderly_leaves,
-    _stabilizer_generators,
-    _stabilizer_group,
     comb_bound,
     f_bound,
     load_cube_caps,
@@ -129,49 +128,17 @@ def test_brute_force_vmax_matches_enumeration(s, t):
     assert _brute_force_vmax(s, t) == v_by_enumeration(s, t)
 
 
-def check_symmetries(spec, perms):
-    """Each perm is a vertex permutation that fixes vertex 0 and keeps the
-    class of 50 seeded nondegenerate simplices."""
-    verts = spec.vertices()
-    n = len(verts)
-
-    def cls(sub):
-        return VertexSimplex(spec, [verts[i] for i in sub]).cls
-
-    rng = random.Random(5)
-    samples = []
-    while len(samples) < 50:
-        sub = rng.sample(range(n), spec.dim + 1)
-        if cls(sub):
-            samples.append(sub)
-    for perm in perms:
-        assert sorted(perm) == list(range(n))
-        assert perm[0] == 0
-        for sub in samples:
-            assert cls([perm[i] for i in sub]) == cls(sub)
-
-
-@pytest.mark.parametrize("s, t", [(3, 0), (2, 1), (1, 2), (0, 3)])
-def test_stabilizer_generators_fix_vertex_zero_and_classes(s, t):
-    # a generator that is not a class-preserving symmetry fixing vertex 0
-    # would make the V search skip subsets and undercount V silently
-    spec = SimplotopeSpec.seg_tri(s, t)
-    gens = _stabilizer_generators(spec)
-    assert gens
-    check_symmetries(spec, gens)
-
-
 @pytest.mark.parametrize("s, t", [(3, 0), (2, 1), (1, 2), (0, 3)])
 def test_stabilizer_group_order_and_symmetries(s, t):
     # s! t! 2^t (48 for (0, 3)): permutations of the segments, of the
-    # triangles, and the swap of the two non-zero positions in each triangle
+    # triangles, and the swap of the two non-zero positions in each triangle.
+    # A map that is not a symmetry fixing vertex 0 would make the V search
+    # skip subsets and undercount V silently, so the direct stabilizer is
+    # checked against the full group filtered.
     spec = SimplotopeSpec.seg_tri(s, t)
-    group = _stabilizer_group(spec)
+    group = symmetries(spec, fixing_vertex_0=True)
     assert len(group) == math.factorial(s) * math.factorial(t) * 2 ** t
-    assert len(set(group)) == len(group)
-    assert group[0] == tuple(range(spec.n_vertices))
-    assert {tuple(g) for g in _stabilizer_generators(spec)} <= set(group)
-    check_symmetries(spec, group)
+    assert set(group) == {g for g in symmetries(spec) if g[0] == 0}
 
 
 @pytest.mark.parametrize("s, t", [(3, 0), (2, 1), (0, 2), (1, 2)])
@@ -181,7 +148,7 @@ def test_orderly_leaves_meet_every_orbit(s, t):
     # the pruned search must leave a leaf in each, with the right class
     spec = SimplotopeSpec.seg_tri(s, t)
     verts = spec.vertices()
-    group = _stabilizer_group(spec)
+    group = symmetries(spec, fixing_vertex_0=True)
 
     def cls(sub):
         return VertexSimplex(spec, [verts[0]] + [verts[i] for i in sub]).cls

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from simplotope.core import VertexSimplex, all_simplices, corner_simplex, face_class, minimal_face
+from simplotope.core import VertexSimplex, corner_simplex, face_class, minimal_face, symmetries
 from simplotope.trisquare import (
     MINIMAL_10,
     SYMBOLS,
@@ -21,7 +21,6 @@ from simplotope.trisquare import (
     minimal_triangulation_10,
     overlap_matrix,
     symbol_of,
-    symmetries,
     vertex_code,
 )
 from simplotope.verifier import interiors_overlap, verify
@@ -50,34 +49,23 @@ def test_exactly_24_class_two_simplices():
     assert all(x.cls == 2 for x in fat)
 
 
+def vertex_indices(x):
+    """x's vertices as indices into TRI_SQUARE.vertices(), which symmetries permute."""
+    position = {v: k for k, v in enumerate(TRI_SQUARE.vertices())}
+    return frozenset(position[v] for v in x.vertices)
+
+
 def test_class_two_single_orbit():
-    fat = enumerate_class2()
-    maps = symmetries()
-    assert len(maps) == 48
-    orbit = {frozenset(m[v] for v in fat[0].vertices) for m in maps}
-    assert orbit == {x.vertex_set for x in fat}
-
-
-def test_symmetries_are_automorphisms():
-    vertices = set(TRI_SQUARE.vertices())
-    classes = {x.vertex_set: x.cls for x in all_simplices(TRI_SQUARE)}
-    assert len(classes) == 792
-    zeros = {frozenset(sub): len(minimal_face(sub).zeros)
-             for sub in itertools.combinations(vertices, TRI_SQUARE.dim)}
-    maps = symmetries()
-    assert len({tuple(m[v] for v in TRI_SQUARE.vertices()) for m in maps}) == 48
-    for m in maps:
-        assert set(m) == vertices and set(m.values()) == vertices
-        for vs, cls in classes.items():
-            assert classes[frozenset(m[v] for v in vs)] == cls
-        for vs, n in zeros.items():
-            assert zeros[frozenset(m[v] for v in vs)] == n
+    fat = [vertex_indices(x) for x in enumerate_class2()]
+    group = symmetries(TRI_SQUARE)
+    assert len(group) == 48
+    assert {frozenset(g[i] for i in fat[0]) for g in group} == set(fat)
 
 
 def test_class_two_pairs_form_14_orbits():
-    fat = [x.vertex_set for x in enumerate_class2()]
+    fat = [vertex_indices(x) for x in enumerate_class2()]
     index = {x: i for i, x in enumerate(fat)}
-    images = [[index[frozenset(m[v] for v in x)] for x in fat] for m in symmetries()]
+    images = [[index[frozenset(g[i] for i in x)] for x in fat] for g in symmetries(TRI_SQUARE)]
     pairs = list(itertools.combinations(range(len(fat)), 2))
     assert len(pairs) == 276
     orbits = {frozenset(frozenset((g[i], g[j])) for g in images) for i, j in pairs}
