@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (and for verify: certified), 1 on a failed check or
 an uncertified input, 2 on usage errors.  Rationals stay exact ("p/q") in
-every output; nothing is ever rounded.
+every output; nothing is ever rounded, and integers are printed in full
+however many digits they have.
 
 Each command imports the package modules it needs inside its own function,
 so that no command, and no `--help`, pays for loading the others.
@@ -273,6 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11 and later; 0 lifts the limit
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

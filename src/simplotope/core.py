@@ -10,8 +10,8 @@ to 1.
 The class of a full-dimensional vertex simplex is the absolute determinant of
 its reduced coordinate matrix augmented with a column of ones (an integer:
 the simplex volume times d!).  Faces are identified by their set of
-always-zero coordinates, which makes face membership, parallelism and
-tri-positioning plain set computations.
+always-zero coordinates, which makes the minimal face of a vertex set and
+the exterior facets of a simplex plain set computations.
 """
 
 from __future__ import annotations
@@ -108,15 +108,6 @@ class VertexPoint:
                     out.append(1 if v == j else 0)
         return tuple(out)
 
-    def neighbors(self) -> list["VertexPoint"]:
-        """Vertices joined to this one by an edge: differ in exactly one factor."""
-        out = []
-        for i, c in enumerate(self.spec.factors):
-            for j in range(c + 1):
-                if j != self.idx[i]:
-                    out.append(VertexPoint(self.spec, self.idx[:i] + (j,) + self.idx[i + 1:]))
-        return out
-
 
 def symmetries(spec: SimplotopeSpec, fixing_vertex_0: bool = False) -> list[tuple[int, ...]]:
     """The product's automorphisms as permutations of `spec.vertices()` indices.
@@ -145,23 +136,6 @@ def symmetries(spec: SimplotopeSpec, fixing_vertex_0: bool = False) -> list[tupl
 
 
 @dataclass(frozen=True)
-class FaceSignature:
-    """Face shape for segment/triangle products: s' segments, t' triangles.
-
-    q of the s' segment factors come from segment factors of the ambient
-    product; the other s' - q are edges of triangle factors.
-    """
-
-    sp: int
-    tp: int
-    q: int
-
-    @property
-    def dim(self) -> int:
-        return self.sp + 2 * self.tp
-
-
-@dataclass(frozen=True)
 class FaceId:
     """A face, identified by the coordinate positions it fixes at zero."""
 
@@ -183,61 +157,6 @@ class FaceId:
     @property
     def dim(self) -> int:
         return self.spec.dim - len(self.zeros)
-
-    def free_coords(self) -> frozenset[tuple[int, int]]:
-        """Coordinates that vary over the face (fixed-at-1 ones are excluded)."""
-        free = set()
-        for i, c in enumerate(self.spec.factors):
-            nonzero = [(i, j) for j in range(c + 1) if (i, j) not in self.zeros]
-            if len(nonzero) >= 2:
-                free.update(nonzero)
-        return frozenset(free)
-
-    def signature(self) -> FaceSignature:
-        sp = tp = q = 0
-        for i, c in enumerate(self.spec.factors):
-            z = self._zero_count(i)
-            nfree = c + 1 - z
-            if nfree == 1:
-                continue
-            if c == 1:
-                sp += 1
-                q += 1
-            elif c == 2 and z == 1:
-                sp += 1
-            elif c == 2 and z == 0:
-                tp += 1
-            else:
-                raise ValueError("face signatures are only defined for segment/triangle products")
-        return FaceSignature(sp, tp, q)
-
-    def contains_vertex(self, v: VertexPoint) -> bool:
-        return all(v.idx[i] != j for i, j in self.zeros)
-
-    def vertices(self) -> list[VertexPoint]:
-        return [v for v in self.spec.vertices() if self.contains_vertex(v)]
-
-    def local_spec(self) -> SimplotopeSpec:
-        """The face as a simplotope in its own right (pinned factors dropped)."""
-        fs = []
-        for i, c in enumerate(self.spec.factors):
-            nfree = c + 1 - self._zero_count(i)
-            if nfree >= 2:
-                fs.append(nfree - 1)
-        if not fs:
-            raise ValueError("a vertex has no simplotope structure")
-        return SimplotopeSpec(tuple(fs))
-
-    def localize(self, v: VertexPoint) -> VertexPoint:
-        """Express a vertex of this face in the face's own spec."""
-        if not self.contains_vertex(v):
-            raise ValueError("vertex is not on the face")
-        idx = []
-        for i, c in enumerate(self.spec.factors):
-            kept = [j for j in range(c + 1) if (i, j) not in self.zeros]
-            if len(kept) >= 2:
-                idx.append(kept.index(v.idx[i]))
-        return VertexPoint(self.local_spec(), tuple(idx))
 
 
 def minimal_face(points: Sequence[VertexPoint]) -> FaceId:
@@ -309,49 +228,6 @@ def class_of(x: VertexSimplex, pivot: VertexPoint) -> int:
     return abs(det(rows))
 
 
-def face_class(points: Sequence[VertexPoint]) -> int:
-    """Class of a vertex simplex inside its minimal face.
-
-    The points must span that face's dimension (one more point than the
-    face dimension); this is the class that Proposition-style divisibility
-    statements about exterior faces refer to.
-    """
-    fid = minimal_face(points)
-    if fid.dim == 0:
-        if len(points) != 1:
-            raise ValueError("several points cannot span a vertex")
-        return 1
-    local = fid.local_spec()
-    if len(points) != local.dim + 1:
-        raise ValueError("points do not span their minimal face")
-    xs = VertexSimplex(local, [fid.localize(p) for p in points])
-    return xs.cls
-
-
-def exterior_faces(x: VertexSimplex, sig: tuple[int, int]) -> list[tuple[tuple[VertexPoint, ...], FaceId]]:
-    """All exterior faces of x with the given (s', t') signature.
-
-    An exterior j-face is a set of j+1 vertices of x lying in a common j-face
-    of the simplotope; here j = s' + 2t' and the face must be a product of s'
-    segments and t' triangles.
-    """
-    if x.cls == 0:
-        raise ValueError("exterior faces are only defined for nondegenerate simplices")
-    sp, tp = sig
-    k = sp + 2 * tp
-    if k + 1 > len(x.vertices):
-        return []
-    out = []
-    for subset in itertools.combinations(x.vertices, k + 1):
-        fid = minimal_face(subset)
-        if fid.dim != k:
-            continue
-        fsig = fid.signature()
-        if (fsig.sp, fsig.tp) == (sp, tp):
-            out.append((subset, fid))
-    return out
-
-
 def exterior_facet_positions(x: VertexSimplex) -> set[tuple[int, int]]:
     """Zero coordinates of the simplotope facets that hold a facet of x."""
     if x.cls == 0:
@@ -365,88 +241,3 @@ def exterior_facet_positions(x: VertexSimplex) -> set[tuple[int, int]]:
 def has_exterior_facet(x: VertexSimplex) -> bool:
     """True when some d of the d+1 vertices lie in a facet of the simplotope."""
     return bool(exterior_facet_positions(x))
-
-
-def is_parallel(f1: FaceId, f2: FaceId) -> bool:
-    """Faces are parallel when they have exactly the same free coordinates."""
-    if f1.spec != f2.spec:
-        raise ValueError("faces come from different simplotopes")
-    return f1.free_coords() == f2.free_coords()
-
-
-def is_tri_positioned(f1: FaceId, f2: FaceId, f3: FaceId) -> bool:
-    """Same zero coordinates except in one triangle factor, where the three
-    faces each fix a different single coordinate at zero."""
-    faces = (f1, f2, f3)
-    spec = f1.spec
-    if any(f.spec != spec for f in faces):
-        raise ValueError("faces come from different simplotopes")
-    for i, c in enumerate(spec.factors):
-        if c != 2:
-            continue
-        inside = [frozenset(j for fi, j in f.zeros if fi == i) for f in faces]
-        outside = [frozenset(z for z in f.zeros if z[0] != i) for f in faces]
-        if outside[0] == outside[1] == outside[2] \
-                and all(len(z) == 1 for z in inside) \
-                and len(set(inside)) == 3:
-            return True
-    return False
-
-
-def corner_simplex(spec: SimplotopeSpec, v: VertexPoint) -> VertexSimplex:
-    """The simplex on v and all vertices one edge away from v (class 1)."""
-    if v.spec != spec:
-        raise ValueError("vertex comes from a different simplotope")
-    return VertexSimplex(spec, [v] + v.neighbors())
-
-
-def _exterior_subset_check(face: Sequence[VertexPoint], x: VertexSimplex, name: str) -> tuple[VertexPoint, ...]:
-    vs = tuple(face)
-    if not set(vs) <= x.vertex_set:
-        raise ValueError(f"{name} is not a vertex subset of the simplex")
-    if minimal_face(vs).dim != len(vs) - 1:
-        raise ValueError(f"{name} is not an exterior face of the simplex")
-    return vs
-
-
-def footprint(tau: Sequence[VertexPoint], sigma: Sequence[VertexPoint],
-              x: VertexSimplex) -> tuple[VertexPoint, ...]:
-    """The intersection of two exterior faces of x, as a vertex subset."""
-    t = _exterior_subset_check(tau, x, "tau")
-    s = set(_exterior_subset_check(sigma, x, "sigma"))
-    return tuple(v for v in t if v in s)
-
-
-def shadow(tau: Sequence[VertexPoint], sigma: Sequence[VertexPoint],
-           x: VertexSimplex) -> tuple[VertexPoint, ...]:
-    """Image of tau under the projection that collapses sigma to a point.
-
-    In reduced coordinates with respect to a vertex of sigma, the projection
-    zeroes the free coordinates of sigma and keeps its zero coordinates, so
-    vertices map to vertices.  Distinct images are returned in tau's order;
-    the projection is one-to-one on vertices of x outside sigma.
-    """
-    if x.cls == 0:
-        raise ValueError("shadows are only defined for nondegenerate simplices")
-    t = _exterior_subset_check(tau, x, "tau")
-    s = _exterior_subset_check(sigma, x, "sigma")
-    pivot = s[0]
-    sigma_face = minimal_face(s)
-    spec = x.spec
-    out: list[VertexPoint] = []
-    seen = set()
-    for u in t:
-        idx = []
-        for i in range(len(spec.factors)):
-            j = u.idx[i]
-            # Coordinates free on sigma project to 0; the block's 1 then
-            # lands on the pivot's coordinate for that factor.
-            if j != pivot.idx[i] and (i, j) not in sigma_face.zeros:
-                idx.append(pivot.idx[i])
-            else:
-                idx.append(j)
-        pv = VertexPoint(spec, tuple(idx))
-        if pv not in seen:
-            seen.add(pv)
-            out.append(pv)
-    return tuple(out)

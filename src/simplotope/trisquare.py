@@ -71,11 +71,6 @@ def encode(x: VertexSimplex) -> str:
     return "".join(sorted((names[v] for v in x.vertices), key=SYMBOLS.index))
 
 
-def enumerate_class2() -> list[VertexSimplex]:
-    """All class-2 vertex simplices, by exhaustive search over C(12,5) subsets."""
-    return [x for x in all_simplices(TRI_SQUARE) if x.cls == 2]
-
-
 def center_in_facet(x: VertexSimplex) -> tuple[Fraction, ...]:
     """Barycentric coefficients of the center in a class-2 simplex.
 

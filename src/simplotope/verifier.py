@@ -39,16 +39,12 @@ followed by its apex is then the simplex's signed determinant times the
 parity of moving the apex to the end, so the side of the apex is known
 without further arithmetic.  Adjacency is read from the same facet map.
 
-`meet_face_to_face` and `interiors_overlap` decide the pairwise relations
-directly, each by one small exact LP.  Certification no longer uses them.
-`meet_face_to_face` is kept as the oracle the tests check the facet
-criterion against: it writes a point of one simplex by its barycentric
-coordinates, asks it to lie in the other through that simplex's integer
-half-space rows (`facet_rows`, the adjugate of its vertex matrix), and
-maximizes the weight on vertices the two do not share.  The simplices meet
-face-to-face exactly when no common point carries such weight.
-`interiors_overlap` is also the overlap test of the triangle-cross-square
-argument.
+Certification makes no pairwise test.  The tests check its verdict against
+the pairwise face-to-face LP it replaced (`tests/pairwise_oracle.py`), which
+reads each simplex's integer half-space rows from `facet_rows`, the
+adjugate of its vertex matrix.  `interiors_overlap` decides by one small
+exact LP whether two simplices share an interior point; it is the overlap
+test of the triangle-cross-square argument.
 """
 
 from __future__ import annotations
@@ -98,34 +94,6 @@ def facet_rows(x: VertexSimplex) -> tuple[tuple[int, ...], ...]:
     d, adj = scaled_inverse([(1,) + r for r in _reduced_rows(x)])
     sign = 1 if d > 0 else -1
     return tuple(tuple(sign * entry for entry in column) for column in zip(*adj))
-
-
-def meet_face_to_face(a: VertexSimplex, b: VertexSimplex) -> bool:
-    """Exact test that two simplices intersect in a common face.
-
-    One LP over the barycentric coordinates lambda of a point of a: the
-    point lies in b (every row of `facet_rows(b)` is >= 0 at it), and the LP
-    maximizes the weight lambda puts on the vertices of a outside b.  The
-    simplices meet face-to-face exactly when the LP is infeasible (the hulls
-    are disjoint) or that weight is 0, because the barycentric coordinates of
-    a point in the nondegenerate simplex a are unique.
-    """
-    if a.spec != b.spec:
-        raise ValueError("simplices come from different simplotopes")
-    if a.is_degenerate or b.is_degenerate:
-        raise ValueError("face-to-face is only defined for nondegenerate simplices")
-    points = [(1,) + r for r in _reduced_rows(a)]
-    n = len(points)
-    rows = [([sum(c * p for c, p in zip(row, point)) for point in points], 0)
-            for row in facet_rows(b)]
-    rows += [([1] * n, 1), ([-1] * n, -1)]
-    objective = [0 if v in b.vertex_set else -1 for v in a.vertices]
-    result = lp_minimize(LpProblem.build(objective, rows))
-    if result.status == INFEASIBLE:
-        return True
-    if result.status != OPTIMAL:
-        raise RuntimeError(f"face-to-face LP came out {result.status}, but it is bounded by -1")
-    return result.value == 0
 
 
 def interiors_overlap(a: VertexSimplex, b: VertexSimplex) -> bool:

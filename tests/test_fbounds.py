@@ -8,16 +8,9 @@ from collections import Counter
 import pytest
 
 from f_oracle import oracle_over_cells
+from face_oracle import corner_simplex, exterior_faces, face_class
 from v_oracle import v_by_enumeration
-from simplotope.core import (
-    SimplotopeSpec,
-    VertexSimplex,
-    all_simplices,
-    corner_simplex,
-    exterior_faces,
-    face_class,
-    symmetries,
-)
+from simplotope.core import SimplotopeSpec, VertexSimplex, all_simplices, symmetries
 from simplotope.fbounds import (
     BRUTE_FORCE,
     CUBE_CAP,

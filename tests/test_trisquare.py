@@ -7,7 +7,8 @@ from importlib import resources
 
 import pytest
 
-from simplotope.core import VertexSimplex, corner_simplex, face_class, minimal_face, symmetries
+from face_oracle import corner_simplex, face_class, signature, tri_square_class2
+from simplotope.core import VertexSimplex, minimal_face, symmetries
 from simplotope.trisquare import (
     MINIMAL_10,
     SYMBOLS,
@@ -17,7 +18,6 @@ from simplotope.trisquare import (
     construction_stages,
     decode,
     encode,
-    enumerate_class2,
     minimal_triangulation_10,
     overlap_matrix,
     symbol_of,
@@ -44,7 +44,7 @@ def test_vertex_code_anchors():
 
 
 def test_exactly_24_class_two_simplices():
-    fat = enumerate_class2()
+    fat = tri_square_class2()
     assert len(fat) == 24
     assert all(x.cls == 2 for x in fat)
 
@@ -56,14 +56,14 @@ def vertex_indices(x):
 
 
 def test_class_two_single_orbit():
-    fat = [vertex_indices(x) for x in enumerate_class2()]
+    fat = [vertex_indices(x) for x in tri_square_class2()]
     group = symmetries(TRI_SQUARE)
     assert len(group) == 48
     assert {frozenset(g[i] for i in fat[0]) for g in group} == set(fat)
 
 
 def test_class_two_pairs_form_14_orbits():
-    fat = [vertex_indices(x) for x in enumerate_class2()]
+    fat = [vertex_indices(x) for x in tri_square_class2()]
     index = {x: i for i, x in enumerate(fat)}
     images = [[index[frozenset(g[i] for i in x)] for x in fat] for g in symmetries(TRI_SQUARE)]
     pairs = list(itertools.combinations(range(len(fat)), 2))
@@ -74,7 +74,7 @@ def test_class_two_pairs_form_14_orbits():
 
 def test_overlap_matrix_matches_direct_lps():
     # the slow oracle: one LP for every one of the 276 pairs
-    fat = enumerate_class2()
+    fat = tri_square_class2()
     m = overlap_matrix(fat)
     assert all(m[i][i] for i in range(len(fat)))
     for i, j in itertools.combinations(range(len(fat)), 2):
@@ -91,12 +91,11 @@ def test_overlap_matrix_on_a_list_not_closed_under_symmetry():
 
 
 def test_every_fat_simplex_has_class2_cube_facet():
-    from simplotope.core import face_class, minimal_face
-    for x in enumerate_class2():
+    for x in tri_square_class2():
         found = False
         for sub in itertools.combinations(x.vertices, 4):
             fid = minimal_face(sub)
-            if fid.dim == 3 and fid.signature().tp == 0 and face_class(sub) == 2:
+            if fid.dim == 3 and signature(fid)[1] == 0 and face_class(sub) == 2:
                 found = True
         assert found
 
@@ -106,7 +105,7 @@ def test_center_coefficients():
     assert x.cls == 2
     assert center_in_facet(x) == (0, Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), Fraction(1, 3))
     expected = sorted([Fraction(0), Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), Fraction(1, 3)])
-    for y in enumerate_class2():
+    for y in tri_square_class2():
         assert sorted(center_in_facet(y)) == expected
 
 

@@ -6,7 +6,9 @@ from collections import Counter
 
 import pytest
 
-from simplotope.core import SimplotopeSpec, VertexPoint, VertexSimplex, corner_simplex, minimal_face
+from face_oracle import corner_simplex
+from pairwise_oracle import meet_face_to_face
+from simplotope.core import SimplotopeSpec, VertexPoint, VertexSimplex, minimal_face
 from simplotope.exact import det
 from simplotope.standard import standard_triangulation
 from simplotope.trisquare import construction_stages, decode, minimal_triangulation_10
@@ -16,7 +18,6 @@ from simplotope.verifier import (
     adjacency_graph,
     facet_rows,
     interiors_overlap,
-    meet_face_to_face,
     verify,
 )
 
