@@ -24,6 +24,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .exact import det
 
+# The most digits an integer read from an input file may have: CPython's
+# default int-string limit.  The command line lifts that limit so that exact
+# answers print in full, and str-to-int conversion takes time quadratic in
+# the digits, so the files' parsers refuse longer integers before converting.
+MAX_INT_DIGITS = 4300
+
 
 @dataclass(frozen=True)
 class SimplotopeSpec:

@@ -7,7 +7,20 @@ stay integral.
 
 The LP solver is a dense two-phase simplex with Bland's least-index rule,
 which guarantees termination on the small, often degenerate programs this
-package produces.  Its tableau is fraction-free as well (the Bareiss/Edmonds
+package produces.  It starts from the slack basis wherever it can.  A row
+row . x >= rhs with rhs <= 0 is written as -row . x + s = -rhs with its
+surplus s >= 0.  The surplus column is a unit column and -rhs >= 0, so
+x = 0, s = -rhs satisfies the row, and s starts in the basis.  Only a row
+with rhs > 0, which x = 0 violates, gets an artificial variable, and phase 1
+(minimize the artificials) runs only when such a row exists.  The starting
+basis is an identity matrix either way, so the starting denominator is
+D = 1.  Bland's rule terminates from any feasible basis: its proof derives
+a contradiction at the largest-index variable that enters and leaves within
+a cycle of pivots, and uses nothing of how the first basis was found, so
+phase 2 started directly from the slack basis terminates as it does after
+phase 1.
+
+The tableau is fraction-free as well (the Bareiss/Edmonds
 common-denominator form): each constraint row is scaled to integers, and the
 solver keeps an integer tableau T with one denominator D > 0 for every entry,
 so the rational tableau is T / D.  D is the absolute determinant of the
@@ -191,47 +204,54 @@ def lp_minimize(problem: LpProblem) -> LpResult:
             return LpResult(UNBOUNDED, None, None)
         return LpResult(OPTIMAL, ZERO, (ZERO,) * n)
 
-    # Standard form: row . x - surplus = rhs, then flip rows to get rhs >= 0.
-    # Columns: n structural, m surplus, m artificial, then the rhs.  Row i is
-    # scaled by the lcm L_i of its denominators, which makes its surplus and
-    # artificial stand for L_i times the unscaled ones.
+    # Standard form: row . x - surplus = rhs.  A row with rhs <= 0 is negated
+    # to -row . x + surplus = -rhs >= 0, so its surplus starts in the basis; a
+    # row with rhs > 0 gets an artificial that starts there instead (see the
+    # module docstring).  Columns: n structural, m surplus, one artificial per
+    # row with rhs > 0, then the rhs.  Row i is scaled by the lcm L_i of its
+    # denominators, which makes its surplus and artificial stand for L_i
+    # times the unscaled ones.
+    live = n + m
+    needy = [i for i, (_, rhs) in enumerate(problem.constraints) if rhs > 0]
+    width = live + len(needy)
     tab: list[list[int]] = []
+    basis = [n + i for i in range(m)]
     scales = []
     for i, (row, rhs) in enumerate(problem.constraints):
         scale = math.lcm(rhs.denominator, *(c.denominator for c in row))
-        sgn = 1 if rhs >= 0 else -1
+        sgn = 1 if rhs > 0 else -1
         *coeffs, b = (sgn * v for v in _scaled((*row, rhs), scale))
-        line = coeffs + [0] * (2 * m) + [b]
+        line = coeffs + [0] * (width - n) + [b]
         line[n + i] = -sgn
-        line[n + m + i] = 1
         tab.append(line)
         scales.append(scale)
-    basis = [n + m + i for i in range(m)]
-
-    # Weighting artificial i by lcm(L)/L_i minimizes the unscaled sum of
-    # artificials: every reduced cost and ratio keeps its sign and order, so
-    # the pivots are those of the unscaled rational tableau.
-    common = math.lcm(*scales)
-    phase1 = [0] * (n + m) + [common // scale for scale in scales]
-    status, d = _simplex_phase(tab, basis, 1, phase1)
-    if status != OPTIMAL:
-        raise RuntimeError("phase 1 came out unbounded, but it is bounded below by 0")
-    if sum(line[-1] for line, b in zip(tab, basis) if b >= n + m) != 0:
-        return LpResult(INFEASIBLE, None, None)
-    # Drive any residual zero-level artificials out of the basis.
-    for i in range(m):
-        if basis[i] >= n + m:
-            for j in range(n + m):
-                if tab[i][j] != 0:
-                    d = _pivot(tab, basis, d, i, j)
-                    break
-    # Artificials leave the tableau, with any row still holding one.
+    d = 1
+    if needy:
+        for k, i in enumerate(needy):
+            tab[i][live + k] = 1
+            basis[i] = live + k
+        # Weighting artificial i by lcm(L)/L_i minimizes the unscaled sum of
+        # artificials: every reduced cost and ratio keeps its sign and order,
+        # so the pivots are those of the unscaled rational tableau.
+        common = math.lcm(*(scales[i] for i in needy))
+        phase1 = [0] * live + [common // scales[i] for i in needy]
+        status, d = _simplex_phase(tab, basis, d, phase1)
+        if status != OPTIMAL:
+            raise RuntimeError("phase 1 came out unbounded, but it is bounded below by 0")
+        if sum(line[-1] for line, b in zip(tab, basis) if b >= live) != 0:
+            return LpResult(INFEASIBLE, None, None)
+        # Drive any residual zero-level artificials out of the basis.
+        for i in range(m):
+            if basis[i] >= live:
+                for j in range(live):
+                    if tab[i][j] != 0:
+                        d = _pivot(tab, basis, d, i, j)
+                        break
+        # Artificials leave the tableau, with any row still holding one.
+        tab = [line[:live] + line[-1:] for line, b in zip(tab, basis) if b < live]
+        basis = [b for b in basis if b < live]
     obj_scale = math.lcm(*(c.denominator for c in problem.objective))
     phase2 = _scaled(problem.objective, obj_scale) + [0] * m
-    live = n + m
-    rows_keep = [i for i in range(m) if basis[i] < live]
-    tab = [tab[i][:live] + [tab[i][-1]] for i in rows_keep]
-    basis = [basis[i] for i in rows_keep]
     status, d = _simplex_phase(tab, basis, d, phase2)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)

@@ -41,18 +41,28 @@ The search covers every subset without enumerating them all:
   sound: a canonical set passes the test at every prefix, and a leaf the
   test did not cut is still a d-set, so it cannot raise the maximum.  The
   depth only trades cost.  A test is |H| - 1 sorted images, while below a
-  prefix of d - 1 vertices lies a single level of leaves, one elimination
-  step each, which is cheaper than the test that would cut them.  Measured
-  on V(0, 3) (2 vCPUs, Python 3.11): about 0.09 s testing prefixes up to
-  d - 2 vertices (6,589 leaves), 0.15 s up to d - 3, 0.18 s up to d - 1
-  and 0.4 s at every level, against 0.39 s for a split over first-choice
-  orbits alone.
+  prefix of d - 1 vertices lies a single level of leaves, one short sum
+  each (below), which is cheaper than the test that would cut them.
+  Measured with that leaf sum (2 vCPUs, Python 3.11, medians of
+  alternating runs): testing prefixes up to d - 2 vertices takes 0.058 s on
+  V(0, 3) (6,589 leaves) and 0.58 s on V(2, 2), against 0.066 s and 0.66 s
+  up to d - 3; testing up to d - 1 took about twice as long on V(4, 1).
 - Each level of the search adds one vector and eliminates it against the
   levels below by fraction-free Bareiss steps, whose divisions are exact by
   Sylvester's identity.  A vector that eliminates to zero is dependent on
   the ones chosen, so that branch and every superset of it is degenerate
-  and is cut.  At depth d the last pivot is the d x d determinant up to
-  sign.  No float is used anywhere.
+  and is cut.  No float is used anywhere.
+- The leaves are not eliminated.  With d - 1 vectors chosen, the final
+  Bareiss pivot of a last vector v is the d x d determinant up to sign.
+  It is linear in v, and it vanishes when v lies in the span of the chosen
+  rows.  So it is phi . v for one integer vector phi per node, the cofactor
+  vector of the chosen rows, which is orthogonal to every eliminated row and
+  has the (d - 1)-st pivot on the one column c* that no row pivots on
+  (`_leaf_cofactor` gets it by exact back-substitution, d - 1 short dot
+  products, and raises ArithmeticError on a division that is not exact).
+  Reduced coordinates at vertex 0 are 0/1, so each leaf's class is
+  |sum of phi over the support of v|, one term per factor at most, in
+  place of a d-step elimination per leaf.  It halves V(2, 2) and V(4, 1).
 
 A VTable is the F evaluator of one cube-cap table.  It owns a copy of the
 caps, the V values computed from them and the F memo.  F depends on the caps
@@ -99,11 +109,14 @@ constraint, so the two readings never collide there.
 from __future__ import annotations
 
 import functools
+import math
+import operator
+import reprlib
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .core import SimplotopeSpec, symmetries
+from .core import MAX_INT_DIGITS, SimplotopeSpec, symmetries
 from .counting import comb0
 
 
@@ -120,8 +133,9 @@ CUBE_CAP = "configured-cube-cap"
 def load_cube_caps(path=None) -> dict[int, int]:
     """Cube maximal-class caps by dimension from a key-value text file.
 
-    Each line holds a dimension and its cap, both >= 1, and no dimension
-    appears twice; a line that breaks this raises ValueError naming it.
+    Each line holds a dimension and its cap, both >= 1 and of at most
+    MAX_INT_DIGITS digits, and no dimension appears twice; a line that
+    breaks this raises ValueError naming it (shortened by `reprlib`).
     """
     if path is None:
         text = resources.files("simplotope").joinpath("data/cube_caps.txt").read_text()
@@ -133,14 +147,18 @@ def load_cube_caps(path=None) -> dict[int, int]:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"line {number} {reprlib.repr(line)}"
+        words = line.split()
+        if any(len(w) > MAX_INT_DIGITS for w in words):
+            raise ValueError(f"{where}: a number is longer than {MAX_INT_DIGITS} characters")
         try:
-            dim, cap = (int(x) for x in line.split())
+            dim, cap = (int(x) for x in words)
         except ValueError:
-            raise ValueError(f"line {number} {line!r}: expected two integers") from None
+            raise ValueError(f"{where}: expected two integers") from None
         if dim < 1 or cap < 1:
-            raise ValueError(f"line {number} {line!r}: dimension and cap must be >= 1")
+            raise ValueError(f"{where}: dimension and cap must be >= 1")
         if dim in caps:
-            raise ValueError(f"line {number} {line!r}: dimension {dim} is given twice")
+            raise ValueError(f"{where}: dimension {reprlib.repr(dim)} is given twice")
         caps[dim] = cap
     return caps
 
@@ -164,7 +182,9 @@ class FMemo:
 
 @functools.cache
 def _divisors(n: int) -> tuple[int, ...]:
-    return tuple(k for k in range(1, n + 1) if n % k == 0)
+    """The divisors of n >= 1, ascending, by trial division up to sqrt(n)."""
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return tuple(small + [n // k for k in reversed(small) if k * k != n])
 
 
 class VTable:
@@ -291,6 +311,27 @@ class VTable:
         return best
 
 
+def _leaf_cofactor(d: int, rows: list[list[int]], cols: list[int], pivots: list[int]) -> list[int]:
+    """The last Bareiss pivot as a linear form: phi with phi . v = that pivot.
+
+    rows[k], k < d - 1, is the k-th chosen vector after elimination, with
+    pivot pivots[k + 1] in column cols[k] and zeros in cols[:k].  phi is 0 on
+    every row and pivots[d - 1] on the one column c* no row pivots on, so
+    back-substitution gives phi[cols[k]] = -(rows[k] . phi) / pivots[k + 1]
+    for k = d - 2, ..., 0.  Each division is exact because phi is the
+    integer cofactor vector; one that is not raises ArithmeticError.
+    """
+    phi = [0] * d
+    (free,) = set(range(d)).difference(cols[:d - 1])
+    phi[free] = pivots[d - 1]
+    for k in range(d - 2, -1, -1):
+        q, r = divmod(-sum(map(operator.mul, rows[k], phi)), pivots[k + 1])
+        if r:
+            raise ArithmeticError(f"cofactor division by {pivots[k + 1]} is not exact")
+        phi[cols[k]] = q
+    return phi
+
+
 def _orderly_leaves(spec: SimplotopeSpec) -> Iterator[tuple[tuple[int, ...], int]]:
     """The leaves of the orderly search, with their classes.
 
@@ -303,6 +344,9 @@ def _orderly_leaves(spec: SimplotopeSpec) -> Iterator[tuple[tuple[int, ...], int
     d = spec.dim
     verts = spec.vertices()
     vecs = [v.reduced(verts[0]) for v in verts]
+    # reduced coordinates at vertex 0 are 0/1, so a linear form on a vector
+    # is the sum of its values over the vector's support
+    supports = [tuple(j for j, x in enumerate(vec) if x) for vec in vecs]
     others = symmetries(spec, fixing_vertex_0=True)[1:]
     chosen: list[int] = []
     # level k holds the k-th chosen vector after Bareiss elimination against
@@ -333,8 +377,12 @@ def _orderly_leaves(spec: SimplotopeSpec) -> Iterator[tuple[tuple[int, ...], int
         return True
 
     def search(level: int, start: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if level == d:
-            yield tuple(chosen), abs(pivots[d])
+        if level == d - 1:
+            phi = _leaf_cofactor(d, rows, cols, pivots)
+            for v in range(start, len(vecs)):
+                cls = abs(sum(map(phi.__getitem__, supports[v])))
+                if cls:
+                    yield (*chosen, v), cls
             return
         test = level < d - 2  # the new prefix holds at most d - 2 vertices
         for v in range(start, len(vecs)):

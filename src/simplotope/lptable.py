@@ -39,6 +39,21 @@ Two shortcuts build fewer entries and columns with the same result:
   front and the order of its columns are those of the full column set.
   For (12, 0) and (0, 6) this drops 2,186 of the 3,645 columns before any
   comparison.
+
+The cover LP min 1.x subject to Ax >= b, x >= 0 is solved as its dual,
+max b.y subject to A^T y <= 1, y >= 0, passed to `exact.lp_minimize` as
+min -b.y subject to -A^T y >= -1 (`dual_lp`).  Every right-hand side of
+that form is -1, so the solver starts from its slack basis, y = 0, and
+never runs phase 1; the primal would need one artificial variable per row
+with b > 0, which is nearly every row.  The cell value is minus the dual
+optimum, and strong duality makes it exactly the primal optimum: the primal
+is feasible (every entry of A is >= 0, and `build_lp` raises
+InconsistentCellError unless each row with b > 0 has a positive entry, so a
+large enough x satisfies every row) and bounded below by 0, so both
+programs have optima and they are equal.  The dual solve's `solution` is y
+itself: y >= 0 with A^T y <= 1 and b.y = lp_value, the dual certificate of
+the reduced LP that the dominance argument above extends to the full one.
+It is not yet printed, nor checked by a command of its own.
 """
 
 from __future__ import annotations
@@ -171,18 +186,32 @@ def build_lp(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> LpProblem:
     return LpProblem.build([1] * len(kept), rows)
 
 
+def dual_lp(problem: LpProblem) -> LpProblem:
+    """The dual of min c.x, Ax >= b, x >= 0 (max b.y, A^T y <= c, y >= 0) in
+    the solver's form: min -b.y subject to -A^T y >= -c, y >= 0."""
+    rows = [row for row, _ in problem.constraints]
+    return LpProblem(tuple(-b for _, b in problem.constraints),
+                     tuple((tuple(-row[j] for row in rows), -c)
+                           for j, c in enumerate(problem.objective)))
+
+
 def solve_cell(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> BoundCell:
-    """Exact LP optimum for one (s, t) cell; the bound is its ceiling."""
+    """Exact LP optimum for one (s, t) cell; the bound is its ceiling.
+
+    The cover LP is solved as its dual, which starts from a feasible basis
+    (see the module docstring); the cell value is minus the dual optimum.
+    """
     problem = build_lp(s, t, vtable)
-    result = lp_minimize(problem)
+    result = lp_minimize(dual_lp(problem))
     if result.status != OPTIMAL:
-        raise RuntimeError(f"cell ({s},{t}) unexpectedly {result.status}")
+        raise RuntimeError(f"cell ({s},{t}): dual LP unexpectedly {result.status}")
+    value = -result.value
     entry = vtable.get(s, t)
     return BoundCell(
         s=s,
         t=t,
-        lp_value=result.value,
-        lower_bound=math.ceil(result.value),
+        lp_value=value,
+        lower_bound=math.ceil(value),
         v_used=entry.value,
         v_provenance=entry.provenance,
         n_constraints=len(problem.constraints),

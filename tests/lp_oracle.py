@@ -1,7 +1,8 @@
 """Reference LP oracle: the dense two-phase simplex over ``Fraction``.
 
 This is the rational tableau the integer kernel in ``simplotope.exact``
-replaced.  It pivots on the same columns and rows (same standard form, same
+replaced.  It pivots on the same columns and rows (same standard form, the
+same slack start with artificials only on rows whose rhs is positive, same
 phases, Bland's rule with the same leaving-row tie-break, same artificial
 drive-out), so the two must agree on status, value and solution exactly.
 It is kept only for the tests to compare against.
@@ -65,38 +66,40 @@ def fraction_lp_minimize(problem: LpProblem) -> LpResult:
             return LpResult(UNBOUNDED, None, None)
         return LpResult(OPTIMAL, ZERO, (ZERO,) * n)
 
-    ncols = n + 2 * m
+    # rows with rhs <= 0 are negated and start on their surplus; rows with
+    # rhs > 0 start on an artificial, numbered in row order after the surpluses
+    live = n + m
+    needy = [i for i, (_, rhs) in enumerate(problem.constraints) if rhs > 0]
+    ncols = live + len(needy)
     tab: list[list[Fraction]] = []
+    basis = [n + i for i in range(m)]
     for i, (row, rhs) in enumerate(problem.constraints):
         line = [ZERO] * (ncols + 1)
-        sgn = ONE if rhs >= 0 else -ONE
+        sgn = ONE if rhs > 0 else -ONE
         for j, c in enumerate(row):
             line[j] = sgn * c
         line[n + i] = -sgn
-        line[n + m + i] = ONE
         line[ncols] = sgn * rhs
         tab.append(line)
-    basis = [n + m + i for i in range(m)]
-
-    phase1 = [ZERO] * ncols
-    for i in range(m):
-        phase1[n + m + i] = ONE
-    if _simplex_phase(tab, basis, phase1) != OPTIMAL:
-        raise RuntimeError("phase 1 is bounded below by 0")
-    p1value = sum((tab[i][-1] for i in range(m) if basis[i] >= n + m), ZERO)
-    if p1value != 0:
-        return LpResult(INFEASIBLE, None, None)
-    for i in range(m):
-        if basis[i] >= n + m:
-            for j in range(n + m):
-                if tab[i][j] != 0:
-                    _pivot(tab, basis, i, j)
-                    break
+    if needy:
+        for k, i in enumerate(needy):
+            tab[i][live + k] = ONE
+            basis[i] = live + k
+        phase1 = [ZERO] * live + [ONE] * len(needy)
+        if _simplex_phase(tab, basis, phase1) != OPTIMAL:
+            raise RuntimeError("phase 1 is bounded below by 0")
+        p1value = sum((tab[i][-1] for i in range(m) if basis[i] >= live), ZERO)
+        if p1value != 0:
+            return LpResult(INFEASIBLE, None, None)
+        for i in range(m):
+            if basis[i] >= live:
+                for j in range(live):
+                    if tab[i][j] != 0:
+                        _pivot(tab, basis, i, j)
+                        break
+        tab = [tab[i][:live] + [tab[i][-1]] for i in range(m) if basis[i] < live]
+        basis = [b for b in basis if b < live]
     phase2 = [Fraction(c) for c in problem.objective] + [ZERO] * m
-    live = n + m
-    rows_keep = [i for i in range(m) if basis[i] < live]
-    tab = [tab[i][:live] + [tab[i][-1]] for i in rows_keep]
-    basis = [basis[i] for i in rows_keep]
     if _simplex_phase(tab, basis, phase2) == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
     x = [ZERO] * n

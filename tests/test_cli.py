@@ -225,6 +225,9 @@ DEEP = "[" * 100_000 + "]" * 100_000
     ("4 3\n4 1\n", ["vmax", "--s", "4", "--t", "0", "--config", "{file}"]),
     (b"\xff\xfe{}", None),
     (DEEP, None),
+    ({"factors": [10 ** 30], "coords": "standard", "simplices": []}, None),
+    ('{"factors": [' + "7" * 400_000 + '], "coords": "standard", "simplices": []}', None),
+    ("4 " + "9" * 400_000 + "\n", ["bounds", "--config", "{file}"]),
     (None, ["standard", "--spec", "1", "--out", "{file}/x.json"]),
 ], ids=["top-level-list", "zero-factor", "non-integer-factors", "repeated-vertex",
         "simplices-not-a-list", "vertex-is-a-number", "simplex-not-a-list",
@@ -234,7 +237,8 @@ DEEP = "[" * 100_000 + "]" * 100_000
         "q-negative-count", "standard-zero-factor",
         "fbound-negative-count", "fbound-without-cap", "verify-jobs-flag", "case-jobs-flag",
         "bounds-memo-cache-flag", "memo-caps-mismatch", "caps-zero", "caps-negative",
-        "caps-repeated-dim", "not-utf8", "deeply-nested", "standard-unwritable-out"])
+        "caps-repeated-dim", "not-utf8", "deeply-nested", "huge-dimension", "huge-integer",
+        "caps-huge-integer", "standard-unwritable-out"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, doc, argv):
     f = tmp_path / "input.json"
     if isinstance(doc, bytes):
@@ -246,6 +250,7 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, doc, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 300  # values are echoed shortened
     if before is not None:
         assert f.read_bytes() == before  # a refused file is left as it was
 

@@ -165,8 +165,10 @@ def test_pivot_on_negative_element():
 
 
 def test_lp_drive_out_pivots_on_negative_element(monkeypatch):
-    # the split equality x1 = x2 leaves an artificial at level 0 in the basis
-    # after phase 1; driving it out pivots on a negative entry
+    # the split equality x1 = 1 ties the first ratio test, which Bland's rule
+    # breaks toward the surplus of the row -x1 >= -1; the artificial of x1 >= 1
+    # is then left at level 0 in the basis after phase 1, with only negative
+    # entries (phase 1 is optimal), so driving it out pivots on a negative one
     pivots = []
     real_pivot = exact._pivot
 
@@ -175,11 +177,35 @@ def test_lp_drive_out_pivots_on_negative_element(monkeypatch):
         return real_pivot(tab, basis, d, row, col)
 
     monkeypatch.setattr(exact, "_pivot", spy)
-    problem = LpProblem.build([1, 1], [([1, -1], 0), ([-1, 1], 0), ([1, 1], 2)])
+    problem = LpProblem.build([1, 1], [([1, 0], 1), ([-1, 0], -1), ([1, 1], 2)])
     r = lp_minimize(problem)
     assert any(p < 0 for p in pivots)
     assert r.status == OPTIMAL and r.value == 2 and r.solution == (1, 1)
     assert r == fraction_lp_minimize(problem)
+
+
+def test_lp_without_positive_rhs_skips_phase_1(monkeypatch):
+    # every row with rhs <= 0 starts on its own surplus, a feasible basis, so
+    # the solve is phase 2 alone; one positive rhs brings phase 1 back
+    phases = []
+    real_phase = exact._simplex_phase
+
+    def spy(tab, basis, d, cost):
+        phases.append(len(cost))
+        return real_phase(tab, basis, d, cost)
+
+    monkeypatch.setattr(exact, "_simplex_phase", spy)
+    F = Fraction
+    problem = LpProblem.build([-2, -3, 1], [
+        ([-1, -1, 0], -4), ([F(-1, 2), -2, 1], F(-5, 3)), ([1, -1, 0], 0)])
+    r = lp_minimize(problem)
+    assert len(phases) == 1
+    assert r.status == OPTIMAL and r == fraction_lp_minimize(problem)
+    assert all(sum(c * x for c, x in zip(row, r.solution)) >= rhs
+               for row, rhs in problem.constraints)
+    phases.clear()
+    lp_minimize(LpProblem.build([1, 1], [([1, 1], 1), ([-1, 0], -3)]))
+    assert len(phases) == 2
 
 
 def test_lp_phase1_weights_match_unscaled_rows():
@@ -222,14 +248,15 @@ def test_lp_matches_fraction_oracle_on_random_lps():
 
 
 def test_lp_matches_fraction_oracle_on_cell_lps():
-    from simplotope.lptable import build_lp
+    # the cover LPs and the duals that `solve_cell` solves
+    from simplotope.lptable import build_lp, dual_lp
 
     cells = [(s, t) for s in range(7) for t in range(4) if 1 <= s + 2 * t <= 6]
     for s, t in cells:
-        problem = build_lp(s, t)
-        got = lp_minimize(problem)
-        assert got.status == OPTIMAL
-        assert got == fraction_lp_minimize(problem), (s, t)
+        for problem in (build_lp(s, t), dual_lp(build_lp(s, t))):
+            got = lp_minimize(problem)
+            assert got.status == OPTIMAL
+            assert got == fraction_lp_minimize(problem), (s, t)
 
 
 def test_lp_matches_fraction_oracle_on_overlap_lps(monkeypatch):

@@ -11,6 +11,7 @@ from f_oracle import oracle_over_cells
 from face_oracle import corner_simplex, exterior_faces, face_class
 from v_oracle import v_by_enumeration
 from simplotope.core import SimplotopeSpec, VertexSimplex, all_simplices, symmetries
+from simplotope.exact import det
 from simplotope.fbounds import (
     BRUTE_FORCE,
     CUBE_CAP,
@@ -18,6 +19,8 @@ from simplotope.fbounds import (
     VMaxUnavailable,
     VTable,
     _brute_force_vmax,
+    _divisors,
+    _leaf_cofactor,
     _orderly_leaves,
     comb_bound,
     f_bound,
@@ -106,6 +109,19 @@ def test_load_cube_caps_names_the_bad_line(tmp_path, text, line):
         load_cube_caps(path)
 
 
+def test_load_cube_caps_refuses_long_numbers_in_a_short_message(tmp_path):
+    # the cap is checked on the text, before int() converts it
+    path = tmp_path / "caps.txt"
+    path.write_text("4 " + "9" * 100_000 + "\n")
+    with pytest.raises(ValueError, match="longer than 4300 characters") as exc:
+        load_cube_caps(path)
+    assert len(str(exc.value)) < 120
+    path.write_text("4 3\n" + "4 " * 50_000 + "\n")
+    with pytest.raises(ValueError, match="line 2 .*expected two integers") as exc:
+        load_cube_caps(path)
+    assert len(str(exc.value)) < 120
+
+
 def test_caps_file_agrees_with_brute_force_small():
     # the configuration's small-dimension rows match an actual scan of cubes
     caps = load_cube_caps()
@@ -134,7 +150,7 @@ def test_stabilizer_group_order_and_symmetries(s, t):
     assert set(group) == {g for g in symmetries(spec) if g[0] == 0}
 
 
-@pytest.mark.parametrize("s, t", [(3, 0), (2, 1), (0, 2), (1, 2)])
+@pytest.mark.parametrize("s, t", [(3, 0), (2, 1), (0, 2), (1, 2), (3, 1)])
 def test_orderly_leaves_meet_every_orbit(s, t):
     # the orbits of the nondegenerate d-sets at vertex 0 come from every
     # d-subset by itertools.combinations, each named by its smallest image;
@@ -155,6 +171,30 @@ def test_orderly_leaves_meet_every_orbit(s, t):
     assert all(value == cls(sub) for sub, value in leaves)
     assert {orbit(sub) for sub, _ in leaves} == {orbit(sub) for sub in nondegenerate}
     assert len(leaves) < len(nondegenerate)  # the canonicity test did cut
+
+
+def test_divisors_by_trial_division():
+    for n in range(1, 600):
+        assert _divisors(n) == tuple(k for k in range(1, n + 1) if n % k == 0), n
+
+
+def test_leaf_cofactor_is_the_last_pivot():
+    # the rows of [[1, 1, 0], [0, 1, 1]] after Bareiss elimination pivot on
+    # columns 0 and 1 with pivots 1 and 1; phi is orthogonal to both rows and
+    # phi . v = det([[1, 1, 0], [0, 1, 1], v]) for every v
+    rows, cols, pivots = [[1, 1, 0], [0, 1, 1], []], [0, 1, 0], [1, 1, 1, 1]
+    phi = _leaf_cofactor(3, rows, cols, pivots)
+    assert phi == [1, -1, 1]
+    for v in itertools.product((0, 1), repeat=3):
+        assert sum(x * y for x, y in zip(phi, v)) == det([[1, 1, 0], [0, 1, 1], list(v)])
+
+
+def test_leaf_cofactor_division_is_checked():
+    # rows that no Bareiss elimination produces: the back-substitution's
+    # division by the pivot 2 leaves a remainder, which must raise
+    rows, cols, pivots = [[2, 1, 0], [0, 1, 1], []], [0, 1, 0], [1, 2, 1, 1]
+    with pytest.raises(ArithmeticError):
+        _leaf_cofactor(3, rows, cols, pivots)
 
 
 def test_v_never_exceeds_cap():

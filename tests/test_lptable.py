@@ -14,6 +14,7 @@ from simplotope.lptable import (
     bounds_table,
     build_lp,
     constraint_pairs,
+    dual_lp,
     pareto_columns,
     solve_cell,
 )
@@ -160,6 +161,25 @@ def test_presolve_keeps_the_full_lp_optimum():
         assert [rhs for _, rhs in reduced.constraints] == [rhs for _, rhs in full.constraints]
         for col in columns:
             assert any(all(a >= b for a, b in zip(k, col)) for k in kept), (s, t, col)
+
+
+def test_dual_solve_matches_the_primal():
+    # solve_cell solves the dual of build_lp's LP; strong duality makes its
+    # value the primal optimum, which the primal solve is kept here to check
+    cells = [(s, t) for t in range(5) for s in range(9 - 2 * t) if (s, t) != (0, 0)]
+    assert len(cells) == 24
+    for s, t in cells:
+        problem = build_lp(s, t)
+        primal = lp_minimize(problem)
+        assert primal.status == OPTIMAL
+        assert solve_cell(s, t).lp_value == primal.value, (s, t)
+        # the dual solution is a certificate: y >= 0, A^T y <= 1, b . y = value
+        y = lp_minimize(dual_lp(problem)).solution
+        rows = [row for row, _ in problem.constraints]
+        assert all(v >= 0 for v in y)
+        assert all(sum(row[j] * v for row, v in zip(rows, y)) <= 1
+                   for j in range(len(problem.objective)))
+        assert sum(b * v for (_, b), v in zip(problem.constraints, y)) == primal.value
 
 
 def test_pareto_columns():

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from importlib import resources
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from simplotope.core import SimplotopeSpec
 from simplotope.standard import standard_triangulation
 from simplotope.tfiles import (
+    MAX_DIMENSION,
     TriangulationFileError,
     candidate_from_dict,
     candidate_to_dict,
@@ -88,6 +90,60 @@ def test_reduced_requires_valid_blocks():
             "factors": [1, 1], "coords": "reduced", "reduction_vertex": [1, 0, 1, 0],
             "simplices": [[[2, 0], [0, 1], [1, 1]]],
         })
+
+
+def test_rejects_a_dimension_above_the_limit():
+    # an empty triangulation is cheap to write for any declared dimension;
+    # its polytope class is not, so the loader refuses the dimension
+    for factors in ([10 ** 30], [1] * (MAX_DIMENSION + 1), [MAX_DIMENSION, 1]):
+        with pytest.raises(TriangulationFileError, match=f"more than {MAX_DIMENSION}"):
+            candidate_from_dict({"factors": factors, "coords": "standard", "simplices": []})
+    doc = {"factors": [MAX_DIMENSION], "coords": "standard", "simplices": []}
+    assert candidate_from_dict(doc).spec.dim == MAX_DIMENSION
+
+
+@pytest.fixture
+def no_int_string_limit():
+    # the command line runs with CPython's int-string limit lifted
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-string limit before Python 3.11")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_refuses_an_integer_of_too_many_digits(tmp_path, no_int_string_limit):
+    # with the limit lifted, json would convert the literal; the loader's own
+    # cap refuses it before any conversion, in a short message
+    path = tmp_path / "long.json"
+    path.write_text('{"factors": [-' + "7" * 100_000 + '], "coords": "standard", "simplices": []}')
+    with pytest.raises(TriangulationFileError, match="an integer has 100000 digits") as exc:
+        load_candidate(path)
+    assert len(str(exc.value)) < 100
+    path.write_text('{"factors": [' + "7" * 4300 + '], "coords": "standard", "simplices": []}')
+    with pytest.raises(TriangulationFileError, match="add up to more"):
+        load_candidate(path)  # 4300 digits parse, and the factor is refused as usual
+    # a long run of digits inside a string is no integer
+    doc = {"factors": [1], "coords": "standard", "simplices": [], "metadata": {"n": "7" * 5000}}
+    path.write_text(json.dumps(doc))
+    assert load_candidate(path).spec.factors == (1,)
+
+
+def test_error_messages_shorten_the_values_they_echo():
+    long_vertex = ["x"] * 100_000
+    docs = [
+        {"factors": [1, 1], "coords": "standard", "simplices": [[long_vertex] * 3]},
+        {"factors": [1, 1], "coords": "standard", "simplices": [[[1] * 100_000] * 3]},
+        {"factors": ["x" * 100_000], "coords": "standard", "simplices": []},
+        {"factors": [1, 1], "coords": "x" * 100_000, "simplices": []},
+        {"factors": [1, 1], "coords": "standard", "simplices": {"k": long_vertex}},
+        {"factors": [1, 1], "coords": "standard", "simplices": [{"k": long_vertex}]},
+    ]
+    for doc in docs:
+        with pytest.raises(TriangulationFileError) as exc:
+            candidate_from_dict(doc)
+        assert len(str(exc.value)) < 200, str(exc.value)[:300]
 
 
 # --- seeded fuzzing of the loader ---------------------------------------------
