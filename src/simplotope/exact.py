@@ -5,20 +5,15 @@ Integers are plain Python ints (arbitrary precision), rationals are
 determinant uses fraction-free Bareiss elimination, so intermediate values
 stay integral.
 
-The LP solver is a dense two-phase simplex with Bland's least-index rule,
-which guarantees termination on the small, often degenerate programs this
-package produces.  It starts from the slack basis wherever it can.  A row
-row . x >= rhs with rhs <= 0 is written as -row . x + s = -rhs with its
-surplus s >= 0.  The surplus column is a unit column and -rhs >= 0, so
-x = 0, s = -rhs satisfies the row, and s starts in the basis.  Only a row
-with rhs > 0, which x = 0 violates, gets an artificial variable, and phase 1
-(minimize the artificials) runs only when such a row exists.  The starting
-basis is an identity matrix either way, so the starting denominator is
-D = 1.  Bland's rule terminates from any feasible basis: its proof derives
-a contradiction at the largest-index variable that enters and leaves within
-a cycle of pivots, and uses nothing of how the first basis was found, so
-phase 2 started directly from the slack basis terminates as it does after
-phase 1.
+The LP solver is a dense simplex with Bland's least-index rule, which
+guarantees termination on the small, often degenerate programs this
+package produces.  It takes only programs that x = 0 satisfies, that is,
+with every rhs <= 0: the cover LP as its dual (`lptable`) and the overlap
+LP written homogeneously (`verifier`).  A row row . x >= rhs is written as
+-row . x + s = -rhs with its surplus s >= 0, a unit column, and -rhs >= 0,
+so the surpluses form a feasible starting basis: an identity matrix, with
+denominator D = 1.  There is no phase 1 and no status "infeasible".
+Bland's rule terminates from any feasible basis.
 
 The tableau is fraction-free as well (the Bareiss/Edmonds
 common-denominator form): each constraint row is scaled to integers, and the
@@ -29,8 +24,8 @@ minor of the integer constraint matrix (the basis with one column replaced).
 Pivoting on (r, c) with p = T[r][c] keeps row r, sets D to p and replaces
 every other row by (T[i][j]·p − T[i][c]·T[r][j]) / D.  That division is exact
 because, by Sylvester's determinant identity (Bareiss's argument), the
-quotient is the corresponding minor for the new basis, an integer.  A
-negative p negates all rows, which keeps D positive.  Reduced costs and
+quotient is the corresponding minor for the new basis, an integer.  The
+ratio test only picks a positive p, so D stays positive.  Reduced costs and
 ratio tests compare integers; ``Fraction`` appears only in the returned value
 and solution.
 """
@@ -43,7 +38,6 @@ from fractions import Fraction
 from typing import Sequence
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -130,9 +124,7 @@ def _pivot(tab: list[list[int]], basis: list[int], d: int, row: int, col: int) -
     """Pivot the integer tableau over denominator d on (row, col); return the new one.
 
     Every other row i becomes (T[i]·p − T[i][col]·T[row]) / d with p = T[row][col],
-    an exact division; the pivot row stays and p becomes the denominator.  A
-    negative p (only an artificial drive-out picks one) negates every row so
-    that the denominator stays positive.
+    an exact division; the pivot row stays and p > 0 becomes the denominator.
     """
     p = tab[row][col]
     prow = tab[row]
@@ -145,19 +137,18 @@ def _pivot(tab: list[list[int]], basis: list[int], d: int, row: int, col: int) -
         elif p != d:
             tab[i] = [x * p // d for x in line]
     basis[row] = col
-    if p < 0:
-        tab[:] = [[-x for x in line] for line in tab]
-        p = -p
     return p
 
 
 def _simplex_phase(tab: list[list[int]], basis: list[int], d: int,
                    cost: list[int]) -> tuple[str, int]:
-    """Minimize cost over the tableau in place; Bland's rule, so it terminates.
+    """Minimize cost over the tableau in place from its feasible basis; Bland's
+    rule, so it terminates.
 
-    Returns the status and the final denominator.
+    Returns the status and the final denominator.  The width comes from
+    cost, so a tableau without rows works too.
     """
-    ncols = len(tab[0]) - 1
+    ncols = len(cost)
     while True:
         # reduced cost of column j, times d > 0: c_j·d − Σ_i c_B(i)·T[i][j]
         priced = [(cost[b], line) for b, line in zip(basis, tab) if cost[b]]
@@ -191,68 +182,30 @@ def _scaled(values, scale: int) -> list[int]:
 
 
 def lp_minimize(problem: LpProblem) -> LpResult:
-    """Exact optimum of an LP in >=/nonnegative form; see LpProblem.
+    """Exact optimum of an LP in >=/nonnegative form that x = 0 satisfies.
 
-    Returns status optimal/infeasible/unbounded; when optimal, the solution
-    satisfies every constraint exactly over the rationals.
+    Raises ValueError on a row with rhs > 0.  Returns status optimal or
+    unbounded; when optimal, the solution satisfies every constraint exactly
+    over the rationals.
     """
     n = len(problem.objective)
     m = len(problem.constraints)
-    if m == 0:
-        # x = 0 is feasible; negative objective coefficients make it unbounded.
-        if any(c < 0 for c in problem.objective):
-            return LpResult(UNBOUNDED, None, None)
-        return LpResult(OPTIMAL, ZERO, (ZERO,) * n)
+    if any(rhs > 0 for _, rhs in problem.constraints):
+        raise ValueError("lp_minimize needs x = 0 to be feasible: every rhs must be <= 0")
 
-    # Standard form: row . x - surplus = rhs.  A row with rhs <= 0 is negated
-    # to -row . x + surplus = -rhs >= 0, so its surplus starts in the basis; a
-    # row with rhs > 0 gets an artificial that starts there instead (see the
-    # module docstring).  Columns: n structural, m surplus, one artificial per
-    # row with rhs > 0, then the rhs.  Row i is scaled by the lcm L_i of its
-    # denominators, which makes its surplus and artificial stand for L_i
-    # times the unscaled ones.
-    live = n + m
-    needy = [i for i, (_, rhs) in enumerate(problem.constraints) if rhs > 0]
-    width = live + len(needy)
+    # Columns: n structural, m surplus (the starting basis), then -rhs.  Row
+    # i is scaled by the lcm of its denominators, and its surplus with it.
     tab: list[list[int]] = []
-    basis = [n + i for i in range(m)]
-    scales = []
     for i, (row, rhs) in enumerate(problem.constraints):
         scale = math.lcm(rhs.denominator, *(c.denominator for c in row))
-        sgn = 1 if rhs > 0 else -1
-        *coeffs, b = (sgn * v for v in _scaled((*row, rhs), scale))
-        line = coeffs + [0] * (width - n) + [b]
-        line[n + i] = -sgn
+        *coeffs, b = (-v for v in _scaled((*row, rhs), scale))
+        line = coeffs + [0] * m + [b]
+        line[n + i] = 1
         tab.append(line)
-        scales.append(scale)
-    d = 1
-    if needy:
-        for k, i in enumerate(needy):
-            tab[i][live + k] = 1
-            basis[i] = live + k
-        # Weighting artificial i by lcm(L)/L_i minimizes the unscaled sum of
-        # artificials: every reduced cost and ratio keeps its sign and order,
-        # so the pivots are those of the unscaled rational tableau.
-        common = math.lcm(*(scales[i] for i in needy))
-        phase1 = [0] * live + [common // scales[i] for i in needy]
-        status, d = _simplex_phase(tab, basis, d, phase1)
-        if status != OPTIMAL:
-            raise RuntimeError("phase 1 came out unbounded, but it is bounded below by 0")
-        if sum(line[-1] for line, b in zip(tab, basis) if b >= live) != 0:
-            return LpResult(INFEASIBLE, None, None)
-        # Drive any residual zero-level artificials out of the basis.
-        for i in range(m):
-            if basis[i] >= live:
-                for j in range(live):
-                    if tab[i][j] != 0:
-                        d = _pivot(tab, basis, d, i, j)
-                        break
-        # Artificials leave the tableau, with any row still holding one.
-        tab = [line[:live] + line[-1:] for line, b in zip(tab, basis) if b < live]
-        basis = [b for b in basis if b < live]
+    basis = [n + i for i in range(m)]
     obj_scale = math.lcm(*(c.denominator for c in problem.objective))
-    phase2 = _scaled(problem.objective, obj_scale) + [0] * m
-    status, d = _simplex_phase(tab, basis, d, phase2)
+    cost = _scaled(problem.objective, obj_scale) + [0] * m
+    status, d = _simplex_phase(tab, basis, 1, cost)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
     x = [ZERO] * n

@@ -43,11 +43,11 @@ Two shortcuts build fewer entries and columns with the same result:
 The cover LP min 1.x subject to Ax >= b, x >= 0 is solved as its dual,
 max b.y subject to A^T y <= 1, y >= 0, passed to `exact.lp_minimize` as
 min -b.y subject to -A^T y >= -1 (`dual_lp`).  Every right-hand side of
-that form is -1, so the solver starts from its slack basis, y = 0, and
-never runs phase 1; the primal would need one artificial variable per row
-with b > 0, which is nearly every row.  The cell value is minus the dual
-optimum, and strong duality makes it exactly the primal optimum: the primal
-is feasible (every entry of A is >= 0, and `build_lp` raises
+that form is -1, so y = 0 is feasible, as the solver requires, and it
+starts from its slack basis there; the primal, with b > 0 in nearly every
+row, is infeasible at x = 0 and would need a phase 1 that the solver does
+not have.  The cell value is minus the dual optimum, and strong duality
+makes it exactly the primal optimum: the primal is feasible (every entry of A is >= 0, and `build_lp` raises
 InconsistentCellError unless each row with b > 0 has a positive entry, so a
 large enough x satisfies every row) and bounded below by 0, so both
 programs have optima and they are equal.  The dual solve's `solution` is y

@@ -54,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import SimplotopeSpec, VertexPoint, VertexSimplex, minimal_face
-from .exact import INFEASIBLE, OPTIMAL, LpProblem, det, lp_minimize, scaled_inverse
+from .exact import OPTIMAL, LpProblem, det, lp_minimize, scaled_inverse
 
 
 @dataclass(frozen=True)
@@ -99,47 +99,41 @@ def facet_rows(x: VertexSimplex) -> tuple[tuple[int, ...], ...]:
 def interiors_overlap(a: VertexSimplex, b: VertexSimplex) -> bool:
     """Exact test for a point interior to both simplices.
 
-    Maximizes, by LP over the rationals, the smallest barycentric coordinate
-    across both simplices subject to the two barycentric combinations being
-    the same point; the interiors meet exactly when the optimum is positive.
-    Works for equal-dimensional faces as well (relative interiors).
+    One homogeneous LP over lambda, mu, z >= 0: sum lambda_i (1, a_i) =
+    sum mu_j (1, b_j), with every coordinate lifted by a leading 1, and
+    lambda_i >= z, mu_j >= z, z <= 1; minimize -z.  Without z <= 1 the
+    feasible set is a cone, so any feasible z > 0 scales up to z = 1 and the
+    optimum is exactly -1 or 0.  It is -1 exactly when the interiors meet:
+    positive barycentric coordinates of a common interior point are feasible
+    with z = their minimum, and conversely z > 0 makes every weight positive
+    while the lifted coordinate gives sum lambda = sum mu = sigma > 0, so
+    lambda / sigma and mu / sigma put one point strictly inside both.  Every
+    rhs is <= 0, as `lp_minimize` requires.  Works for equal-dimensional
+    faces as well (relative interiors).
     """
     if a.spec != b.spec:
         raise ValueError("simplices come from different simplotopes")
     if len(a.vertices) < 2 or len(b.vertices) < 2:
         raise ValueError("overlap test needs at least segments")
     pivot = _global_pivot(a.spec)
-    ra = [v.reduced(pivot) for v in a.vertices]
-    rb = [v.reduced(pivot) for v in b.vertices]
-    p, q = len(ra), len(rb)
-    n = p + q + 1  # lambda, mu, z
-    rows: list[tuple[list[int], int]] = []
-
-    def eq(coeffs: list[int], rhs: int) -> None:
-        rows.append((coeffs, rhs))
-        rows.append(([-c for c in coeffs], -rhs))
-
-    eq([1] * p + [0] * q + [0], 1)
-    eq([0] * p + [1] * q + [0], 1)
-    for k in range(a.spec.dim):
-        eq([r[k] for r in ra] + [-r[k] for r in rb] + [0], 0)
-    for i in range(p):
-        row = [0] * n
-        row[i] = 1
-        row[-1] = -1
+    ra = [(1,) + v.reduced(pivot) for v in a.vertices]
+    rb = [(1,) + v.reduced(pivot) for v in b.vertices]
+    n = len(ra) + len(rb)  # lambda, mu; z is column n
+    rows = []
+    for k in range(a.spec.dim + 1):
+        coeffs = [r[k] for r in ra] + [-r[k] for r in rb] + [0]
+        rows += [(coeffs, 0), ([-c for c in coeffs], 0)]
+    for i in range(n):
+        row = [0] * (n + 1)
+        row[i], row[n] = 1, -1
         rows.append((row, 0))
-    for j in range(q):
-        row = [0] * n
-        row[p + j] = 1
-        row[-1] = -1
-        rows.append((row, 0))
-    objective = [0] * (p + q) + [-1]
-    result = lp_minimize(LpProblem.build(objective, rows))
-    if result.status == INFEASIBLE:
-        return False
-    if result.status != OPTIMAL:
-        raise RuntimeError(f"overlap LP came out {result.status}, but z is bounded by 1")
-    return result.value < 0
+    minus_z = [0] * n + [-1]
+    rows.append((minus_z, -1))
+    result = lp_minimize(LpProblem.build(minus_z, rows))
+    if result.status != OPTIMAL or result.value not in (-1, 0):
+        raise RuntimeError(f"overlap LP came out {result.status} at {result.value}, "
+                           "but its optimum is -1 or 0")
+    return result.value == -1
 
 
 # A facet as the facet map holds it: its vertices in index order.

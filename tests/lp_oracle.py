@@ -1,16 +1,23 @@
 """Reference LP oracle: the dense two-phase simplex over ``Fraction``.
 
 This is the rational tableau the integer kernel in ``simplotope.exact``
-replaced.  It pivots on the same columns and rows (same standard form, the
-same slack start with artificials only on rows whose rhs is positive, same
-phases, Bland's rule with the same leaving-row tie-break, same artificial
-drive-out), so the two must agree on status, value and solution exactly.
-It is kept only for the tests to compare against.
+replaced, with the phase 1 that the kernel does not have.  It solves any LP
+in the kernel's form: rows with rhs <= 0 are negated and start on their
+surplus, rows with rhs > 0 start on an artificial, and phase 1 (minimize
+the artificials) decides feasibility before phase 2.  On the LPs the kernel
+accepts, every rhs is <= 0, so there is no artificial and no phase 1, and
+phase 2 pivots on the same columns and rows as the kernel (same standard
+form, Bland's rule with the same leaving-row tie-break): the two must agree
+on status, value and solution exactly.  The tests also use it directly on
+LPs that need phase 1, such as primal cover LPs and the normalized overlap
+LP.  It is kept only for the tests.
 """
 
 from fractions import Fraction
 
-from simplotope.exact import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpResult
+from simplotope.exact import OPTIMAL, UNBOUNDED, LpProblem, LpResult
+
+INFEASIBLE = "infeasible"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -18,12 +25,13 @@ ONE = Fraction(1)
 
 def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
     inv = 1 / tab[row][col]
-    tab[row] = [x * inv for x in tab[row]]
+    tab[row] = [x * inv if x else x for x in tab[row]]
     prow = tab[row]
     for i in range(len(tab)):
         if i != row and tab[i][col] != 0:
             f = tab[i][col]
-            tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
+            # a zero of the pivot row leaves the entry as it is
+            tab[i] = [x - f * y if y else x for x, y in zip(tab[i], prow)]
     basis[row] = col
 
 
@@ -31,13 +39,13 @@ def _simplex_phase(tab: list[list[Fraction]], basis: list[int], cost: list[Fract
     m = len(tab)
     ncols = len(tab[0]) - 1
     while True:
-        cb = [cost[b] for b in basis]
+        priced = [(cost[b], line) for b, line in zip(basis, tab) if cost[b]]
         entering = -1
         for j in range(ncols):
             rc = cost[j]
-            for i in range(m):
-                if tab[i][j] != 0 and cb[i] != 0:
-                    rc -= cb[i] * tab[i][j]
+            for cb, line in priced:
+                if line[j]:
+                    rc -= cb * line[j]
             if rc < 0:
                 entering = j
                 break
@@ -58,7 +66,7 @@ def _simplex_phase(tab: list[list[Fraction]], basis: list[int], cost: list[Fract
 
 
 def fraction_lp_minimize(problem: LpProblem) -> LpResult:
-    """The same contract as ``simplotope.exact.lp_minimize``."""
+    """``simplotope.exact.lp_minimize`` for any rhs, with status infeasible too."""
     n = len(problem.objective)
     m = len(problem.constraints)
     if m == 0:

@@ -104,20 +104,52 @@ def test_verify_uncertified_exit_code(tmp_path, capsys):
 
 
 # Python refuses by default to print an int of more than 4300 digits; an
-# exact answer is printed in full all the same.
+# exact answer is printed in full all the same, and the caller's limit is
+# back in force when main returns.
+
+HAS_INT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python 3.11 and later
+
+
+def full_digits(n):
+    """str(n) however many digits n has, under any int-string limit."""
+    if not HAS_INT_LIMIT:
+        return str(n)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(before)
+
 
 def test_verify_prints_a_polytope_class_of_any_length(tmp_path, capsys):
     f = tmp_path / "empty.json"
     f.write_text(json.dumps({"factors": [1] * 2000, "coords": "standard", "simplices": []}))
     code, out, err = run(capsys, "verify", "--input", str(f))
     assert code == 1 and out.endswith("NOT CERTIFIED\n") and err == ""
-    assert f"total class 0 != polytope class {math.factorial(2000)}\n" in out  # 5736 digits
+    # 5736 digits
+    assert f"total class 0 != polytope class {full_digits(math.factorial(2000))}\n" in out
 
 
 def test_q_prints_an_answer_of_any_length(capsys):
     code, out, err = run(capsys, "q", "--s", "20000", "--t", "0", "--sp", "0", "--tp", "0")
     assert code == 0 and err == ""
-    assert out == f"{2 ** 20000}\n"  # the 20000-cube's vertices: 6021 digits
+    assert out == full_digits(2 ** 20000) + "\n"  # the 20000-cube's vertices: 6021 digits
+
+
+@pytest.mark.skipif(not HAS_INT_LIMIT, reason="no int-string limit before Python 3.11")
+def test_main_restores_the_int_string_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        code, out, _ = run(capsys, "q", "--s", "20000", "--t", "0", "--sp", "0", "--tp", "0")
+        assert code == 0 and len(out) == 6022
+        assert sys.get_int_max_str_digits() == 5000
+        code, _, _ = run(capsys, "q", "--s", "x", "--t", "0", "--sp", "0", "--tp", "0")
+        assert code == 2  # argparse's exit
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_q_with_oracles(capsys):

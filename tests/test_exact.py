@@ -11,7 +11,6 @@ import simplotope.exact as exact
 import simplotope.verifier as verifier
 from lp_oracle import fraction_lp_minimize
 from simplotope.exact import (
-    INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LpProblem,
@@ -19,6 +18,7 @@ from simplotope.exact import (
     lp_minimize,
     scaled_inverse,
 )
+from simplotope.lptable import dual_lp
 
 
 def cofactor_det(m):
@@ -102,27 +102,41 @@ def test_scaled_inverse_is_the_adjugate():
         scaled_inverse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
 
 
+# lp_minimize takes LPs that x = 0 satisfies (every rhs <= 0).  The examples
+# are the duals (max b.y, A^T y <= c, y >= 0, as min -b.y, -A^T y >= -c) of
+# small covering LPs, whose optima they are up to sign.
+
 def test_lp_examples():
-    r = lp_minimize(LpProblem.build([1, 1], [([1, 0], 4), ([1, 2], 6)]))
-    assert r.status == OPTIMAL and r.value == 5 and r.solution == (4, 1)
-    r = lp_minimize(LpProblem.build([1], [([1], 3)]))
-    assert r.status == OPTIMAL and r.value == 3
-    r = lp_minimize(LpProblem.build([1], [([-1], 1)]))
-    assert r.status == INFEASIBLE
+    # min x1 + x2 with x1 >= 4, x1 + 2 x2 >= 6 has optimum 5 at (4, 1)
+    r = lp_minimize(dual_lp(LpProblem.build([1, 1], [([1, 0], 4), ([1, 2], 6)])))
+    assert r.status == OPTIMAL and r.value == -5 and r.solution == (Fraction(1, 2), Fraction(1, 2))
+    r = lp_minimize(dual_lp(LpProblem.build([1], [([1], 3)])))
+    assert r.status == OPTIMAL and r.value == -3 and r.solution == (1,)
     r = lp_minimize(LpProblem.build([-1], [([1], 0)]))
     assert r.status == UNBOUNDED
+
+
+def test_lp_refuses_a_positive_rhs():
+    # x = 0 violates x1 >= 1: the kernel has no phase 1 to find another start
+    with pytest.raises(ValueError):
+        lp_minimize(LpProblem.build([1, 1], [([-1, 0], -2), ([1, 0], 1)]))
+    with pytest.raises(ValueError):
+        lp_minimize(LpProblem.build([1], [([1], Fraction(1, 3))]))
 
 
 def test_lp_residuals_exact():
     obj = [Fraction(2), Fraction(3), Fraction(1)]
     cons = [([1, 1, 0], Fraction(7, 3)), ([0, 2, 1], Fraction(5, 2)), ([1, 0, 3], 1)]
-    problem = LpProblem.build(obj, cons)
+    primal = LpProblem.build(obj, cons)
+    problem = dual_lp(primal)
     r = lp_minimize(problem)
     assert r.status == OPTIMAL
     for row, rhs in problem.constraints:
         residual = sum(c * x for c, x in zip(row, r.solution)) - rhs
         assert residual >= 0
     assert all(x >= 0 for x in r.solution)
+    # strong duality, against the oracle's two-phase solve of the primal
+    assert r.value == -fraction_lp_minimize(primal).value
 
 
 def test_lp_value_invariant_under_permutation():
@@ -131,67 +145,44 @@ def test_lp_value_invariant_under_permutation():
     rng = random.Random(3)
     obj = [1, 2, 1, 3]
     cons = [([1, 1, 0, 0], 4), ([0, 1, 1, 1], 3), ([2, 0, 1, 0], 5), ([1, 0, 0, 2], 2)]
-    base = lp_minimize(LpProblem.build(obj, cons)).value
+    base = lp_minimize(dual_lp(LpProblem.build(obj, cons))).value
     for _ in range(5):
         cperm = rng.sample(range(len(cons)), len(cons))
         vperm = rng.sample(range(4), 4)
         obj2 = [obj[v] for v in vperm]
         cons2 = [([cons[c][0][v] for v in vperm], cons[c][1]) for c in cperm]
-        assert lp_minimize(LpProblem.build(obj2, cons2)).value == base
+        assert lp_minimize(dual_lp(LpProblem.build(obj2, cons2))).value == base
 
 
 def test_lp_degenerate_terminates():
-    # many redundant constraints through one vertex: Bland's rule must not cycle
-    cons = [([1, 0], 1), ([0, 1], 1), ([1, 1], 2), ([2, 1], 3), ([1, 2], 3), ([3, 3], 6)]
-    r = lp_minimize(LpProblem.build([1, 1], cons))
-    assert r.status == OPTIMAL and r.value == 2
+    # many redundant constraints through one vertex, (1, 1): Bland's rule must not cycle
+    cons = [([-1, 0], -1), ([0, -1], -1), ([-1, -1], -2), ([-2, -1], -3), ([-1, -2], -3),
+            ([-3, -3], -6)]
+    r = lp_minimize(LpProblem.build([-1, -1], cons))
+    assert r.status == OPTIMAL and r.value == -2 and r.solution == (1, 1)
+    # Chvatal's example, on which the largest-coefficient rule cycles at x = 0
+    F = Fraction
+    problem = LpProblem.build([-10, 57, 9, 24], [
+        ([F(-1, 2), F(11, 2), F(5, 2), -9], 0), ([F(-1, 2), F(3, 2), F(1, 2), -1], 0),
+        ([-1, 0, 0, 0], -1)])
+    r = lp_minimize(problem)
+    assert r.status == OPTIMAL and r.value == -1 and r.solution == (1, 0, 1, 0)
 
 
 def test_lp_no_constraints():
     r = lp_minimize(LpProblem.build([1, 1], []))
-    assert r.status == OPTIMAL and r.value == 0
+    assert r.status == OPTIMAL and r.value == 0 and r.solution == (0, 0)
+    assert lp_minimize(LpProblem.build([1, -1], [])).status == UNBOUNDED
 
 
-def test_pivot_on_negative_element():
-    # p = -3: the other row becomes (T[1]*p - T[1][1]*T[0]) / d, then every
-    # row is negated so the denominator stays positive; T / d is the rational
-    # tableau after the pivot: row 0 = (-2/3, 1, -1/3), row 1 = (11/3, 0, 19/3)
-    tab = [[2, -3, 1], [1, 4, 5]]
-    basis = [5, 6]
-    d = exact._pivot(tab, basis, 1, 0, 1)
-    assert d == 3
-    assert tab == [[-2, 3, -1], [11, 0, 19]]
-    assert basis == [1, 6]
-
-
-def test_lp_drive_out_pivots_on_negative_element(monkeypatch):
-    # the split equality x1 = 1 ties the first ratio test, which Bland's rule
-    # breaks toward the surplus of the row -x1 >= -1; the artificial of x1 >= 1
-    # is then left at level 0 in the basis after phase 1, with only negative
-    # entries (phase 1 is optimal), so driving it out pivots on a negative one
-    pivots = []
-    real_pivot = exact._pivot
-
-    def spy(tab, basis, d, row, col):
-        pivots.append(tab[row][col])
-        return real_pivot(tab, basis, d, row, col)
-
-    monkeypatch.setattr(exact, "_pivot", spy)
-    problem = LpProblem.build([1, 1], [([1, 0], 1), ([-1, 0], -1), ([1, 1], 2)])
-    r = lp_minimize(problem)
-    assert any(p < 0 for p in pivots)
-    assert r.status == OPTIMAL and r.value == 2 and r.solution == (1, 1)
-    assert r == fraction_lp_minimize(problem)
-
-
-def test_lp_without_positive_rhs_skips_phase_1(monkeypatch):
-    # every row with rhs <= 0 starts on its own surplus, a feasible basis, so
-    # the solve is phase 2 alone; one positive rhs brings phase 1 back
+def test_lp_solve_is_one_simplex_phase(monkeypatch):
+    # every row starts on its own surplus, a feasible basis, so a solve is
+    # one run of the simplex from there
     phases = []
     real_phase = exact._simplex_phase
 
     def spy(tab, basis, d, cost):
-        phases.append(len(cost))
+        phases.append(d)
         return real_phase(tab, basis, d, cost)
 
     monkeypatch.setattr(exact, "_simplex_phase", spy)
@@ -199,40 +190,26 @@ def test_lp_without_positive_rhs_skips_phase_1(monkeypatch):
     problem = LpProblem.build([-2, -3, 1], [
         ([-1, -1, 0], -4), ([F(-1, 2), -2, 1], F(-5, 3)), ([1, -1, 0], 0)])
     r = lp_minimize(problem)
-    assert len(phases) == 1
+    assert phases == [1]
     assert r.status == OPTIMAL and r == fraction_lp_minimize(problem)
     assert all(sum(c * x for c, x in zip(row, r.solution)) >= rhs
                for row, rhs in problem.constraints)
-    phases.clear()
-    lp_minimize(LpProblem.build([1, 1], [([1, 1], 1), ([-1, 0], -3)]))
-    assert len(phases) == 2
-
-
-def test_lp_phase1_weights_match_unscaled_rows():
-    # rows with different denominators get different integer scales; phase 1
-    # must still minimize the unscaled sum of artificials, or it stops at
-    # another feasible basis and phase 2 reports another optimal vertex
-    F = Fraction
-    problem = LpProblem.build([2, 0], [
-        ([-3, 3], F(1, 2)), ([4, F(1, 4)], F(-4, 3)), ([-4, F(-3, 4)], -1),
-        ([F(1, 2), F(-1, 2)], -2), ([3, F(1, 3)], -1), ([F(-3, 4), F(4, 3)], -1)])
-    r = lp_minimize(problem)
-    assert r.status == OPTIMAL and r.value == 0 and r.solution == (0, F(1, 6))
-    assert r == fraction_lp_minimize(problem)
 
 
 def _random_lp(rng: random.Random) -> LpProblem:
-    """Small LPs with negative and fractional entries and split equalities."""
+    """Small LPs that x = 0 satisfies, with negative and fractional entries
+    and split equalities (whose rhs is 0)."""
     def num():
         return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 4)))
 
     n = rng.randint(1, 6)
     cons = []
     for _ in range(rng.randint(1, 6)):
-        row, rhs = [num() for _ in range(n)], num()
-        cons.append((row, rhs))
+        row = [num() for _ in range(n)]
         if rng.random() < 0.3:
-            cons.append(([-c for c in row], -rhs))
+            cons += [(row, 0), ([-c for c in row], 0)]
+        else:
+            cons.append((row, -abs(num())))
     return LpProblem.build([num() for _ in range(n)], cons)
 
 
@@ -244,19 +221,19 @@ def test_lp_matches_fraction_oracle_on_random_lps():
         got = lp_minimize(problem)
         assert got == fraction_lp_minimize(problem), problem
         seen.add(got.status)
-    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert seen == {OPTIMAL, UNBOUNDED}
 
 
 def test_lp_matches_fraction_oracle_on_cell_lps():
-    # the cover LPs and the duals that `solve_cell` solves
-    from simplotope.lptable import build_lp, dual_lp
+    # the duals of the cover LPs, which `solve_cell` solves
+    from simplotope.lptable import build_lp
 
     cells = [(s, t) for s in range(7) for t in range(4) if 1 <= s + 2 * t <= 6]
     for s, t in cells:
-        for problem in (build_lp(s, t), dual_lp(build_lp(s, t))):
-            got = lp_minimize(problem)
-            assert got.status == OPTIMAL
-            assert got == fraction_lp_minimize(problem), (s, t)
+        problem = dual_lp(build_lp(s, t))
+        got = lp_minimize(problem)
+        assert got.status == OPTIMAL
+        assert got == fraction_lp_minimize(problem), (s, t)
 
 
 def test_lp_matches_fraction_oracle_on_overlap_lps(monkeypatch):

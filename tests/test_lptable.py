@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lp_oracle import fraction_lp_minimize
 from simplotope.counting import QQuery, q_count
 from simplotope.exact import OPTIMAL, LpProblem, lp_minimize
 from simplotope.fbounds import DEFAULT_VTABLE, VTable, f_bound, load_cube_caps
@@ -68,8 +69,9 @@ def test_tri_square_cell_is_nine():
 
 
 def test_dropping_constraints_never_increases():
+    # the primal cover LP needs phase 1, so the Fraction oracle solves it
     problem = build_lp(2, 1)
-    base = lp_minimize(problem).value
+    base = fraction_lp_minimize(problem).value
     top = max(range(len(problem.constraints)),
               key=lambda i: sum(problem.constraints[i][0]))
     for i in range(len(problem.constraints)):
@@ -77,7 +79,7 @@ def test_dropping_constraints_never_increases():
             continue
         reduced = LpProblem(problem.objective,
                             problem.constraints[:i] + problem.constraints[i + 1:])
-        r = lp_minimize(reduced)
+        r = fraction_lp_minimize(reduced)
         assert r.status == OPTIMAL and r.value <= base
 
 
@@ -88,8 +90,8 @@ def test_row_scaling_invariance():
     for (sp, tp), (row, rhs) in zip(constraint_pairs(1, 1), problem.constraints):
         f = Fraction(1, math.factorial(sp + 2 * tp))
         scaled_back.append(([c * f for c in row], rhs * f))
-    assert lp_minimize(LpProblem.build(problem.objective, scaled_back)).value \
-        == lp_minimize(problem).value
+    assert fraction_lp_minimize(LpProblem.build(problem.objective, scaled_back)).value \
+        == fraction_lp_minimize(problem).value
 
 
 def test_full_table_matches_reference_through_dim_six():
@@ -150,7 +152,7 @@ def test_presolve_keeps_the_full_lp_optimum():
     for s, t in cells:
         full = full_lp(s, t)
         reduced = build_lp(s, t)
-        assert solve_cell(s, t).lp_value == lp_minimize(full).value, (s, t)
+        assert solve_cell(s, t).lp_value == -lp_minimize(dual_lp(full)).value, (s, t)
         columns = [tuple(row[j] for row, _ in full.constraints) for j in range(len(full.objective))]
         kept = {tuple(row[j] for row, _ in reduced.constraints) for j in range(len(reduced.objective))}
         assert kept <= set(columns)
@@ -165,12 +167,12 @@ def test_presolve_keeps_the_full_lp_optimum():
 
 def test_dual_solve_matches_the_primal():
     # solve_cell solves the dual of build_lp's LP; strong duality makes its
-    # value the primal optimum, which the primal solve is kept here to check
+    # value the primal optimum, which the Fraction oracle's primal solve checks
     cells = [(s, t) for t in range(5) for s in range(9 - 2 * t) if (s, t) != (0, 0)]
     assert len(cells) == 24
     for s, t in cells:
         problem = build_lp(s, t)
-        primal = lp_minimize(problem)
+        primal = fraction_lp_minimize(problem)
         assert primal.status == OPTIMAL
         assert solve_cell(s, t).lp_value == primal.value, (s, t)
         # the dual solution is a certificate: y >= 0, A^T y <= 1, b . y = value

@@ -6,12 +6,12 @@ from collections import Counter
 
 import pytest
 
-from face_oracle import corner_simplex
-from pairwise_oracle import meet_face_to_face
+from face_oracle import corner_simplex, tri_square_class2
+from pairwise_oracle import meet_face_to_face, overlap_by_normalized_lp
 from simplotope.core import SimplotopeSpec, VertexPoint, VertexSimplex, minimal_face
 from simplotope.exact import det
 from simplotope.standard import standard_triangulation
-from simplotope.trisquare import construction_stages, decode, minimal_triangulation_10
+from simplotope.trisquare import TRI_SQUARE, construction_stages, decode, minimal_triangulation_10
 from simplotope.verifier import (
     TriangulationCandidate,
     _global_pivot,
@@ -42,6 +42,27 @@ def test_overlap_symmetric():
     sims = [corner_simplex(CUBE, v) for v in CUBE.vertices()]
     for a, b in itertools.combinations(sims, 2):
         assert interiors_overlap(a, b) == interiors_overlap(b, a)
+
+
+def test_overlap_agrees_with_the_normalized_lp():
+    # the homogeneous LP against the normalized one it replaced: every pair of
+    # tri-square class-2 simplices, and seeded pairs of vertex sets of any
+    # size from 2 up, lower-dimensional and affinely dependent ones included
+    fat = tri_square_class2()
+    pairs = list(itertools.combinations(fat, 2))
+    assert len(pairs) == 276
+    rng = random.Random(25)
+    for spec in (CUBE, SimplotopeSpec.of(1, 2), SimplotopeSpec.of(2, 2)):
+        verts = spec.vertices()
+        for _ in range(30):
+            pairs.append(tuple(VertexSimplex(spec, rng.sample(verts, rng.randint(2, spec.dim + 1)))
+                               for _ in range(2)))
+    verdicts = Counter()
+    for a, b in pairs:
+        got = interiors_overlap(a, b)
+        assert got == overlap_by_normalized_lp(a, b), (a, b)
+        verdicts[got, a.spec == TRI_SQUARE] += 1
+    assert all(verdicts[key] for key in itertools.product((True, False), repeat=2)), verdicts
 
 
 def test_face_to_face_examples():
