@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -235,13 +236,19 @@ def class_of(x: VertexSimplex, pivot: VertexPoint) -> int:
 
 
 def exterior_facet_positions(x: VertexSimplex) -> set[tuple[int, int]]:
-    """Zero coordinates of the simplotope facets that hold a facet of x."""
+    """Zero coordinates of the simplotope facets that hold a facet of x.
+
+    A nondegenerate simplex uses every position of every factor (otherwise
+    all its vertices share a zero coordinate and it lies in a facet).  So
+    the facet of x without vertex v misses position j of factor i, and lies
+    in the simplotope facet (i, j), exactly when v is the only vertex of x
+    at that position: the spots are the (factor, position) pairs that
+    exactly one vertex uses.
+    """
     if x.cls == 0:
         raise ValueError("exterior facets are only defined for nondegenerate simplices")
-    spots = set()
-    for subset in itertools.combinations(x.vertices, len(x.vertices) - 1):
-        spots.update(minimal_face(subset).zeros)
-    return spots
+    uses = Counter(spot for v in x.vertices for spot in enumerate(v.idx))
+    return {spot for spot, n in uses.items() if n == 1}
 
 
 def has_exterior_facet(x: VertexSimplex) -> bool:

@@ -76,7 +76,8 @@ exit 0.
 
 The recurrence is pruned by the same zero conventions, so every F value is
 what the plain recursion gives, but far fewer keys are reached (the d = 10
-table memoizes 4,752 keys instead of 34,992):
+table memoizes 1,273 keys, where the plain recursion reaches 6,035 from
+the same LP coefficients):
 
 - The footprint factor F(s', t', c', i, j, k) depends on neither e nor w.
   It is looked up once per (i, j, k) in one recurrence call.

@@ -13,32 +13,38 @@ and dropping a constraint only weakens the minimum, so the reported bounds
 stay valid.  Constraint rows are scaled by (s'+2t')! so the coefficient side
 is integral.
 
-Dominated columns are dropped before the LP is solved.  Every objective
-coefficient is 1 and every row is a >= row whose coefficients c * F are
-nonnegative.  If column k is >= column j in every row, moving x_j onto x_k
-keeps every row satisfied at the same cost, so the LP on the undominated
-columns (the Pareto front) has the optimum of the full LP.  Dually, since
-y >= 0, a y with A_k . y <= 1 on the kept columns has A_j . y <= A_k . y <= 1
-on every dropped column j: a dual of the reduced LP is dual-feasible for the
-full one, so a certificate for the reduced LP, together with the dominance
-of each dropped column, certifies the full optimum.  At dimensions 10 to 12
-the front holds 9 to 12 of the 320 to 3645 class columns.
+Only the breakpoint classes become columns.  `build_lp` reads diagonal
+keys F(s, t, c, s', t', c) alone, and on that family F is piecewise
+constant in c, by induction on the dimension:
 
-Two shortcuts build fewer entries and columns with the same result:
+- On a diagonal key the shadow class is c/c' = 1, so the recurrence has
+  the single divisor pair k = c.  It reads only the diagonal footprints
+  F(s', t', c, i, j, c) and class-1 shadows, and a class-1 shadow does not
+  depend on c.
+- For c > 1, c therefore enters only through the class-overflow tests
+  c > V(.) on sub-shapes (i, j).  Every sub-shape is itself one of the
+  cell's constraint rows (0 <= j <= t' <= t and i + j <= s' + t' <= s + t),
+  or the 0-face shape, where F is 0 for every c > 1.
+- So with b_1 < b_2 < ... the classes {1, V(s, t)} together with every
+  V(s', t') < V(s, t) over the cell's rows, column c equals c times one
+  fixed nonnegative vector on each interval (b_(k-1), b_k].  The top class
+  b_k dominates every other class of its interval: moving x_c onto x_(b_k)
+  keeps every >= row satisfied at the same cost, and dually a y >= 0 with
+  A_(b_k) . y <= 1 has A_c . y <= 1 for every c in the interval, so the
+  LP on the breakpoint columns has the full LP's optimum and its dual
+  certificate certifies the full one.
 
-- An entry with c > V(s', t') is 0 by F's class-overflow convention, so it
-  is written as 0 without calling F.  Class 1 asks F, and F asks V(s', t'),
-  on every row, so reading V(s', t') for the test asks V for no pair F did
-  not already ask for; a missing cube cap skips the same cells for the same
-  reason.
-- The full row (s', t') = (s, t) has F = 1, so its entry in column c is c.
-  A column with c above M, the largest V(s', t') over the other (proper)
-  rows, is therefore 0 on every proper row and c <= V(s, t) on the full
-  row: the column c = V(s, t) dominates it.  Only the columns c <= M and
-  c = V(s, t) are built.  Distinct columns differ on the full row, so the
-  front and the order of its columns are those of the full column set.
-  For (12, 0) and (0, 6) this drops 2,186 of the 3,645 columns before any
-  comparison.
+That makes at most one column per distinct V value up to V(s, t): 10 at
+d = 10 and 13 at d = 13, where the full LP has 320 and 9,477 class columns.
+Distinct breakpoints give distinct columns (they differ on the full row
+(s', t') = (s, t), where F = 1).  Through d = 13 the breakpoint columns
+are exactly the Pareto front of all class columns, in class order, so the
+solver gets the LP it got when that front was computed by pairwise
+comparison (tier-1 checks this through d = 10).  No V value outside the
+cell's own rows is read, and a row with a positive requirement has a
+positive entry in some class exactly when it has one at the top of that
+class's interval, so the support check (InconsistentCellError) is the full
+LP's.
 
 The cover LP min 1.x subject to Ax >= b, x >= 0 is solved as its dual,
 max b.y subject to A^T y <= 1, y >= 0, passed to `exact.lp_minimize` as
@@ -47,13 +53,14 @@ that form is -1, so y = 0 is feasible, as the solver requires, and it
 starts from its slack basis there; the primal, with b > 0 in nearly every
 row, is infeasible at x = 0 and would need a phase 1 that the solver does
 not have.  The cell value is minus the dual optimum, and strong duality
-makes it exactly the primal optimum: the primal is feasible (every entry of A is >= 0, and `build_lp` raises
-InconsistentCellError unless each row with b > 0 has a positive entry, so a
-large enough x satisfies every row) and bounded below by 0, so both
-programs have optima and they are equal.  The dual solve's `solution` is y
-itself: y >= 0 with A^T y <= 1 and b.y = lp_value, the dual certificate of
-the reduced LP that the dominance argument above extends to the full one.
-It is not yet printed, nor checked by a command of its own.
+makes it exactly the primal optimum: the primal is feasible (every entry
+of A is >= 0, and `build_lp` raises InconsistentCellError unless each row
+with b > 0 has a positive entry, so a large enough x satisfies every row)
+and bounded below by 0, so both programs have optima and they are equal.
+The dual solve's `solution` is y itself: y >= 0 with A^T y <= 1 and
+b.y = lp_value, the dual certificate of the breakpoint LP that the
+dominance argument above extends to the full one.  It is not yet printed,
+nor checked by a command of its own.
 """
 
 from __future__ import annotations
@@ -133,29 +140,14 @@ def constraint_pairs(s: int, t: int) -> list[tuple[int, int]]:
             if (sp, tp) != (0, 0)]
 
 
-def pareto_columns(columns: list[tuple[int, ...]]) -> list[int]:
-    """Indices, ascending, of the columns that no other column dominates.
-
-    Columns are visited by decreasing coefficient sum, so a column can only be
-    dominated by one visited before it; of equal columns the first is kept.
-    """
-    order = sorted(range(len(columns)), key=lambda j: -sum(columns[j]))
-    kept: list[int] = []
-    for j in order:
-        col = columns[j]
-        if not any(all(a >= b for a, b in zip(columns[i], col)) for i in kept):
-            kept.append(j)
-    return sorted(kept)
-
-
 def build_lp(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> LpProblem:
-    """The cover LP of (s, t) with its dominated class columns dropped.
+    """The cover LP of (s, t) on its breakpoint class columns.
 
-    Column c holds c * F(s, t, c, s', t', c) for each constraint pair.  A row
-    that needs support no column gives raises InconsistentCellError.  An
-    entry with c > V(s', t') is written as 0 without asking F, and only the
-    classes up to the largest proper-row V, plus V(s, t), become columns
-    (see the module docstring).
+    Column c holds c * F(s, t, c, s', t', c) for each constraint pair, for
+    c in 1, V(s, t) and every V(s', t') < V(s, t) over the rows, ascending:
+    the top class of each interval on which F is constant in c, at most one
+    column per distinct V value (see the module docstring).  A row that
+    needs support no column gives raises InconsistentCellError.
 
     F is `VTable.f`, with the 0-face base case pinned at 1.  The public
     `f_bound` reports the vertex count on the (0, 0) shape instead, and
@@ -167,23 +159,17 @@ def build_lp(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> LpProblem:
     pairs = constraint_pairs(s, t)
     v_full = vtable.get(s, t).value
     v_rows = [vtable.get(sp, tp).value for sp, tp in pairs]
-    v_proper = max((v for pair, v in zip(pairs, v_rows) if pair != (s, t)), default=0)
-    classes = list(range(1, min(v_proper, v_full) + 1))
-    if v_proper < v_full:
-        classes.append(v_full)
+    classes = sorted({1, v_full}.union(v for v in v_rows if v < v_full))
     f = vtable.f
-    columns = [tuple(c * f(s, t, c, sp, tp, c) if c <= v else 0
-                     for (sp, tp), v in zip(pairs, v_rows))
-               for c in classes]
+    columns = [[c * f(s, t, c, sp, tp, c) for sp, tp in pairs] for c in classes]
     rhs = [Fraction(q_count(QQuery(s, t, sp, tp)) * math.factorial(sp + 2 * tp), 2 ** tp)
            for sp, tp in pairs]
     for row, (sp, tp) in enumerate(pairs):
         if rhs[row] > 0 and not any(col[row] for col in columns):
             raise InconsistentCellError(
                 f"(s,t)=({s},{t}) constraint (s',t')=({sp},{tp}) has no support")
-    kept = [columns[j] for j in pareto_columns(columns)]
-    rows = [([col[row] for col in kept], b) for row, b in enumerate(rhs)]
-    return LpProblem.build([1] * len(kept), rows)
+    rows = [([col[row] for col in columns], b) for row, b in enumerate(rhs)]
+    return LpProblem.build([1] * len(classes), rows)
 
 
 def dual_lp(problem: LpProblem) -> LpProblem:

@@ -100,6 +100,15 @@ def exterior_faces(x, sig):
     return out
 
 
+def exterior_facet_positions_by_minimal_face(x):
+    """Zero coordinates of the simplotope facets holding a facet of x: the
+    union of the zeros of the minimal face of every d-subset of x."""
+    spots = set()
+    for subset in itertools.combinations(x.vertices, len(x.vertices) - 1):
+        spots.update(minimal_face(subset).zeros)
+    return spots
+
+
 def is_parallel(f1, f2):
     """Faces are parallel when they have exactly the same free coordinates."""
     if f1.spec != f2.spec:

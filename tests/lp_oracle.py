@@ -11,6 +11,10 @@ form, Bland's rule with the same leaving-row tie-break): the two must agree
 on status, value and solution exactly.  The tests also use it directly on
 LPs that need phase 1, such as primal cover LPs and the normalized overlap
 LP.  It is kept only for the tests.
+
+`pareto_columns` is the pairwise dominance filter that the cover LP once
+ran on all of its class columns; the tests check that the breakpoint
+columns `lptable.build_lp` builds are exactly its front.
 """
 
 from fractions import Fraction
@@ -116,3 +120,18 @@ def fraction_lp_minimize(problem: LpProblem) -> LpResult:
             x[b] = tab[i][-1]
     value = sum((c * v for c, v in zip(problem.objective, x)), ZERO)
     return LpResult(OPTIMAL, value, tuple(x))
+
+
+def pareto_columns(columns: list[tuple[int, ...]]) -> list[int]:
+    """Indices, ascending, of the columns that no other column dominates.
+
+    Columns are visited by decreasing coefficient sum, so a column can only be
+    dominated by one visited before it; of equal columns the first is kept.
+    """
+    order = sorted(range(len(columns)), key=lambda j: -sum(columns[j]))
+    kept: list[int] = []
+    for j in order:
+        col = columns[j]
+        if not any(all(a >= b for a, b in zip(columns[i], col)) for i in kept):
+            kept.append(j)
+    return sorted(kept)

@@ -336,6 +336,15 @@ def test_importing_the_cli_loads_no_command_module():
                                "simplotope.trisquare"})
 
 
+def test_importing_the_case_study_computes_no_v():
+    # `case tri-square` solves one cover LP cell; importing its modules must
+    # not fill the packaged V table ahead of it
+    values = run_python("import json\nimport simplotope.trisquare, simplotope.lptable\n"
+                        "from simplotope.fbounds import DEFAULT_VTABLE\n"
+                        "print(json.dumps(sorted(DEFAULT_VTABLE._values)))")
+    assert values == []
+
+
 def test_verify_does_not_import_the_case_study():
     code, modules = run_fresh(["verify", "--input", BUNDLED])
     assert code == 0

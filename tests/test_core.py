@@ -10,6 +10,7 @@ import pytest
 from face_oracle import (
     corner_simplex,
     exterior_faces,
+    exterior_facet_positions_by_minimal_face,
     face_class,
     footprint,
     free_coords,
@@ -23,6 +24,7 @@ from simplotope.core import (
     VertexSimplex,
     all_simplices,
     class_of,
+    exterior_facet_positions,
     has_exterior_facet,
     minimal_face,
     symmetries,
@@ -204,6 +206,18 @@ def test_has_exterior_facet_products_of_two():
         spec = SimplotopeSpec.of(a, b)
         for x in nondegenerate(spec):
             assert has_exterior_facet(x)
+
+
+@pytest.mark.parametrize("factors", [(1, 1, 2), (1, 2), (2, 2)])
+def test_exterior_facet_positions_match_minimal_faces(factors):
+    for x in nondegenerate(SimplotopeSpec(factors)):
+        assert exterior_facet_positions(x) == exterior_facet_positions_by_minimal_face(x), x
+
+
+def test_exterior_facet_positions_rejects_degenerate():
+    square_face = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)]
+    with pytest.raises(ValueError):
+        exterior_facet_positions(VertexSimplex(S21, [S21.vertex(i) for i in square_face]))
 
 
 def test_parallel_lines_example():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lp_oracle import fraction_lp_minimize
+from lp_oracle import fraction_lp_minimize, pareto_columns
 from simplotope.counting import QQuery, q_count
 from simplotope.exact import OPTIMAL, LpProblem, lp_minimize
 from simplotope.fbounds import DEFAULT_VTABLE, VTable, f_bound, load_cube_caps
@@ -16,7 +16,6 @@ from simplotope.lptable import (
     build_lp,
     constraint_pairs,
     dual_lp,
-    pareto_columns,
     solve_cell,
 )
 
@@ -146,23 +145,47 @@ def full_lp(s, t):
     return LpProblem.build([1] * v, rows)
 
 
+CELLS_DIM10 = [(s, t) for t in range(6) for s in range(11 - 2 * t) if (s, t) != (0, 0)]
+
+
+def columns_of(problem):
+    return [tuple(row[j] for row, _ in problem.constraints) for j in range(len(problem.objective))]
+
+
 def test_presolve_keeps_the_full_lp_optimum():
-    cells = [(s, t) for t in range(6) for s in range(11 - 2 * t) if (s, t) != (0, 0)]
-    assert len(cells) == 35
-    for s, t in cells:
+    # the breakpoint columns are the Pareto front of every class column, in
+    # class order, so the LP keeps the full LP's rows and optimum
+    assert len(CELLS_DIM10) == 35
+    for s, t in CELLS_DIM10:
         full = full_lp(s, t)
         reduced = build_lp(s, t)
+        columns = columns_of(full)
+        assert columns_of(reduced) == [columns[j] for j in pareto_columns(columns)], (s, t)
         assert solve_cell(s, t).lp_value == -lp_minimize(dual_lp(full)).value, (s, t)
-        columns = [tuple(row[j] for row, _ in full.constraints) for j in range(len(full.objective))]
-        kept = {tuple(row[j] for row, _ in reduced.constraints) for j in range(len(reduced.objective))}
-        assert kept <= set(columns)
-        # the skipped F calls and the columns never built leave the LP as it
-        # was: the Pareto front of every class column, in class order
-        assert [tuple(row) for row in zip(*(row for row, _ in reduced.constraints))] \
-            == [columns[j] for j in pareto_columns(columns)], (s, t)
         assert [rhs for _, rhs in reduced.constraints] == [rhs for _, rhs in full.constraints]
-        for col in columns:
-            assert any(all(a >= b for a, b in zip(k, col)) for k in kept), (s, t, col)
+
+
+def test_f_is_constant_between_breakpoints():
+    # on the LP's diagonal keys, F(s, t, c, s', t', c) changes with c only
+    # where c crosses a V value of the cell's own rows
+    vt = VTable()
+    for s, t in CELLS_DIM10:
+        pairs = constraint_pairs(s, t)
+        v_full = vt.get(s, t).value
+        breaks = {1, v_full}.union(vt.get(*pair).value for pair in pairs)
+        for sp, tp in pairs:
+            for c in range(2, v_full + 1):
+                top = min(b for b in breaks if b >= c)
+                assert vt.f(s, t, c, sp, tp, c) == vt.f(s, t, top, sp, tp, top), (s, t, sp, tp, c)
+
+
+def test_solve_cell_computes_v_only_on_its_rows():
+    # the case study solves the (2, 1) cell; V(0, 3), the costliest search,
+    # is not one of its rows and must stay uncomputed.  V(0, 0) is the
+    # point, 1 without a search, read by F's 0-face shape.
+    vt = VTable()
+    solve_cell(2, 1, vt)
+    assert set(vt._values) == set(constraint_pairs(2, 1)) | {(2, 1), (0, 0)}
 
 
 def test_dual_solve_matches_the_primal():
