@@ -156,7 +156,7 @@ def cmd_vmax(args) -> int:
 
 
 def cmd_q(args) -> int:
-    from .counting import QQuery, q_by_enumeration, q_by_generating_function, q_count
+    from .counting import ENUM_DIM_LIMIT, QQuery, q_by_enumeration, q_by_generating_function, q_count
 
     _nonnegative(("--s", args.s), ("--t", args.t), ("--sp", args.sp), ("--tp", args.tp))
     query = QQuery(args.s, args.t, args.sp, args.tp)
@@ -165,7 +165,7 @@ def cmd_q(args) -> int:
     if args.check:
         gen = q_by_generating_function(query)
         checks = [("generating-function", gen)]
-        if args.s + 2 * args.t <= 8:
+        if args.s + 2 * args.t <= ENUM_DIM_LIMIT:
             checks.append(("enumeration", q_by_enumeration(query)))
         bad = [(name, got) for name, got in checks if got != value]
         for name, got in checks:

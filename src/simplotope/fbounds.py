@@ -76,7 +76,7 @@ exit 0.
 
 The recurrence is pruned by the same zero conventions, so every F value is
 what the plain recursion gives, but far fewer keys are reached (the d = 10
-table memoizes 1,273 keys, where the plain recursion reaches 6,035 from
+table memoizes 1,299 keys, where the plain recursion reaches 6,040 from
 the same LP coefficients):
 
 - The footprint factor F(s', t', c', i, j, k) depends on neither e nor w.
@@ -92,19 +92,25 @@ the same LP coefficients):
 V is asked for no pair the plain recursion does not ask for.  That
 recursion asks for V(s', t') at its first footprint, and for V(ss, tt) at
 every e: its term w = 0, k = c', j = t', i = s' pairs the whole face
-(footprint 1) with the 0-face shadow.  V(x, y) is only
-read when some earlier query already computed it; otherwise the term runs
-as before, and the shadow factor asks for V(x, y) only after a nonzero
-footprint, as the plain recursion does.  A missing cube cap therefore
+(footprint 1) with the point shadow, which is 1 only if c/c' <= V(ss, tt).
+V(x, y) is only read when some earlier query already computed it; otherwise
+the term runs as before, and the shadow factor asks for V(x, y) only after
+a nonzero footprint, as the plain recursion does.  A missing cube cap therefore
 skips the same cells with the same reasons.
 
-Two values exist for the 0-face shape.  As a count of exterior 0-faces, a
-nondegenerate simplex has s + 2t + 1 of them (all of its vertices): that is
-comb_bound's value there, and f_bound, the F that `simplotope fbound` prints,
-reports it.  VTable.f, the F that the recurrence and the linear program read,
-keeps the base case pinned at 1 per footprint class, which is what the
-reference table was computed with; the linear program never uses a (0,0)
-constraint, so the two readings never collide there.
+The 0-face shape has one F value: a nondegenerate simplex has s + 2t + 1
+exterior 0-faces, all of its vertices, each of class 1, which is
+comb_bound's value there.  The recurrence reads that value as its
+footprint factor too: two exterior faces with the same footprint and the
+same shadow are equal, but a face tau that meets sigma in one vertex v has
+the same shadow whichever vertex of sigma v is, so the faces with a
+one-vertex footprint number up to sigma's vertex count times their shadows.
+The shadow of the whole of sigma is different: collapsing sigma maps it to
+a single point, of class 1, so the recurrence writes that shadow factor as
+1 for c'/k = 1 and 0 otherwise, rather than reading F at (0, 0); an e
+whose shadow class exceeds V(ss, tt) never gets that far.  With both in
+place every class, class 1 included, takes the smaller of the
+combinatorial bound and the recurrence.
 """
 
 from __future__ import annotations
@@ -223,15 +229,8 @@ class VTable:
         raise VMaxUnavailable(f"no cube cap configured for dimension {dim}")
 
     def f(self, s: int, t: int, c: int, sp: int, tp: int, cp: int) -> int:
-        """F as the recursion uses it: the conventions, then the 0-face base
-        case pinned at 1, then the memoized bound.
-
-        Class-1 queries take the combinatorial bound alone; the recurrence only
-        refines classes 2 and up (it exists because the combinatorial bound
-        ignores the class entirely).  Recursing with the pinned 0-face base
-        case and the class-1 rule reproduces the reference table; taking the
-        recurrence for class-1 queries as well would not (its 0-face base case
-        can undercount vertex footprints).
+        """F(s, t, c, s', t', c'): the conventions, the 0-face and full shapes,
+        then the memoized minimum of the combinatorial bound and the recurrence.
         """
         # the conventions: zero outside the admissible range, 1 on the full shape
         if s < 0 or t < 0 or sp < 0 or tp < 0 or c < 1 or cp < 1:
@@ -246,7 +245,7 @@ class VTable:
         if sp == s and tp == t:
             return 1 if cp == c else 0
         if sp == 0 and tp == 0:
-            return 1 if cp == 1 else 0
+            return s + 2 * t + 1 if cp == 1 else 0
         key = (s, t, c, sp, tp, cp)
         memo = self.memo
         value = memo.values.get(key)
@@ -254,9 +253,7 @@ class VTable:
             memo.hits += 1
             return value
         memo.misses += 1
-        value = comb_bound(s, t, sp, tp)
-        if c > 1:
-            value = min(value, self.recurrence(s, t, c, sp, tp, cp))
+        value = min(comb_bound(s, t, sp, tp), self.recurrence(s, t, c, sp, tp, cp))
         memo.values[key] = value
         return value
 
@@ -299,6 +296,7 @@ class VTable:
                                    min(sp + tp - j, sp + w) + 1):
                         x = sp - i + 2 * w
                         vx = values.get((x, y))
+                        point = x == 0 and y == 0  # the shadow of the whole of sigma
                         for k, kq in kqs:
                             if vx is not None and kq > vx[0]:
                                 continue
@@ -306,7 +304,7 @@ class VTable:
                             if a is None:
                                 a = footprints[(i, j, k)] = f(sp, tp, cp, i, j, k)
                             if a:
-                                total += a * f(ss, tt, cq, x, y, kq)
+                                total += a * (kq == 1 if point else f(ss, tt, cq, x, y, kq))
             if total > best:
                 best = total
         return best
@@ -428,12 +426,5 @@ def comb_bound(s: int, t: int, sp: int, tp: int) -> int:
 
 def f_bound(s: int, t: int, c: int, sp: int, tp: int, cp: int,
             vtable: VTable = DEFAULT_VTABLE) -> int:
-    """Upper bound on exterior-face counts, zero conventions applied first.
-
-    VTable.f everywhere but on the 0-face shape, where a nonzero value is
-    the geometric vertex count s + 2t + 1 (see comb_bound).
-    """
-    value = vtable.f(s, t, c, sp, tp, cp)
-    if value and (sp, tp) == (0, 0):
-        return comb_bound(s, t, sp, tp)
-    return value
+    """Upper bound on exterior-face counts: F as `vtable` evaluates it."""
+    return vtable.f(s, t, c, sp, tp, cp)

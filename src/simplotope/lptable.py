@@ -7,11 +7,10 @@ Minimizing sum x_c over those inequalities (one per (s', t') with
 0 <= t' <= t, 0 <= s' <= s+t-t') gives a lower bound; its ceiling is the
 reported table entry since the x_c are cardinalities.
 
-The (s', t') = (0, 0) inequality is omitted: with the vertex-count value of
-F there it would overshoot the reference table (see the bounds module),
-and dropping a constraint only weakens the minimum, so the reported bounds
-stay valid.  Constraint rows are scaled by (s'+2t')! so the coefficient side
-is integral.
+The (s', t') = (0, 0) inequality is omitted: with F's vertex count there
+it would overshoot the reference table, and dropping a constraint only
+weakens the minimum, so the reported bounds stay valid.  Constraint rows
+are scaled by (s'+2t')! so the coefficient side is integral.
 
 Only the breakpoint classes become columns.  `build_lp` reads diagonal
 keys F(s, t, c, s', t', c) alone, and on that family F is piecewise
@@ -148,11 +147,6 @@ def build_lp(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> LpProblem:
     the top class of each interval on which F is constant in c, at most one
     column per distinct V value (see the module docstring).  A row that
     needs support no column gives raises InconsistentCellError.
-
-    F is `VTable.f`, with the 0-face base case pinned at 1.  The public
-    `f_bound` reports the vertex count on the (0, 0) shape instead, and
-    agrees with `VTable.f` everywhere else; `constraint_pairs` never yields
-    (0, 0), so the LP is the same under either reading.
     """
     if s < 0 or t < 0 or s + 2 * t < 1:
         raise ValueError("the LP needs a positive-dimensional simplotope")
@@ -220,7 +214,8 @@ def bounds_table(max_s: int, max_t: int, dim_cap: int,
                 continue
             if s == 0 and t == 0:
                 # the empty product is a point; one 0-simplex covers it
-                cells.append(BoundCell(0, 0, Fraction(1), 1, 1, "brute-forced", 0))
+                entry = vtable.get(0, 0)
+                cells.append(BoundCell(0, 0, Fraction(1), 1, entry.value, entry.provenance, 0))
                 continue
             try:
                 cells.append(solve_cell(s, t, vtable))

@@ -87,12 +87,17 @@ def test_criterion_02_v_values():
 def test_criterion_03_recurrence_worked_examples():
     assert DEFAULT_VTABLE.recurrence(1, 1, 1, 2, 0, 1) == 3
     assert DEFAULT_VTABLE.recurrence(2, 1, 1, 1, 1, 1) == 2
-    # term for term, first example: 0 + 2*1 + 1*1
-    sub = DEFAULT_VTABLE.f  # F as the recurrence sees it, 0-face base case pinned at 1
-    terms1 = [sub(2, 0, 1, i, 0, 1) * sub(1, 0, 1, 2 - i, 0, 1) for i in range(3)]
+    f = DEFAULT_VTABLE.f
+
+    def shadow(s, t, c, x, y, k):
+        # the shadow of the whole fixed face is one point, of class 1
+        return int(k == 1) if (x, y) == (0, 0) else f(s, t, c, x, y, k)
+
+    # term for term, footprint times shadow; first example: 3*0 + 2*1 + 1*1
+    terms1 = [f(2, 0, 1, i, 0, 1) * shadow(1, 0, 1, 2 - i, 0, 1) for i in range(3)]
     assert terms1 == [0, 2, 1]
-    # and the second: 1*0 + 4*0 + 1*1 + 1*1
-    terms2 = [sub(1, 1, 1, i, j, 1) * sub(1, 0, 1, 1 - i, 1 - j, 1)
+    # and the second: 4*0 + 4*0 + 1*1 + 1*1
+    terms2 = [f(1, 1, 1, i, j, 1) * shadow(1, 0, 1, 1 - i, 1 - j, 1)
               for j in (0, 1) for i in (0, 1)]
     assert terms2 == [0, 0, 1, 1]
     report(3, "recurrence worked examples give 3 and 2, matching term for term")

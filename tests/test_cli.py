@@ -176,6 +176,23 @@ def test_fbound(capsys):
     assert code == 0 and out.strip() == "2"
 
 
+@pytest.mark.parametrize("key, want", [
+    ("3 1 2 1 0 1", "3"),
+    ("2 2 2 1 0 1", "7"),
+    ("4 1 2 1 0 1", "7"),
+    ("4 1 3 1 0 1", "3"),
+    ("1 3 2 1 0 1", "10"),
+])
+def test_fbound_counts_the_edges_of_a_vertex_footprint(capsys, key, want):
+    # class-1 edges of a class-c simplex: those meeting a fixed edge in one
+    # vertex count once per vertex of that edge; under (3,1,2,1,0,1) a
+    # simplex has 3 such edges, where a footprint factor of 1 gave F = 2
+    flags = [w for flag, k in zip(("--s", "--t", "--c", "--sp", "--tp", "--cp"), key.split())
+             for w in (flag, k)]
+    code, out, _ = run(capsys, "fbound", *flags)
+    assert code == 0 and out.strip() == want
+
+
 def test_fbound_counts_every_vertex_as_a_zero_face(capsys):
     code, out, _ = run(capsys, "fbound", "--s", "1", "--t", "1", "--c", "1",
                        "--sp", "0", "--tp", "0", "--cp", "1")

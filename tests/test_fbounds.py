@@ -7,10 +7,10 @@ from collections import Counter
 
 import pytest
 
-from f_oracle import oracle_over_cells
+from f_oracle import oracle_over_cells, orbit_face_counts
 from face_oracle import corner_simplex, exterior_faces, face_class
 from v_oracle import v_by_enumeration
-from simplotope.core import SimplotopeSpec, VertexSimplex, all_simplices, symmetries
+from simplotope.core import SimplotopeSpec, VertexSimplex, symmetries
 from simplotope.exact import det
 from simplotope.fbounds import (
     BRUTE_FORCE,
@@ -50,11 +50,10 @@ def test_comb_bound_cases():
 
 
 def test_zero_face_readings():
-    # f_bound reports the geometric count s + 2t + 1 of exterior 0-faces;
-    # VTable.f, which the recurrence and the LP read, keeps the pinned 1
-    assert f_bound(2, 1, 2, 0, 0, 1) == 5
-    assert f_bound(2, 1, 2, 0, 0, 2) == 0
-    assert DEFAULT_VTABLE.f(2, 1, 2, 0, 0, 1) == 1
+    # one F at the 0-face shape: every vertex, s + 2t + 1 of them, of class 1,
+    # for the recurrence and the LP (VTable.f) as for `fbound` (f_bound)
+    assert f_bound(2, 1, 2, 0, 0, 1) == DEFAULT_VTABLE.f(2, 1, 2, 0, 0, 1) == 5
+    assert f_bound(2, 1, 2, 0, 0, 2) == DEFAULT_VTABLE.f(2, 1, 2, 0, 0, 2) == 0
 
 
 def test_f_bound_examples():
@@ -276,38 +275,34 @@ def test_f_positive_where_faces_exist():
                         assert f_bound(s, t, 1, sp, tp, 1) >= 1, (s, t, sp, tp)
 
 
-def test_soundness_prism_exhaustive():
-    spec = SimplotopeSpec.seg_tri(1, 1)
-    for x in all_simplices(spec):
-        if x.cls == 0:
-            continue
-        for sp in range(0, 3):
-            for tp in range(0, 2):
-                if sp + 2 * tp > spec.dim:
-                    continue
-                counts = Counter(face_class(f[0]) for f in exterior_faces(x, (sp, tp)))
-                for cp, n in counts.items():
-                    assert n <= f_bound(1, 1, x.cls, sp, tp, cp)
+# Every segment/triangle product through dimension 5, and (0, 3).
+ORBIT_PRODUCTS = [(s, t) for t in range(3) for s in range(6 - 2 * t) if (s, t) != (0, 0)] + [(0, 3)]
 
 
-def test_soundness_dim_five_sampled():
-    # a seeded sample of the segment-cross-two-triangles product, whose LP
-    # cell relies on bounds up to class 3
-    spec = SimplotopeSpec.seg_tri(1, 2)
+@pytest.mark.parametrize("s, t", ORBIT_PRODUCTS)
+def test_f_bounds_the_faces_of_every_orbit(s, t):
+    # the most exterior faces of each (shape, class) that a class-c simplex
+    # has, over one simplex of every orbit, never exceeds F; the footprint
+    # factor pinned at 1 on the 0-face shape gave F(3,1,2,1,0,1) = 2 here,
+    # against 3 such edges
+    most = Counter()
+    spec = SimplotopeSpec.seg_tri(s, t)
+    for _, c, counts in orbit_face_counts(spec, _orderly_leaves(spec)):
+        for (sp, tp, cp), n in counts.items():
+            most[(c, sp, tp, cp)] = max(most[(c, sp, tp, cp)], n)
+    over = {key: n for key, n in most.items() if n > f_bound(s, t, *key)}
+    assert over == {}
+
+
+@pytest.mark.parametrize("s, t", [(3, 1), (1, 2)])
+def test_orbit_face_counts_match_the_face_oracle(s, t):
+    spec = SimplotopeSpec.seg_tri(s, t)
     verts = spec.vertices()
-    rng = random.Random(17)
-    seen = 0
-    while seen < 400:
-        sub = rng.sample(verts, spec.dim + 1)
-        x = VertexSimplex(spec, sub)
-        if x.cls == 0:
-            continue
-        seen += 1
-        for sp in range(0, 4):
-            for tp in range(0, 3):
-                if sp + 2 * tp > spec.dim:
-                    continue
-                counts = Counter(face_class(f[0]) for f in exterior_faces(x, (sp, tp)))
-                for cp, n in counts.items():
-                    assert n <= f_bound(1, 2, x.cls, sp, tp, cp), \
-                        (x.cls, sp, tp, cp, n)
+    orbits = list(orbit_face_counts(spec, _orderly_leaves(spec)))
+    for simplex, c, counts in random.Random(29).sample(orbits, 12):
+        x = VertexSimplex(spec, [verts[i] for i in simplex])
+        assert x.cls == c
+        want = Counter((sp, tp, face_class(sub))
+                       for tp in range(t + 1) for sp in range(s + t - tp + 1)
+                       for sub, _ in exterior_faces(x, (sp, tp)))
+        assert counts == want, simplex

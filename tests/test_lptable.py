@@ -36,7 +36,7 @@ def test_constraint_pairs_range():
 
 
 def test_lp_coefficients_are_f_bound():
-    # build_lp reads VTable.f, which f_bound only overrides on the (0, 0) shape
+    # build_lp reads VTable.f, the one F that f_bound and `simplotope fbound` report
     for s, t in [(1, 1), (3, 0), (2, 1), (0, 3), (4, 1)]:
         v = DEFAULT_VTABLE.get(s, t).value
         for sp, tp in constraint_pairs(s, t):
