@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .exact import det
+from .record import Record
 
 # The most digits an integer read from an input file may have: CPython's
 # default int-string limit.  The command line lifts that limit so that exact
@@ -32,17 +32,18 @@ from .exact import det
 MAX_INT_DIGITS = 4300
 
 
-@dataclass(frozen=True)
-class SimplotopeSpec:
+class SimplotopeSpec(Record):
     """Factor dimensions (c_1, ..., c_n) of a product of simplices."""
 
+    __slots__ = ("factors",)
     factors: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.factors) == 0:
+    def __init__(self, factors: tuple[int, ...]):
+        if len(factors) == 0:
             raise ValueError("a simplotope needs at least one factor")
-        if any(c < 1 for c in self.factors):
+        if any(c < 1 for c in factors):
             raise ValueError("factor dimensions must be positive")
+        object.__setattr__(self, "factors", factors)
 
     @staticmethod
     def of(*factors: int) -> "SimplotopeSpec":
@@ -80,19 +81,21 @@ class SimplotopeSpec:
         return [VertexPoint(self, idx) for idx in itertools.product(*ranges)]
 
 
-@dataclass(frozen=True)
-class VertexPoint:
+class VertexPoint(Record):
     """A simplotope vertex: per factor, the position of its single 1."""
 
+    __slots__ = ("spec", "idx")
     spec: SimplotopeSpec
     idx: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.idx) != len(self.spec.factors):
+    def __init__(self, spec: SimplotopeSpec, idx: tuple[int, ...]):
+        if len(idx) != len(spec.factors):
             raise ValueError("vertex index count does not match factor count")
-        for j, c in zip(self.idx, self.spec.factors):
+        for j, c in zip(idx, spec.factors):
             if not 0 <= j <= c:
                 raise ValueError("vertex index out of range for its factor")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "idx", idx)
 
     def standard(self) -> tuple[int, ...]:
         out = []
@@ -142,24 +145,23 @@ def symmetries(spec: SimplotopeSpec, fixing_vertex_0: bool = False) -> list[tupl
             for order in orders for move in itertools.product(*moves)]
 
 
-@dataclass(frozen=True)
-class FaceId:
+class FaceId(Record):
     """A face, identified by the coordinate positions it fixes at zero."""
 
+    __slots__ = ("spec", "zeros")
     spec: SimplotopeSpec
     zeros: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        for i, j in self.zeros:
-            c = self.spec.factors[i]
+    def __init__(self, spec: SimplotopeSpec, zeros: frozenset[tuple[int, int]]):
+        for i, j in zeros:
+            c = spec.factors[i]
             if not 0 <= j <= c:
                 raise ValueError("zero position out of range")
-        for i, c in enumerate(self.spec.factors):
-            if self._zero_count(i) > c:
-                raise ValueError("a face cannot fix a whole factor block at zero")
-
-    def _zero_count(self, factor: int) -> int:
-        return sum(1 for i, _ in self.zeros if i == factor)
+        counts = Counter(i for i, _ in zeros)
+        if any(counts[i] > c for i, c in enumerate(spec.factors)):
+            raise ValueError("a face cannot fix a whole factor block at zero")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "zeros", zeros)
 
     @property
     def dim(self) -> int:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .core import SimplotopeSpec
+from .record import Record
 
 ENUM_DIM_LIMIT = 8
 
@@ -25,16 +25,22 @@ def comb0(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class QQuery:
+class QQuery(Record):
+    """Faces of shape (sp, tp) of the product of s segments and t triangles."""
+
+    __slots__ = ("s", "t", "sp", "tp")
     s: int
     t: int
     sp: int
     tp: int
 
-    def __post_init__(self):
-        if min(self.s, self.t, self.sp, self.tp) < 0:
+    def __init__(self, s: int, t: int, sp: int, tp: int):
+        if min(s, t, sp, tp) < 0:
             raise ValueError("face counts take nonnegative arguments")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "sp", sp)
+        object.__setattr__(self, "tp", tp)
 
 
 def q_count(q: QQuery) -> int:

@@ -33,9 +33,10 @@ and solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+from .record import Record
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -90,18 +91,21 @@ def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]
     return d, adj
 
 
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(Record):
     """min objective . x  subject to  row . x >= rhs for every constraint, x >= 0."""
 
+    __slots__ = ("objective", "constraints")
     objective: tuple[Fraction, ...]
     constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
 
-    def __post_init__(self):
-        n = len(self.objective)
-        for row, _ in self.constraints:
+    def __init__(self, objective: tuple[Fraction, ...],
+                 constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]):
+        n = len(objective)
+        for row, _ in constraints:
             if len(row) != n:
                 raise ValueError("constraint row length does not match objective")
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "constraints", constraints)
 
     @staticmethod
     def build(objective, constraints) -> "LpProblem":
@@ -110,8 +114,7 @@ class LpProblem:
         return LpProblem(obj, cons)
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     status: str
     value: Fraction | None
     solution: tuple[Fraction, ...] | None

@@ -37,32 +37,43 @@ The search covers every subset without enumerating them all:
   well.  Every prefix of a canonical set is therefore canonical, so
   cutting non-canonical prefixes keeps the canonical set of every orbit of
   d-sets as a leaf: a set of every class.
-- The test runs on prefixes of at most d - 2 vertices only.  Any depth is
-  sound: a canonical set passes the test at every prefix, and a leaf the
-  test did not cut is still a d-set, so it cannot raise the maximum.  The
-  depth only trades cost.  A test is |H| - 1 sorted images, while below a
-  prefix of d - 1 vertices lies a single level of leaves, one short sum
-  each (below), which is cheaper than the test that would cut them.
-  Measured with that leaf sum (2 vCPUs, Python 3.11, medians of
-  alternating runs): testing prefixes up to d - 2 vertices takes 0.058 s on
-  V(0, 3) (6,589 leaves) and 0.58 s on V(2, 2), against 0.066 s and 0.66 s
-  up to d - 3; testing up to d - 1 took about twice as long on V(4, 1).
+- The search stops at the stems: the canonical prefixes R of d - 2
+  vertices, `_orderly_stems`.  Testing only prefixes that short is sound:
+  a canonical set passes the test at every prefix, and a leaf the test did
+  not cut is still a d-set of some class, so it cannot raise the maximum.
+- Canonicity is a bitmask comparison.  A vertex set is a mask with vertex v
+  at bit n - 1 - v.  For sets A and B of equal size, sorted(A) < sorted(B)
+  exactly when the lowest vertex of A ^ B lies in A, that is, when A's
+  mask is the larger integer.  The search keeps one image mask per
+  element of H, grows each by one bit per added vertex, and cuts a prefix
+  when the largest image mask exceeds its own: one `max` per node in place
+  of |H| - 1 sorted images.
 - Each level of the search adds one vector and eliminates it against the
   levels below by fraction-free Bareiss steps, whose divisions are exact by
   Sylvester's identity.  A vector that eliminates to zero is dependent on
   the ones chosen, so that branch and every superset of it is degenerate
   and is cut.  No float is used anywhere.
-- The leaves are not eliminated.  With d - 1 vectors chosen, the final
-  Bareiss pivot of a last vector v is the d x d determinant up to sign.
-  It is linear in v, and it vanishes when v lies in the span of the chosen
-  rows.  So it is phi . v for one integer vector phi per node, the cofactor
-  vector of the chosen rows, which is orthogonal to every eliminated row and
-  has the (d - 1)-st pivot on the one column c* that no row pivots on
-  (`_leaf_cofactor` gets it by exact back-substitution, d - 1 short dot
-  products, and raises ArithmeticError on a division that is not exact).
-  Reduced coordinates at vertex 0 are 0/1, so each leaf's class is
-  |sum of phi over the support of v|, one term per factor at most, in
-  place of a d-step elimination per leaf.  It halves V(2, 2) and V(4, 1).
+- The last two levels are not searched.  After R's d - 2 rows, a vector
+  reduces to zero on their pivot columns and to alpha(u) and beta(u) on
+  the two free columns f1 < f2, two integer linear forms
+  (`_cofactor`, exact back-substitution that raises ArithmeticError on a
+  division that is not exact).  One more Bareiss step gives the class of
+  {0} + R + {u, v} as |alpha(u) beta(v) - beta(u) alpha(v)| / |p|, with p
+  R's last pivot, exactly by Sylvester's identity.
+- For fixed u that is |w . v| / |p| with w = alpha(u) beta - beta(u) alpha.
+  A vertex's reduced coordinates at vertex 0 take at most one coordinate
+  of each factor's block, in any combination, so the maximum over all
+  vertices v is the larger of the sum of the blocks' nonnegative maxima and
+  minus the sum of their nonpositive minima: O(d) per u, and the same for
+  every u with the same (alpha(u), beta(u)).  V is the maximum over stems
+  and u >= start.  It is sound, because a nonzero value is the class of
+  the simplex on 0, R, u and the maximizing v, and complete, because every
+  leaf R + (u, v) with start <= u < v is among the v maximized over.
+  Expanded over the u >= start independent of R and the v > u, the stems
+  give the leaves of the same search run two levels deeper without a test,
+  classes included (6,589 of them on (0, 3)).  V(0, 3) takes about 0.03 s
+  and V(2, 2) about 0.2 s (2 vCPUs, Python 3.11).
+- The segment, d = 1, has no stems; its V is 1.
 
 A VTable is the F evaluator of one cube-cap table.  It owns a copy of the
 caps, the V values computed from them and the F memo.  F depends on the caps
@@ -116,6 +127,7 @@ combinatorial bound and the recurrence.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import reprlib
@@ -310,43 +322,48 @@ class VTable:
         return best
 
 
-def _leaf_cofactor(d: int, rows: list[list[int]], cols: list[int], pivots: list[int]) -> list[int]:
-    """The last Bareiss pivot as a linear form: phi with phi . v = that pivot.
+def _cofactor(k: int, rows: list[list[int]], cols: list[int], pivots: list[int],
+              free: int) -> list[int]:
+    """A vector's Bareiss-reduced entry in column `free` as a linear form.
 
-    rows[k], k < d - 1, is the k-th chosen vector after elimination, with
-    pivot pivots[k + 1] in column cols[k] and zeros in cols[:k].  phi is 0 on
-    every row and pivots[d - 1] on the one column c* no row pivots on, so
-    back-substitution gives phi[cols[k]] = -(rows[k] . phi) / pivots[k + 1]
-    for k = d - 2, ..., 0.  Each division is exact because phi is the
-    integer cofactor vector; one that is not raises ArithmeticError.
+    rows[j], j < k, is the j-th chosen vector after elimination, with pivot
+    pivots[j + 1] in column cols[j] and zeros in cols[:j]; rows has one slot
+    per coordinate.  Eliminating v against those k rows leaves phi . v in
+    column `free`, a column no row pivots on.  phi is orthogonal to every
+    row, pivots[k] on `free` and 0 on the other columns no row pivots on, so
+    back-substitution gives phi[cols[j]] = -(rows[j] . phi) / pivots[j + 1]
+    for j = k - 1, ..., 0.  Each division is exact because phi is an integer
+    cofactor vector; one that is not raises ArithmeticError.
     """
-    phi = [0] * d
-    (free,) = set(range(d)).difference(cols[:d - 1])
-    phi[free] = pivots[d - 1]
-    for k in range(d - 2, -1, -1):
-        q, r = divmod(-sum(map(operator.mul, rows[k], phi)), pivots[k + 1])
+    phi = [0] * len(rows)
+    phi[free] = pivots[k]
+    for j in range(k - 1, -1, -1):
+        q, r = divmod(-sum(map(operator.mul, rows[j], phi)), pivots[j + 1])
         if r:
-            raise ArithmeticError(f"cofactor division by {pivots[k + 1]} is not exact")
-        phi[cols[k]] = q
+            raise ArithmeticError(f"cofactor division by {pivots[j + 1]} is not exact")
+        phi[cols[j]] = q
     return phi
 
 
-def _orderly_leaves(spec: SimplotopeSpec) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The leaves of the orderly search, with their classes.
+def _orderly_stems(spec: SimplotopeSpec) -> Iterator[
+        tuple[tuple[int, ...], list[int], list[int], int, int]]:
+    """The stems of the orderly search: its canonical prefixes of d - 2 vertices.
 
-    A leaf is a sorted d-tuple of vertices other than vertex 0 that spans,
-    with vertex 0, a nondegenerate simplex of the given class.  Every orbit
-    of such tuples under the stabilizer group has a leaf (its canonical
-    tuple); the search and the depth of its canonicity test are described
-    in the module docstring.
+    Yields (prefix, alpha, beta, p, start) for each prefix R of vertices
+    other than vertex 0 that passes the canonicity test at every length and
+    spans, with vertex 0, d - 2 independent vectors.  alpha and beta are the
+    `_cofactor` forms of the two columns f1 < f2 that no row of R pivots
+    on, p is R's last Bareiss pivot, and the leaves below R are R + (u, v)
+    for start <= u < v (see the module docstring).  Needs d >= 2.
     """
     d = spec.dim
     verts = spec.vertices()
+    n = len(verts)
     vecs = [v.reduced(verts[0]) for v in verts]
-    # reduced coordinates at vertex 0 are 0/1, so a linear form on a vector
-    # is the sum of its values over the vector's support
-    supports = [tuple(j for j, x in enumerate(vec) if x) for vec in vecs]
     others = symmetries(spec, fixing_vertex_0=True)[1:]
+    # a vertex set is a mask with vertex v at bit n - 1 - v; images[v] holds
+    # the bit of g(v) for every g in others
+    images = [[1 << (n - 1 - g[v]) for g in others] for v in range(n)]
     chosen: list[int] = []
     # level k holds the k-th chosen vector after Bareiss elimination against
     # levels 0..k-1, its pivot column and its pivot; pivots[k] divides step k + 1
@@ -368,34 +385,59 @@ def _orderly_leaves(spec: SimplotopeSpec) -> Iterator[tuple[tuple[int, ...], int
                 return True
         return False
 
-    def canonical() -> bool:
-        """No symmetry maps the chosen vertices to a lexicographically smaller set."""
-        for g in others:
-            if sorted(map(g.__getitem__, chosen)) < chosen:
-                return False
-        return True
-
-    def search(level: int, start: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if level == d - 1:
-            phi = _leaf_cofactor(d, rows, cols, pivots)
-            for v in range(start, len(vecs)):
-                cls = abs(sum(map(phi.__getitem__, supports[v])))
-                if cls:
-                    yield (*chosen, v), cls
+    def search(level: int, start: int, mask: int, seen: list[int]):
+        if level == d - 2:
+            f1, f2 = sorted(set(range(d)).difference(cols[:level]))
+            yield (tuple(chosen), _cofactor(level, rows, cols, pivots, f1),
+                   _cofactor(level, rows, cols, pivots, f2), pivots[level], start)
             return
-        test = level < d - 2  # the new prefix holds at most d - 2 vertices
-        for v in range(start, len(vecs)):
-            chosen.append(v)
-            if (not test or canonical()) and push(level, vecs[v]):
-                yield from search(level + 1, v + 1)
-            chosen.pop()
+        for v in range(start, n):
+            grown = mask | 1 << (n - 1 - v)
+            grown_seen = list(map(operator.or_, seen, images[v]))
+            # canonical: no image is a larger mask, that is, a smaller sorted tuple
+            if max(grown_seen, default=0) <= grown and push(level, vecs[v]):
+                chosen.append(v)
+                yield from search(level + 1, v + 1, grown, grown_seen)
+                chosen.pop()
 
-    return search(0, 1)  # vertex 0 is in the simplex and reduces to the zero vector
+    # vertex 0 is in the simplex and reduces to the zero vector
+    return search(0, 1, 0, [0] * len(others))
+
+
+def _stem_maxima(spec: SimplotopeSpec) -> Iterator[tuple[tuple, int]]:
+    """Each stem with the largest class of {0} + R + {u, v} over its u >= start
+    and every vertex v (see the module docstring)."""
+    verts = spec.vertices()
+    # reduced coordinates at vertex 0 are 0/1, so a linear form on a vertex
+    # is the sum of its values over the vertex's support
+    supports = [tuple(j for j, x in enumerate(v.reduced(verts[0])) if x) for v in verts]
+    # the reduced coordinates of factor i form one block of c_i columns
+    blocks = list(itertools.pairwise(itertools.accumulate(spec.factors, initial=0)))
+    for stem in _orderly_stems(spec):
+        _, alpha, beta, p, start = stem
+        top = 0
+        # the best v for u depends on u only through (alpha(u), beta(u))
+        for a, b in {(sum(map(alpha.__getitem__, supports[u])),
+                      sum(map(beta.__getitem__, supports[u]))) for u in range(start, len(verts))}:
+            w = [a * y - b * x for x, y in zip(alpha, beta)]
+            hi = lo = 0
+            for i, j in blocks:  # v takes at most one coordinate of each block
+                block = w[i:j]
+                hi += max(0, *block)
+                lo += min(0, *block)
+            top = max(top, hi, -lo)
+        q, r = divmod(top, abs(p))
+        if r:
+            raise ArithmeticError(f"class division by {p} is not exact")
+        yield stem, q
 
 
 def _brute_force_vmax(s: int, t: int) -> int:
     """Largest class over every (s+2t+1)-subset of the simplotope's vertices."""
-    return max(cls for _, cls in _orderly_leaves(SimplotopeSpec.seg_tri(s, t)))
+    spec = SimplotopeSpec.seg_tri(s, t)
+    if spec.dim == 1:
+        return 1  # the segment is its own only simplex
+    return max(value for _, value in _stem_maxima(spec))
 
 
 # The evaluator of the packaged caps.  DEFAULT_MEMO is its memo under a second

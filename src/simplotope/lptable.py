@@ -66,8 +66,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .counting import QQuery, q_count
 from .exact import OPTIMAL, LpProblem, lp_minimize
@@ -78,8 +78,7 @@ class InconsistentCellError(Exception):
     """A constraint with no support but a positive requirement: F/Q disagree."""
 
 
-@dataclass(frozen=True)
-class BoundCell:
+class BoundCell(NamedTuple):
     s: int
     t: int
     lp_value: Fraction
@@ -89,8 +88,7 @@ class BoundCell:
     n_constraints: int
 
 
-@dataclass(frozen=True)
-class BoundsTable:
+class BoundsTable(NamedTuple):
     max_s: int
     max_t: int
     dim_cap: int

@@ -15,8 +15,8 @@ triangulation obtained from the standard twelve by two cone replacements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     SimplotopeSpec,
@@ -155,15 +155,13 @@ def construction_stages() -> tuple[TriangulationCandidate, TriangulationCandidat
 
 # --- the lower-bound argument ------------------------------------------------
 
-@dataclass(frozen=True)
-class Ingredient:
+class Ingredient(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     ingredients: tuple[Ingredient, ...]
     lower_bound: int
     achieved_by: int

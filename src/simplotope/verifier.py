@@ -51,20 +51,18 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import SimplotopeSpec, VertexPoint, VertexSimplex, minimal_face
 from .exact import OPTIMAL, LpProblem, det, lp_minimize, scaled_inverse
 
 
-@dataclass(frozen=True)
-class TriangulationCandidate:
+class TriangulationCandidate(NamedTuple):
     spec: SimplotopeSpec
     simplices: tuple[VertexSimplex, ...]
 
 
-@dataclass(frozen=True)
-class VerifierReport:
+class VerifierReport(NamedTuple):
     spec: SimplotopeSpec
     classes: tuple[int, ...]
     total_class: int

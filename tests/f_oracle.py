@@ -12,7 +12,9 @@ pruning would hold.  ``oracle_over_cells`` runs the oracle over the cells of
 a bounds table, with V read from a VTable.
 
 ``orbit_face_counts`` is the other side of the soundness check: the exact
-exterior-face counts of one simplex of every orbit, which F must bound.
+exterior-face counts of one simplex of every orbit, which F must bound, and
+``faces_over_f`` compares the two.  ``leaves_by_stem`` expands the stems of
+the orderly V search into that simplex of every orbit.
 """
 
 import functools
@@ -20,8 +22,9 @@ import itertools
 import math
 from collections import Counter
 
+from simplotope.core import SimplotopeSpec
 from simplotope.exact import det
-from simplotope.fbounds import VMaxUnavailable, VTable
+from simplotope.fbounds import VMaxUnavailable, VTable, f_bound
 
 
 def binom(n, k):
@@ -111,31 +114,71 @@ def oracle_over_cells(caps, dim):
     return oracle, asked
 
 
-def orbit_face_counts(spec, leaves):
-    """Exterior-face counts of the simplices on vertex 0 and `leaves`.
+def leaves_by_stem(spec, stems):
+    """The leaves of the orderly V search, one list per stem.
 
-    `leaves` holds (the other vertex indices, class) pairs; with the leaves
-    of the orderly V search, `fbounds._orderly_leaves(spec)`, that is one
-    simplex of every symmetry orbit.  Every nondegenerate simplex is a
-    symmetry image of one that holds vertex 0 (the group is vertex
-    transitive), and every such simplex is a leaf's image under the
-    symmetries fixing vertex 0, which preserve face shapes and classes.
-    Yields (vertex indices, class, Counter of (s', t', face class)).
+    `stems` are `fbounds._orderly_stems(spec)`: (prefix R, alpha, beta, p,
+    start).  Below R lie the leaves R + (u, v) for start <= u < v, with u
+    independent of R (alpha(u) or beta(u) nonzero) and a nonzero class
+    |alpha(u) beta(v) - beta(u) alpha(v)| / |p|.  A leaf is (the vertex
+    indices other than vertex 0, class).  The segment has no stems; its one
+    leaf is vertex 1, of class 1.
+    """
+    if spec.dim == 1:
+        yield [((1,), 1)]
+        return
+    verts = spec.vertices()
+    vecs = [v.reduced(verts[0]) for v in verts]
+    for prefix, alpha, beta, p, start in stems:
+        a_of = [sum(x * y for x, y in zip(alpha, vec)) for vec in vecs]
+        b_of = [sum(x * y for x, y in zip(beta, vec)) for vec in vecs]
+        leaves = []
+        for u in range(start, len(vecs)):
+            a, b = a_of[u], b_of[u]
+            if not (a or b):
+                continue
+            for v in range(u + 1, len(vecs)):
+                cls, r = divmod(abs(a * b_of[v] - b * a_of[v]), abs(p))
+                if r:
+                    raise ArithmeticError(f"class division by {p} is not exact")
+                if cls:
+                    leaves.append(((*prefix, u, v), cls))
+        yield leaves
+
+
+def orbit_face_counts(spec, stems):
+    """Exterior-face counts of the simplices on vertex 0 and a leaf below `stems`.
+
+    With the stems of the orderly V search, `fbounds._orderly_stems(spec)`,
+    the leaves (`leaves_by_stem`) hold one simplex of every symmetry orbit.
+    Every nondegenerate simplex is a symmetry image of one that holds
+    vertex 0 (the group is vertex transitive), and every such simplex is a
+    leaf's image under the symmetries fixing vertex 0, which preserve face
+    shapes and classes.  Yields (vertex indices, class, Counter of (s', t',
+    face class)).
 
     A vertex is the bitmask of its 1s in standard coordinates, so the OR of
     a vertex subset U marks the coordinates its minimal face keeps free in
     each factor.  That face has dimension popcount(OR) minus the number of
     factors, and U is exterior when that is |U| - 1.  The face's shape comes
     from the per-factor popcounts (2: a segment, 3: a triangle); its class is
-    |det| of U's reduced coordinates inside the face, cached by subset.
+    |det| of U's reduced coordinates inside the face, cached by subset.  A
+    leaf is R + (u, v) below its stem R.  Subsets of 0 and R recur in the
+    next stems, so they are kept while they lie in the current stem; the
+    subsets with one of u and v are reused by the stem's other leaves and
+    dropped at the next stem; a subset with both belongs to one leaf and is
+    not cached.  The cache therefore holds one stem's subsets at most,
+    however many leaves there are.
     """
     verts = spec.vertices()
     offsets = list(itertools.accumulate((c + 1 for c in spec.factors), initial=0))
     masks = [sum(1 << (offsets[i] + j) for i, j in enumerate(v.idx)) for v in verts]
     blocks = [((1 << (c + 1)) - 1) << offsets[i] for i, c in enumerate(spec.factors)]
     n_factors = len(spec.factors)
-    shapes = {}   # OR of a subset -> its face's (s', t')
-    classes = {}  # vertex indices of an exterior subset -> its face class
+    shapes = {}  # OR of a subset -> its face's (s', t')
+    # vertex indices of an exterior subset -> its face class: in `kept` for
+    # subsets of 0 and the stem, in `below` for those with one of u and v
+    kept, below = {}, {}
 
     def shape(m):
         if m not in shapes:
@@ -144,29 +187,47 @@ def orbit_face_counts(spec, leaves):
         return shapes[m]
 
     def face_class(sub, m):
-        if sub not in classes:
-            # reduced coordinates at sub[0]: the free bits of the face, less
-            # the one that sub[0] sets in each factor
-            free = [bit for bit in range(m.bit_length())
-                    if m >> bit & 1 and not masks[sub[0]] >> bit & 1]
-            classes[sub] = abs(det([[masks[u] >> bit & 1 for bit in free] for u in sub[1:]]))
-        return classes[sub]
+        # reduced coordinates at sub[0]: the free bits of the face, less the
+        # one that sub[0] sets in each factor
+        free = [bit for bit in range(m.bit_length())
+                if m >> bit & 1 and not masks[sub[0]] >> bit & 1]
+        return abs(det([[masks[u] >> bit & 1 for bit in free] for u in sub[1:]]))
 
-    for leaf, cls in leaves:
-        simplex = (0, *leaf)
-        counts = Counter()
-        ors = [0] * (1 << len(simplex))  # ors[S]: OR of the vertices in the bit set S
-        for subset in range(1, len(ors)):
-            low = subset & -subset
-            m = ors[subset] = ors[subset ^ low] | masks[simplex[low.bit_length() - 1]]
-            size = subset.bit_count()
-            if m.bit_count() - n_factors != size - 1:
-                continue
-            if size <= 2:
-                cp = 1
-            elif size == len(simplex):
-                cp = cls
-            else:
-                cp = face_class(tuple(v for k, v in enumerate(simplex) if subset >> k & 1), m)
-            counts[(*shape(m), cp)] += 1
-        yield simplex, cls, counts
+    for leaves in leaves_by_stem(spec, stems):
+        stem = {0, *leaves[0][0][:-2]} if leaves else set()
+        kept = {sub: c for sub, c in kept.items() if stem.issuperset(sub)}
+        below.clear()
+        for leaf, cls in leaves:
+            simplex = (0, *leaf)
+            caches = {0: kept, 1: below, 2: below}  # by which of u and v a subset holds
+            counts = Counter()
+            ors = [0] * (1 << len(simplex))  # ors[S]: OR of the vertices in the bit set S
+            for subset in range(1, len(ors)):
+                low = subset & -subset
+                m = ors[subset] = ors[subset ^ low] | masks[simplex[low.bit_length() - 1]]
+                size = subset.bit_count()
+                if m.bit_count() - n_factors != size - 1:
+                    continue
+                if size <= 2:
+                    cp = 1
+                elif size == len(simplex):
+                    cp = cls
+                else:
+                    sub = tuple(v for k, v in enumerate(simplex) if subset >> k & 1)
+                    cache = caches.get(subset >> (len(simplex) - 2), {})
+                    cp = cache.get(sub)
+                    if cp is None:
+                        cp = cache[sub] = face_class(sub, m)
+                counts[(*shape(m), cp)] += 1
+            yield simplex, cls, counts
+
+
+def faces_over_f(s, t, stems):
+    """The most exterior faces of each (c, s', t', c') that one simplex of
+    every orbit below `stems` has, wherever it exceeds F(s, t, c, s', t', c').
+    """
+    most = Counter()
+    for _, c, counts in orbit_face_counts(SimplotopeSpec.seg_tri(s, t), stems):
+        for (sp, tp, cp), n in counts.items():
+            most[(c, sp, tp, cp)] = max(most[(c, sp, tp, cp)], n)
+    return {key: n for key, n in most.items() if n > f_bound(s, t, *key)}

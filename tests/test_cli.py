@@ -362,6 +362,20 @@ def test_importing_the_case_study_computes_no_v():
     assert values == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--max-s", "3", "--max-t", "1", "--dim-cap", "6"],
+    ["verify", "--input", BUNDLED],
+], ids=["bounds", "verify"])
+def test_commands_import_neither_dataclasses_nor_inspect(argv):
+    # the records are plain classes and named tuples: importing dataclasses
+    # pulls in inspect, 15–20 ms of a short command's start-up
+    script = "import sys\nbefore = set(sys.modules)\n" + FRESH_CLI_SCRIPT.replace(
+        "sorted(sys.modules)", "sorted(set(sys.modules) - before)")
+    code, added = run_python(script, *argv)
+    assert code == 0 and "simplotope.cli" in added
+    assert {"dataclasses", "inspect"}.isdisjoint(added)
+
+
 def test_verify_does_not_import_the_case_study():
     code, modules = run_fresh(["verify", "--input", BUNDLED])
     assert code == 0

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 
 import pytest
 
-from f_oracle import oracle_over_cells, orbit_face_counts
+from f_oracle import faces_over_f, leaves_by_stem, oracle_over_cells, orbit_face_counts
 from face_oracle import corner_simplex, exterior_faces, face_class
 from v_oracle import v_by_enumeration
 from simplotope.core import SimplotopeSpec, VertexSimplex, symmetries
@@ -20,8 +21,9 @@ from simplotope.fbounds import (
     VTable,
     _brute_force_vmax,
     _divisors,
-    _leaf_cofactor,
-    _orderly_leaves,
+    _cofactor,
+    _orderly_stems,
+    _stem_maxima,
     comb_bound,
     f_bound,
     load_cube_caps,
@@ -147,6 +149,11 @@ def test_stabilizer_group_order_and_symmetries(s, t):
     assert set(group) == {g for g in symmetries(spec) if g[0] == 0}
 
 
+def orderly_leaves(spec):
+    """Every leaf below the stems of the orderly V search, with its class."""
+    return [leaf for leaves in leaves_by_stem(spec, _orderly_stems(spec)) for leaf in leaves]
+
+
 @pytest.mark.parametrize("s, t", [(3, 0), (2, 1), (0, 2), (1, 2), (3, 1)])
 def test_orderly_leaves_meet_every_orbit(s, t):
     # the orbits of the nondegenerate d-sets at vertex 0 come from every
@@ -164,10 +171,39 @@ def test_orderly_leaves_meet_every_orbit(s, t):
 
     nondegenerate = [sub for sub in itertools.combinations(range(1, len(verts)), spec.dim)
                      if cls(sub)]
-    leaves = list(_orderly_leaves(spec))
+    leaves = orderly_leaves(spec)
     assert all(value == cls(sub) for sub, value in leaves)
     assert {orbit(sub) for sub, _ in leaves} == {orbit(sub) for sub in nondegenerate}
     assert len(leaves) < len(nondegenerate)  # the canonicity test did cut
+
+
+@pytest.mark.parametrize("s, t, n", [(0, 3, 6589), (3, 1, 3394), (1, 2, 648)])
+def test_orderly_leaf_counts(s, t, n):
+    # the counts of the search that tested sorted images at prefixes of up
+    # to d - 2 vertices and summed a cofactor per leaf: the bitmask test
+    # keeps the same canonical prefixes
+    assert len(orderly_leaves(SimplotopeSpec.seg_tri(s, t))) == n
+
+
+@pytest.mark.parametrize("s, t", [(0, 3), (3, 1), (2, 2)])
+def test_brute_force_vmax_is_the_largest_leaf_class(s, t):
+    # the per-block maximum over v finds no class the leaves do not have
+    leaves = orderly_leaves(SimplotopeSpec.seg_tri(s, t))
+    assert _brute_force_vmax(s, t) == max(cls for _, cls in leaves)
+
+
+def test_mask_order_is_sorted_tuple_order():
+    # _orderly_stems puts vertex v at bit n - 1 - v; for sets of one size,
+    # the larger mask is the smaller sorted tuple
+    rng = random.Random(30)
+    n = 64
+    for _ in range(2000):
+        size = rng.randint(1, 8)
+        a, b = rng.sample(range(n), size), rng.sample(range(n), size)
+        mask_a, mask_b = (sum(1 << (n - 1 - v) for v in x) for x in (a, b))
+        assert (sorted(a) < sorted(b)) == (mask_a > mask_b), (a, b)
+        low = min(set(a) ^ set(b), default=None)  # the lowest vertex of A ^ B
+        assert (sorted(a) < sorted(b)) == (low in a), (a, b)
 
 
 def test_divisors_by_trial_division():
@@ -180,7 +216,7 @@ def test_leaf_cofactor_is_the_last_pivot():
     # columns 0 and 1 with pivots 1 and 1; phi is orthogonal to both rows and
     # phi . v = det([[1, 1, 0], [0, 1, 1], v]) for every v
     rows, cols, pivots = [[1, 1, 0], [0, 1, 1], []], [0, 1, 0], [1, 1, 1, 1]
-    phi = _leaf_cofactor(3, rows, cols, pivots)
+    phi = _cofactor(2, rows, cols, pivots, 2)
     assert phi == [1, -1, 1]
     for v in itertools.product((0, 1), repeat=3):
         assert sum(x * y for x, y in zip(phi, v)) == det([[1, 1, 0], [0, 1, 1], list(v)])
@@ -191,7 +227,39 @@ def test_leaf_cofactor_division_is_checked():
     # division by the pivot 2 leaves a remainder, which must raise
     rows, cols, pivots = [[2, 1, 0], [0, 1, 1], []], [0, 1, 0], [1, 2, 1, 1]
     with pytest.raises(ArithmeticError):
-        _leaf_cofactor(3, rows, cols, pivots)
+        _cofactor(2, rows, cols, pivots, 2)
+
+
+@pytest.mark.parametrize("s, t", [(2, 1), (1, 2)])
+def test_stem_forms_give_every_class_below_a_stem(s, t):
+    # Sylvester's identity: the last Bareiss step on the two free columns
+    # is the determinant of the whole simplex, over the stem's last pivot
+    spec = SimplotopeSpec.seg_tri(s, t)
+    verts = spec.vertices()
+    vecs = [v.reduced(verts[0]) for v in verts]
+    stems = list(_orderly_stems(spec))
+    for prefix, alpha, beta, p, start in random.Random(30).sample(stems, 5):
+        form = {u: (sum(map(operator.mul, alpha, vec)), sum(map(operator.mul, beta, vec)))
+                for u, vec in enumerate(vecs)}
+        for u, v in itertools.combinations(range(len(verts)), 2):
+            (au, bu), (av, bv) = form[u], form[v]
+            rows = [vecs[i] for i in (*prefix, u, v)]
+            assert abs(au * bv - bu * av) == abs(p * det(rows)), (prefix, u, v)
+
+
+@pytest.mark.parametrize("s, t", [(2, 1), (0, 2), (1, 2), (3, 1)])
+def test_stem_maxima_are_the_largest_classes_below_each_stem(s, t):
+    # the per-block maximum over every vertex v, for each u >= start, is the
+    # largest |det| of the stem with u and v
+    spec = SimplotopeSpec.seg_tri(s, t)
+    verts = spec.vertices()
+    vecs = [v.reduced(verts[0]) for v in verts]
+    maxima = list(_stem_maxima(spec))
+    for (prefix, _, _, _, start), value in random.Random(30).sample(maxima, min(10, len(maxima))):
+        rows = [vecs[i] for i in prefix]
+        want = max((abs(det(rows + [vecs[u], vecs[v]]))
+                    for u in range(start, len(vecs)) for v in range(len(vecs))), default=0)
+        assert value == want, prefix
 
 
 def test_v_never_exceeds_cap():
@@ -285,20 +353,14 @@ def test_f_bounds_the_faces_of_every_orbit(s, t):
     # has, over one simplex of every orbit, never exceeds F; the footprint
     # factor pinned at 1 on the 0-face shape gave F(3,1,2,1,0,1) = 2 here,
     # against 3 such edges
-    most = Counter()
-    spec = SimplotopeSpec.seg_tri(s, t)
-    for _, c, counts in orbit_face_counts(spec, _orderly_leaves(spec)):
-        for (sp, tp, cp), n in counts.items():
-            most[(c, sp, tp, cp)] = max(most[(c, sp, tp, cp)], n)
-    over = {key: n for key, n in most.items() if n > f_bound(s, t, *key)}
-    assert over == {}
+    assert faces_over_f(s, t, _orderly_stems(SimplotopeSpec.seg_tri(s, t))) == {}
 
 
 @pytest.mark.parametrize("s, t", [(3, 1), (1, 2)])
 def test_orbit_face_counts_match_the_face_oracle(s, t):
     spec = SimplotopeSpec.seg_tri(s, t)
     verts = spec.vertices()
-    orbits = list(orbit_face_counts(spec, _orderly_leaves(spec)))
+    orbits = list(orbit_face_counts(spec, _orderly_stems(spec)))
     for simplex, c, counts in random.Random(29).sample(orbits, 12):
         x = VertexSimplex(spec, [verts[i] for i in simplex])
         assert x.cls == c
