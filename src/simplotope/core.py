@@ -20,7 +20,7 @@ import itertools
 import math
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .exact import det
 from .record import Record
@@ -219,12 +219,6 @@ class VertexSimplex:
         return self.cls == 0
 
 
-def all_simplices(spec: SimplotopeSpec) -> Iterator[VertexSimplex]:
-    """Every (dim+1)-subset of the vertices as a simplex, degenerate ones included."""
-    for sub in itertools.combinations(spec.vertices(), spec.dim + 1):
-        yield VertexSimplex(spec, sub)
-
-
 def class_of(x: VertexSimplex, pivot: VertexPoint) -> int:
     """|det [1 | reduced matrix]| of a full-dimensional vertex simplex.
 
@@ -237,22 +231,23 @@ def class_of(x: VertexSimplex, pivot: VertexPoint) -> int:
     return abs(det(rows))
 
 
-def exterior_facet_positions(x: VertexSimplex) -> set[tuple[int, int]]:
-    """Zero coordinates of the simplotope facets that hold a facet of x.
+def exterior_facet_positions(idxs: Iterable[tuple[int, ...]]) -> set[tuple[int, int]]:
+    """Zero coordinates of the simplotope facets that hold a facet of a simplex.
 
-    A nondegenerate simplex uses every position of every factor (otherwise
-    all its vertices share a zero coordinate and it lies in a facet).  So
-    the facet of x without vertex v misses position j of factor i, and lies
-    in the simplotope facet (i, j), exactly when v is the only vertex of x
-    at that position: the spots are the (factor, position) pairs that
-    exactly one vertex uses.
+    The simplex is given by its vertices' index tuples (`VertexPoint.idx`),
+    and the caller has found it nondegenerate.  A nondegenerate simplex uses
+    every position of every factor (otherwise all its vertices share a zero
+    coordinate and it lies in a facet).  So its facet without vertex v
+    misses position j of factor i, and lies in the simplotope facet (i, j),
+    exactly when v is its only vertex at that position: the spots are the
+    (factor, position) pairs that exactly one vertex uses.
     """
-    if x.cls == 0:
-        raise ValueError("exterior facets are only defined for nondegenerate simplices")
-    uses = Counter(spot for v in x.vertices for spot in enumerate(v.idx))
+    uses = Counter(spot for idx in idxs for spot in enumerate(idx))
     return {spot for spot, n in uses.items() if n == 1}
 
 
 def has_exterior_facet(x: VertexSimplex) -> bool:
     """True when some d of the d+1 vertices lie in a facet of the simplotope."""
-    return bool(exterior_facet_positions(x))
+    if x.cls == 0:
+        raise ValueError("exterior facets are only defined for nondegenerate simplices")
+    return bool(exterior_facet_positions(v.idx for v in x.vertices))

@@ -10,11 +10,17 @@ interior to a facet, no three class-2 simplices are pairwise
 interior-disjoint, and a pair of opposite prism facets needs six distinct
 class-1 simplices), and the bound is met by an explicit ten-simplex
 triangulation obtained from the standard twelve by two cone replacements.
+
+The checks scan all 792 five-subsets of the vertices as index tuples, with
+one determinant each, and build a `VertexSimplex` only for the 24 of class
+2.  The overlap test solves one small LP per orbit of class-2 pairs under
+the product's symmetries: 14 LPs of 11 rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -22,11 +28,10 @@ from .core import (
     SimplotopeSpec,
     VertexPoint,
     VertexSimplex,
-    all_simplices,
     exterior_facet_positions,
     symmetries,
 )
-from .exact import scaled_inverse
+from .exact import det
 from .fbounds import DEFAULT_VTABLE
 from .lptable import solve_cell
 from .standard import standard_triangulation
@@ -74,19 +79,24 @@ def encode(x: VertexSimplex) -> str:
 def center_in_facet(x: VertexSimplex) -> tuple[Fraction, ...]:
     """Barycentric coefficients of the center in a class-2 simplex.
 
-    Solves the exact convex-combination system by its adjugate, as
-    adj . rhs / det; exactly one coefficient is zero and the rest are
-    positive, so the center is interior to a facet.
+    Solves the exact convex-combination system A . coeffs = (1; center) by
+    Cramer's rule: with the rhs scaled by the lcm of its denominators (6)
+    to integers, coefficient i is det(A with column i replaced by the rhs)
+    / (6 det A).  |det A| is the class, so a simplex of another class is
+    refused.  Exactly one coefficient is zero and the rest are positive, so
+    the center is interior to a facet.
     """
-    if x.cls != 2:
-        raise ValueError("the center-in-facet property is about class-2 simplices")
     pivot = code_pivot()
     rows = [v.reduced(pivot) for v in x.vertices]
     n = len(rows)
     system = [[1] * n] + [[rows[i][k] for i in range(n)] for k in range(TRI_SQUARE.dim)]
-    rhs = [Fraction(1)] + list(CENTER_REDUCED)
-    d, adj = scaled_inverse(system)
-    coeffs = [sum(a * r for a, r in zip(row, rhs)) / d for row in adj]
+    d = det(system)
+    if abs(d) != 2:
+        raise ValueError("the center-in-facet property is about class-2 simplices")
+    scale = math.lcm(*(c.denominator for c in CENTER_REDUCED))
+    rhs = [scale] + [int(c * scale) for c in CENTER_REDUCED]
+    coeffs = [Fraction(det([line[:i] + [r] + line[i + 1:] for line, r in zip(system, rhs)]), scale * d)
+              for i in range(n)]
     zeros = sum(1 for a in coeffs if a == 0)
     if zeros != 1 or any(a < 0 for a in coeffs):
         raise ValueError(f"center not interior to a facet: coefficients {coeffs}")
@@ -202,6 +212,23 @@ def overlap_matrix(simplices: list[VertexSimplex]) -> list[list[bool]]:
     return m
 
 
+def nondegenerate_subsets() -> list[tuple[tuple[int, ...], int]]:
+    """Every nondegenerate 5-subset of the vertices, with its class.
+
+    A subset is a sorted tuple of indices into `TRI_SQUARE.vertices()`, in
+    `itertools.combinations` order over all 792; its class is |det| of the
+    vertices' lifted reduced coordinates (1, reduced), computed once.
+    """
+    pivot = code_pivot()
+    lifted = [(1,) + v.reduced(pivot) for v in TRI_SQUARE.vertices()]
+    out = []
+    for sub in itertools.combinations(range(len(lifted)), TRI_SQUARE.dim + 1):
+        cls = abs(det([lifted[i] for i in sub]))
+        if cls:
+            out.append((sub, cls))
+    return out
+
+
 def lower_bound_10_argument() -> CaseReport:
     """Machine-check every ingredient of the size-10 lower bound."""
     ingredients = []
@@ -211,16 +238,17 @@ def lower_bound_10_argument() -> CaseReport:
         "lp-bound-9", cell.lower_bound == 9,
         f"linear program gives {cell.lp_value}, bound {cell.lower_bound}"))
 
-    nondeg = [x for x in all_simplices(TRI_SQUARE) if x.cls > 0]
+    verts = TRI_SQUARE.vertices()
+    nondeg = nondegenerate_subsets()
     # spots[n] is empty exactly when simplex n has no exterior facet
-    spots = [exterior_facet_positions(x) for x in nondeg]
+    spots = [exterior_facet_positions(verts[i].idx for i in sub) for sub, _ in nondeg]
     facet_ok = all(spots)
-    max_class = max(x.cls for x in nondeg)
+    max_class = max(cls for _, cls in nondeg)
     ingredients.append(Ingredient(
         "exterior-facet-and-class-2", facet_ok and max_class == 2,
         f"{len(nondeg)} nondegenerate simplices, all with exterior facets; max class {max_class}"))
 
-    fat = [x for x in nondeg if x.cls == 2]
+    fat = [VertexSimplex(TRI_SQUARE, [verts[i] for i in sub]) for sub, cls in nondeg if cls == 2]
     count_ok = len(fat) == 24
     expected = sorted([Fraction(0), Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), Fraction(1, 3)])
     centers_ok = all(sorted(center_in_facet(x)) == expected for x in fat)

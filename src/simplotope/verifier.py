@@ -97,17 +97,29 @@ def facet_rows(x: VertexSimplex) -> tuple[tuple[int, ...], ...]:
 def interiors_overlap(a: VertexSimplex, b: VertexSimplex) -> bool:
     """Exact test for a point interior to both simplices.
 
-    One homogeneous LP over lambda, mu, z >= 0: sum lambda_i (1, a_i) =
-    sum mu_j (1, b_j), with every coordinate lifted by a leading 1, and
-    lambda_i >= z, mu_j >= z, z <= 1; minimize -z.  Without z <= 1 the
-    feasible set is a cone, so any feasible z > 0 scales up to z = 1 and the
-    optimum is exactly -1 or 0.  It is -1 exactly when the interiors meet:
-    positive barycentric coordinates of a common interior point are feasible
-    with z = their minimum, and conversely z > 0 makes every weight positive
-    while the lifted coordinate gives sum lambda = sum mu = sigma > 0, so
-    lambda / sigma and mu / sigma put one point strictly inside both.  Every
-    rhs is <= 0, as `lp_minimize` requires.  Works for equal-dimensional
-    faces as well (relative interiors).
+    Start from one homogeneous LP over lambda, mu, z >= 0: sum lambda_i
+    (1, a_i) = sum mu_j (1, b_j), with every coordinate lifted by a leading
+    1, and lambda_i >= z, mu_j >= z, z <= 1; minimize -z.  Without z <= 1
+    the feasible set is a cone, so any feasible z > 0 scales up to z = 1
+    and the optimum is exactly -1 or 0.  It is -1 exactly when the
+    interiors meet: positive barycentric coordinates of a common interior
+    point are feasible with z = their minimum, and conversely z > 0 makes
+    every weight positive while the lifted coordinate gives sum lambda =
+    sum mu = sigma > 0, so lambda / sigma and mu / sigma put one point
+    strictly inside both.
+
+    The LP solved is that one with the weights shifted by z: lambda_i =
+    z + lambda'_i and mu_j = z + mu'_j with lambda', mu' >= 0.  The map
+    (lambda', mu', z) -> (lambda, mu, z) is linear and one-to-one, and it
+    takes the orthant lambda', mu', z >= 0 onto exactly the set lambda_i >=
+    z, mu_j >= z, z >= 0 (which implies lambda, mu >= 0).  So the rows
+    lambda_i >= z and mu_j >= z disappear into the sign constraints, the z
+    column of coordinate row k becomes sum_i a_ik - sum_j b_jk, and the
+    feasible set is the old one under that change of variables, with the
+    same objective -z and the same optimum.  What is left is the 2(d + 1)
+    equality rows, each split into two inequalities, and z <= 1: still
+    homogeneous, with every rhs <= 0, as `lp_minimize` requires.  Works
+    for equal-dimensional faces as well (relative interiors).
     """
     if a.spec != b.spec:
         raise ValueError("simplices come from different simplotopes")
@@ -116,15 +128,12 @@ def interiors_overlap(a: VertexSimplex, b: VertexSimplex) -> bool:
     pivot = _global_pivot(a.spec)
     ra = [(1,) + v.reduced(pivot) for v in a.vertices]
     rb = [(1,) + v.reduced(pivot) for v in b.vertices]
-    n = len(ra) + len(rb)  # lambda, mu; z is column n
+    n = len(ra) + len(rb)  # lambda', mu'; z is column n
     rows = []
     for k in range(a.spec.dim + 1):
-        coeffs = [r[k] for r in ra] + [-r[k] for r in rb] + [0]
+        coeffs = [r[k] for r in ra] + [-r[k] for r in rb]
+        coeffs.append(sum(coeffs))
         rows += [(coeffs, 0), ([-c for c in coeffs], 0)]
-    for i in range(n):
-        row = [0] * (n + 1)
-        row[i], row[n] = 1, -1
-        rows.append((row, 0))
     minus_z = [0] * n + [-1]
     rows.append((minus_z, -1))
     result = lp_minimize(LpProblem.build(minus_z, rows))

@@ -9,12 +9,20 @@ over the public face model of ``simplotope.core``: a face is the set
 `FaceId.zeros` of (factor, position) coordinates it fixes at zero, and
 `minimal_face` gives the smallest face holding some vertices.  It is kept
 only for the tests to check the proof's lemmas and the evaluator against.
+`all_simplices`, every vertex set of the right size as a simplex, is the
+enumeration the case study's scan over vertex indices is checked against.
 """
 
 import itertools
 
-from simplotope.core import SimplotopeSpec, VertexPoint, VertexSimplex, all_simplices, minimal_face
+from simplotope.core import SimplotopeSpec, VertexPoint, VertexSimplex, minimal_face
 from simplotope.trisquare import TRI_SQUARE
+
+
+def all_simplices(spec):
+    """Every (dim+1)-subset of the vertices as a simplex, degenerate ones included."""
+    for sub in itertools.combinations(spec.vertices(), spec.dim + 1):
+        yield VertexSimplex(spec, sub)
 
 
 def tri_square_class2():

@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from f_oracle import faces_over_f
-from face_oracle import corner_simplex, exterior_faces, tri_square_class2
-from simplotope.core import SimplotopeSpec, all_simplices, has_exterior_facet
+from face_oracle import all_simplices, corner_simplex, exterior_faces, tri_square_class2
+from simplotope.core import SimplotopeSpec, has_exterior_facet
 from simplotope.counting import ENUM_DIM_LIMIT, QQuery, q_by_enumeration, q_by_generating_function, q_count
 from simplotope.fbounds import BRUTE_FORCE, DEFAULT_VTABLE, _orderly_stems, comb_bound
 from simplotope.lptable import bounds_table

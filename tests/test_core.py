@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from face_oracle import (
+    all_simplices,
     corner_simplex,
     exterior_faces,
     exterior_facet_positions_by_minimal_face,
@@ -22,7 +23,6 @@ from face_oracle import (
 from simplotope.core import (
     SimplotopeSpec,
     VertexSimplex,
-    all_simplices,
     class_of,
     exterior_facet_positions,
     has_exterior_facet,
@@ -211,13 +211,15 @@ def test_has_exterior_facet_products_of_two():
 @pytest.mark.parametrize("factors", [(1, 1, 2), (1, 2), (2, 2)])
 def test_exterior_facet_positions_match_minimal_faces(factors):
     for x in nondegenerate(SimplotopeSpec(factors)):
-        assert exterior_facet_positions(x) == exterior_facet_positions_by_minimal_face(x), x
+        spots = exterior_facet_positions(v.idx for v in x.vertices)
+        assert spots == exterior_facet_positions_by_minimal_face(x), x
 
 
-def test_exterior_facet_positions_rejects_degenerate():
+def test_has_exterior_facet_rejects_degenerate():
+    # exterior_facet_positions takes simplices its caller found nondegenerate
     square_face = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)]
     with pytest.raises(ValueError):
-        exterior_facet_positions(VertexSimplex(S21, [S21.vertex(i) for i in square_face]))
+        has_exterior_facet(VertexSimplex(S21, [S21.vertex(i) for i in square_face]))
 
 
 def test_parallel_lines_example():

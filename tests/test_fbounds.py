@@ -123,6 +123,18 @@ def test_load_cube_caps_refuses_long_numbers_in_a_short_message(tmp_path):
     assert len(str(exc.value)) < 120
 
 
+@pytest.mark.parametrize("d, attained", [(3, 2), (7, 32), (15, 131072)])
+def test_load_cube_caps_refuses_a_cap_below_sylvesters_simplex(tmp_path, d, attained):
+    # the 0/1 core of Sylvester's Hadamard matrix of order d + 1 is a d-cube
+    # simplex of this class, so any lower cap is unsound
+    path = tmp_path / "caps.txt"
+    path.write_text(f"{d} {attained}\n")
+    assert load_cube_caps(path) == {d: attained}
+    path.write_text(f"1 1\n{d} {attained - 1}\n")
+    with pytest.raises(ValueError, match=f"line 2 '{d} {attained - 1}': .* class {attained} "):
+        load_cube_caps(path)
+
+
 def test_caps_file_agrees_with_brute_force_small():
     # the configuration's small-dimension rows match an actual scan of cubes
     caps = load_cube_caps()
@@ -163,16 +175,17 @@ def test_orderly_leaves_meet_every_orbit(s, t):
     verts = spec.vertices()
     group = symmetries(spec, fixing_vertex_0=True)
 
-    def cls(sub):
-        return VertexSimplex(spec, [verts[0]] + [verts[i] for i in sub]).cls
+    lifted = [(1,) + v.reduced(verts[0]) for v in verts]
+    # the class of vertex 0 with every d-subset, one determinant each
+    cls = {sub: abs(det([lifted[0]] + [lifted[i] for i in sub]))
+           for sub in itertools.combinations(range(1, len(verts)), spec.dim)}
 
     def orbit(sub):
         return min(tuple(sorted(g[i] for i in sub)) for g in group)
 
-    nondegenerate = [sub for sub in itertools.combinations(range(1, len(verts)), spec.dim)
-                     if cls(sub)]
+    nondegenerate = [sub for sub, value in cls.items() if value]
     leaves = orderly_leaves(spec)
-    assert all(value == cls(sub) for sub, value in leaves)
+    assert all(value == cls[sub] for sub, value in leaves)
     assert {orbit(sub) for sub, _ in leaves} == {orbit(sub) for sub in nondegenerate}
     assert len(leaves) < len(nondegenerate)  # the canonicity test did cut
 

@@ -7,9 +7,20 @@ from importlib import resources
 
 import pytest
 
-from face_oracle import corner_simplex, face_class, signature, tri_square_class2
-from simplotope.core import VertexSimplex, minimal_face, symmetries
+from face_oracle import (
+    all_simplices,
+    corner_simplex,
+    exterior_facet_positions_by_minimal_face,
+    face_class,
+    signature,
+    tri_square_class2,
+)
+from simplotope import verifier
+from simplotope.core import SimplotopeSpec, VertexSimplex, exterior_facet_positions, minimal_face, symmetries
+from simplotope.exact import scaled_inverse
+from simplotope.standard import standard_triangulation
 from simplotope.trisquare import (
+    CENTER_REDUCED,
     MINIMAL_10,
     SYMBOLS,
     TRI_SQUARE,
@@ -19,6 +30,7 @@ from simplotope.trisquare import (
     decode,
     encode,
     minimal_triangulation_10,
+    nondegenerate_subsets,
     overlap_matrix,
     symbol_of,
     vertex_code,
@@ -47,6 +59,20 @@ def test_exactly_24_class_two_simplices():
     fat = tri_square_class2()
     assert len(fat) == 24
     assert all(x.cls == 2 for x in fat)
+
+
+def test_index_scan_matches_the_enumeration():
+    # the scan over vertex indices finds the same nondegenerate vertex sets,
+    # classes and exterior-facet spots as the enumeration of simplices
+    verts = TRI_SQUARE.vertices()
+    scanned = {frozenset(verts[i] for i in sub): (cls, exterior_facet_positions(verts[i].idx for i in sub))
+               for sub, cls in nondegenerate_subsets()}
+    enumerated = {x.vertex_set: (x.cls, exterior_facet_positions_by_minimal_face(x))
+                  for x in all_simplices(TRI_SQUARE) if x.cls}
+    assert len(scanned) == 504
+    assert scanned == enumerated
+    fat = {vs for vs, (cls, _) in scanned.items() if cls == 2}
+    assert fat == {x.vertex_set for x in tri_square_class2()} and len(fat) == 24
 
 
 def vertex_indices(x):
@@ -109,9 +135,40 @@ def test_center_coefficients():
         assert sorted(center_in_facet(y)) == expected
 
 
+def test_cramer_centers_equal_the_adjugate_solution():
+    # the convex-combination system solved as adj . rhs / det instead
+    pivot = code_pivot()
+    for x in tri_square_class2():
+        rows = [v.reduced(pivot) for v in x.vertices]
+        system = [[1] * 5] + [[r[k] for r in rows] for k in range(TRI_SQUARE.dim)]
+        d, adj = scaled_inverse(system)
+        rhs = [Fraction(1), *CENTER_REDUCED]
+        assert center_in_facet(x) == tuple(sum(a * r for a, r in zip(row, rhs)) / d for row in adj)
+
+
 def test_center_guard_for_class_one():
     with pytest.raises(ValueError):
         center_in_facet(corner_simplex(TRI_SQUARE, code_pivot()))
+
+
+def test_overlap_lp_has_one_row_per_split_equality_and_z(monkeypatch):
+    # 2(d + 1) split equality rows and z <= 1; a column per weight and z
+    shapes = []
+    lp_minimize = verifier.lp_minimize
+
+    def recording(problem):
+        shapes.append((len(problem.constraints), len(problem.objective)))
+        return lp_minimize(problem)
+
+    monkeypatch.setattr(verifier, "lp_minimize", recording)
+    overlap_matrix(tri_square_class2())
+    assert shapes == [(11, 11)] * 14
+    shapes.clear()
+    cube = standard_triangulation(SimplotopeSpec.of(1, 1, 1))
+    segment = VertexSimplex(cube[0].spec, cube[0].vertices[:2])
+    assert interiors_overlap(cube[0], cube[0]) and not interiors_overlap(cube[0], cube[1])
+    assert interiors_overlap(segment, segment)
+    assert shapes == [(9, 9), (9, 9), (9, 5)]
 
 
 def test_minimal_triangulation_checks_out():
