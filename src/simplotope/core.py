@@ -5,7 +5,9 @@ coordinates as one barycentric block per factor (block i has c_i + 1 entries
 summing to 1).  Vertices are the 0/1 points, encoded compactly by the index
 of the 1 in each block.  Reduced coordinates drop one entry per block, the
 one where a chosen pivot vertex is 1; nothing is lost because each block sums
-to 1.
+to 1.  A vertex's lifted row is 1 followed by its reduced coordinates at the
+all-zero vertex: the row it contributes to every determinant of a class,
+an orientation or an overlap system.
 
 The class of a full-dimensional vertex simplex is the absolute determinant of
 its reduced coordinate matrix augmented with a column of ones (an integer:
@@ -116,6 +118,13 @@ class VertexPoint(Record):
             for j in range(c + 1):
                 if j != p:
                     out.append(1 if v == j else 0)
+        return tuple(out)
+
+    def lifted(self) -> tuple[int, ...]:
+        """(1,) + the reduced coordinates at the all-zero vertex."""
+        out = [1]
+        for j, c in zip(self.idx, self.spec.factors):
+            out.extend(1 if j == k else 0 for k in range(1, c + 1))
         return tuple(out)
 
 

@@ -173,14 +173,19 @@ def load_cube_caps(path=None) -> dict[int, int]:
     Each line holds a dimension and its cap, both >= 1 and of at most
     MAX_INT_DIGITS digits, and no dimension appears twice; a cap at a
     dimension of SYLVESTER_DIMS is at least the class of Sylvester's simplex
-    there, which the cube attains.  A line that breaks this raises
-    ValueError naming it (shortened by `reprlib`).
+    there, which the cube attains.  A file other than the packaged one may
+    not go below a packaged cap at d <= BRUTE_FORCE_DIM_LIMIT either: the
+    tests find each of those caps as the class of a d-cube simplex by
+    search.  A line that breaks this raises ValueError naming it (shortened
+    by `reprlib`).
     """
     if path is None:
         text = resources.files("simplotope").joinpath("data/cube_caps.txt").read_text()
     else:
         with open(path) as fh:
             text = fh.read()
+    floors = {} if path is None else {d: cap for d, cap in load_cube_caps().items()
+                                      if d <= BRUTE_FORCE_DIM_LIMIT}
     caps = {}
     for number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -202,6 +207,9 @@ def load_cube_caps(path=None) -> dict[int, int]:
             raise ValueError(f"{where}: the {dim}-cube has a simplex of class {attained} "
                              f"(from Sylvester's Hadamard matrix of order {dim + 1}), "
                              "so a lower cap is unsound")
+        if cap < floors.get(dim, 0):
+            raise ValueError(f"{where}: the {dim}-cube has a simplex of class {floors[dim]} "
+                             "(the packaged cap, found by search), so a lower cap is unsound")
         caps[dim] = cap
     return caps
 

@@ -123,13 +123,13 @@ def candidate_from_dict(doc: dict) -> TriangulationCandidate:
 
 
 def candidate_to_dict(cand: TriangulationCandidate, coords: str = "standard",
-                      pivot: VertexPoint | None = None, metadata: dict | None = None) -> dict:
+                      metadata: dict | None = None) -> dict:
     spec = cand.spec
     doc: dict = {"factors": list(spec.factors), "coords": coords}
     if coords == "standard":
         encode = lambda v: list(v.standard())
     elif coords == "reduced":
-        pivot = pivot or VertexPoint(spec, (0,) * len(spec.factors))
+        pivot = VertexPoint(spec, (0,) * len(spec.factors))
         doc["reduction_vertex"] = list(pivot.standard())
         encode = lambda v: list(v.reduced(pivot))
     else:

@@ -1,20 +1,21 @@
 """The triangle-cross-square case: minimal cover and triangulation size 10.
 
 The product of two segments and a triangle has twelve vertices; ordering
-them numerically by their reduced coordinates (reduction with respect to the
-vertex that becomes the origin) and labeling them 1..9, 0, #, * gives the
-coding used throughout this module.  The linear program gives a lower bound
-of 9; the refinement to 10 combines four finite checks (largest class is 2
-with an exterior facet forced, every class-2 simplex holds the center
-interior to a facet, no three class-2 simplices are pairwise
-interior-disjoint, and a pair of opposite prism facets needs six distinct
-class-1 simplices), and the bound is met by an explicit ten-simplex
-triangulation obtained from the standard twelve by two cone replacements.
+them numerically by their lifted rows (`VertexPoint.lifted`: 1, then the
+reduced coordinates at the all-zero vertex, which becomes the origin) and
+labeling them 1..9, 0, #, * gives the coding used throughout this module.
+The linear program gives a lower bound of 9; the refinement to 10 combines
+four finite checks (largest class is 2 with an exterior facet forced, every
+class-2 simplex holds the center interior to a facet, no three class-2
+simplices are pairwise interior-disjoint, and a pair of opposite prism
+facets needs six distinct class-1 simplices), and the bound is met by an
+explicit ten-simplex triangulation obtained from the standard twelve by two
+cone replacements.
 
 The checks scan all 792 five-subsets of the vertices as index tuples, with
-one determinant each, and build a `VertexSimplex` only for the 24 of class
-2.  The overlap test solves one small LP per orbit of class-2 pairs under
-the product's symmetries: 14 LPs of 11 rows.
+one determinant of lifted rows each, and build a `VertexSimplex` only for
+the 24 of class 2.  The overlap test solves one small LP per orbit of
+class-2 pairs under the product's symmetries: 14 LPs of 11 rows.
 """
 
 from __future__ import annotations
@@ -50,20 +51,9 @@ MINIMAL_10 = ("1850*", "1450*", "1456*", "1356*", "1358*",
 CENTER_REDUCED = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(1, 3))
 
 
-def code_pivot() -> VertexPoint:
-    """The reduction pivot: the vertex whose reduced coordinates vanish."""
-    return VertexPoint(TRI_SQUARE, (0, 0, 0))
-
-
 def vertex_code() -> dict[str, VertexPoint]:
     """Symbol -> vertex, in numeric order of reduced coordinates."""
-    pivot = code_pivot()
-    ordered = sorted(TRI_SQUARE.vertices(), key=lambda v: v.reduced(pivot))
-    return dict(zip(SYMBOLS, ordered))
-
-
-def symbol_of() -> dict[VertexPoint, str]:
-    return {v: s for s, v in vertex_code().items()}
+    return dict(zip(SYMBOLS, sorted(TRI_SQUARE.vertices(), key=VertexPoint.lifted)))
 
 
 def decode(word: str) -> VertexSimplex:
@@ -71,25 +61,19 @@ def decode(word: str) -> VertexSimplex:
     return VertexSimplex(TRI_SQUARE, [code[ch] for ch in word])
 
 
-def encode(x: VertexSimplex) -> str:
-    names = symbol_of()
-    return "".join(sorted((names[v] for v in x.vertices), key=SYMBOLS.index))
-
-
 def center_in_facet(x: VertexSimplex) -> tuple[Fraction, ...]:
     """Barycentric coefficients of the center in a class-2 simplex.
 
-    Solves the exact convex-combination system A . coeffs = (1; center) by
-    Cramer's rule: with the rhs scaled by the lcm of its denominators (6)
-    to integers, coefficient i is det(A with column i replaced by the rhs)
-    / (6 det A).  |det A| is the class, so a simplex of another class is
-    refused.  Exactly one coefficient is zero and the rest are positive, so
-    the center is interior to a facet.
+    Solves the exact convex-combination system A . coeffs = (1; center), A
+    the transpose of the vertices' lifted rows, by Cramer's rule: with the
+    rhs scaled by the lcm of its denominators (6) to integers, coefficient i
+    is det(A with column i replaced by the rhs) / (6 det A).  |det A| is the
+    class, so a simplex of another class is refused.  Exactly one
+    coefficient is zero and the rest are positive, so the center is
+    interior to a facet.
     """
-    pivot = code_pivot()
-    rows = [v.reduced(pivot) for v in x.vertices]
-    n = len(rows)
-    system = [[1] * n] + [[rows[i][k] for i in range(n)] for k in range(TRI_SQUARE.dim)]
+    system = [list(column) for column in zip(*(v.lifted() for v in x.vertices))]
+    n = len(x.vertices)
     d = det(system)
     if abs(d) != 2:
         raise ValueError("the center-in-facet property is about class-2 simplices")
@@ -139,15 +123,16 @@ def standard_12() -> TriangulationCandidate:
 def _replace(cand: TriangulationCandidate, region: str, apex: str,
              new_bases: tuple[str, ...]) -> tuple[TriangulationCandidate, int]:
     """Swap the subcomplex inside cone(apex, region) for cones over new_bases."""
-    allowed = set(region) | {apex}
+    code = vertex_code()
+    allowed = {code[ch] for ch in region + apex}
     keep = []
     removed = 0
     for x in cand.simplices:
-        if set(encode(x)) <= allowed:
+        if x.vertex_set <= allowed:
             removed += 1
         else:
             keep.append(x)
-    added = tuple(decode(base + apex) for base in new_bases)
+    added = tuple(VertexSimplex(TRI_SQUARE, [code[ch] for ch in base + apex]) for base in new_bases)
     return TriangulationCandidate(cand.spec, tuple(keep) + added), removed
 
 
@@ -219,8 +204,7 @@ def nondegenerate_subsets() -> list[tuple[tuple[int, ...], int]]:
     `itertools.combinations` order over all 792; its class is |det| of the
     vertices' lifted reduced coordinates (1, reduced), computed once.
     """
-    pivot = code_pivot()
-    lifted = [(1,) + v.reduced(pivot) for v in TRI_SQUARE.vertices()]
+    lifted = [v.lifted() for v in TRI_SQUARE.vertices()]
     out = []
     for sub in itertools.combinations(range(len(lifted)), TRI_SQUARE.dim + 1):
         cls = abs(det([lifted[i] for i in sub]))

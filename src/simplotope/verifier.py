@@ -6,8 +6,8 @@ candidate is certified exactly when
 
 1. every simplex is nondegenerate and full-dimensional;
 2. the classes (normalized volumes) sum to the class of P;
-3. every facet that lies in a facet of P (its minimal face fixes some
-   coordinate at zero) belongs to exactly one simplex;
+3. every facet that lies in a facet of P (for some factor of c_i + 1
+   positions, its vertices use at most c_i) belongs to exactly one simplex;
 4. every other facet belongs to exactly two simplices, and their apexes
    (the vertices off the facet) lie on opposite sides of it.
 
@@ -33,11 +33,12 @@ This is the pseudo-manifold criterion of De Loera, Rambau and Santos,
   k = 1.
 
 The check is one pass over all facets, with one exact determinant per
-simplex.  Each simplex's vertices are sorted by index, so a facet has one
-vertex order whichever simplex it comes from.  The orientation of the facet
-followed by its apex is then the simplex's signed determinant times the
-parity of moving the apex to the end, so the side of the apex is known
-without further arithmetic.  Adjacency is read from the same facet map.
+simplex on its vertices' `VertexPoint.lifted` rows.  A facet is the sorted
+tuple of its vertices' index tuples, so it has one key and one vertex order
+whichever simplex it comes from.  The orientation of the facet followed by
+its apex is then the simplex's signed determinant times the parity of
+moving the apex to the end, so the side of the apex is known without
+further arithmetic.  Adjacency is read from the same facet map.
 
 Certification makes no pairwise test.  The tests check its verdict against
 the pairwise face-to-face LP it replaced (`tests/pairwise_oracle.py`), which
@@ -53,7 +54,7 @@ import itertools
 from collections import Counter
 from typing import NamedTuple
 
-from .core import SimplotopeSpec, VertexPoint, VertexSimplex, minimal_face
+from .core import SimplotopeSpec, VertexSimplex
 from .exact import OPTIMAL, LpProblem, det, lp_minimize, scaled_inverse
 
 
@@ -74,22 +75,13 @@ class VerifierReport(NamedTuple):
     diagnostics: tuple[str, ...]
 
 
-def _global_pivot(spec: SimplotopeSpec) -> VertexPoint:
-    return VertexPoint(spec, (0,) * len(spec.factors))
-
-
-def _reduced_rows(x: VertexSimplex) -> list[tuple[int, ...]]:
-    pivot = _global_pivot(x.spec)
-    return [v.reduced(pivot) for v in x.vertices]
-
-
 def facet_rows(x: VertexSimplex) -> tuple[tuple[int, ...], ...]:
     """Integer half-space rows r with r . (1, x) >= 0 cutting out the simplex.
 
     Row i is the i-th barycentric functional scaled by |det|: it vanishes on
     every vertex but the i-th, where it equals |det|.
     """
-    d, adj = scaled_inverse([(1,) + r for r in _reduced_rows(x)])
+    d, adj = scaled_inverse([v.lifted() for v in x.vertices])
     sign = 1 if d > 0 else -1
     return tuple(tuple(sign * entry for entry in column) for column in zip(*adj))
 
@@ -125,9 +117,8 @@ def interiors_overlap(a: VertexSimplex, b: VertexSimplex) -> bool:
         raise ValueError("simplices come from different simplotopes")
     if len(a.vertices) < 2 or len(b.vertices) < 2:
         raise ValueError("overlap test needs at least segments")
-    pivot = _global_pivot(a.spec)
-    ra = [(1,) + v.reduced(pivot) for v in a.vertices]
-    rb = [(1,) + v.reduced(pivot) for v in b.vertices]
+    ra = [v.lifted() for v in a.vertices]
+    rb = [v.lifted() for v in b.vertices]
     n = len(ra) + len(rb)  # lambda', mu'; z is column n
     rows = []
     for k in range(a.spec.dim + 1):
@@ -143,19 +134,15 @@ def interiors_overlap(a: VertexSimplex, b: VertexSimplex) -> bool:
     return result.value == -1
 
 
-# A facet as the facet map holds it: its vertices in index order.
-Facet = tuple[VertexPoint, ...]
-
-
-def _ordered(x: VertexSimplex) -> list[VertexPoint]:
-    return sorted(x.vertices, key=lambda v: v.idx)
+# A facet as the facet map holds it: its vertices' index tuples, sorted.
+Facet = tuple[tuple[int, ...], ...]
 
 
 def _facet_owners(cand: TriangulationCandidate) -> dict[Facet, list[tuple[int, int]]]:
     """Map every d-vertex subset of every simplex to its owners.
 
     An owner is (simplex index, k).  The subsets of a simplex come from
-    `itertools.combinations` of its vertices in index order, and k is the
+    `itertools.combinations` of its sorted vertex index tuples, and k is the
     position of the subset in that sequence.  For a simplex with d + 1
     vertices the k-th subset omits the vertex at sorted position d - k, and
     moving that apex behind the facet takes k transpositions.  Owners of one
@@ -164,7 +151,7 @@ def _facet_owners(cand: TriangulationCandidate) -> dict[Facet, list[tuple[int, i
     d = cand.spec.dim
     owners: dict[Facet, list[tuple[int, int]]] = {}
     for i, x in enumerate(cand.simplices):
-        for k, facet in enumerate(itertools.combinations(_ordered(x), d)):
+        for k, facet in enumerate(itertools.combinations(sorted(v.idx for v in x.vertices), d)):
             owners.setdefault(facet, []).append((i, k))
     return owners
 
@@ -172,7 +159,6 @@ def _facet_owners(cand: TriangulationCandidate) -> dict[Facet, list[tuple[int, i
 def _check_members(cand: TriangulationCandidate) -> tuple[list[int], list[int], list[str], bool]:
     """Classes, signed determinants (vertices in index order) and member diagnostics."""
     d = cand.spec.dim
-    pivot = _global_pivot(cand.spec)
     classes, signed, diagnostics = [], [], []
     ok = True
     for i, x in enumerate(cand.simplices):
@@ -184,8 +170,8 @@ def _check_members(cand: TriangulationCandidate) -> tuple[list[int], list[int], 
             signed.append(0)
             ok = False
             continue
-        # |det| is the class whatever the pivot and the vertex order
-        s = det([(1,) + v.reduced(pivot) for v in _ordered(x)])
+        # |det| is the class whatever the vertex order
+        s = det([v.lifted() for v in sorted(x.vertices, key=lambda v: v.idx)])
         classes.append(abs(s))
         signed.append(s)
         if s == 0:
@@ -199,14 +185,15 @@ def _apex_side(signed_det: int, k: int) -> bool:
     return (signed_det > 0) != (k % 2 == 1)
 
 
-def _facet_diagnostics(owners: dict[Facet, list[tuple[int, int]]],
+def _facet_diagnostics(spec: SimplotopeSpec, owners: dict[Facet, list[tuple[int, int]]],
                        signed: list[int]) -> list[str]:
     """One line per facet that breaks condition 3 or 4 of the module docstring."""
     out = []
     for facet, own in owners.items():
-        boundary = bool(minimal_face(facet).zeros)
+        # in a facet of P exactly when some factor i has a position no vertex uses
+        boundary = any(len({idx[i] for idx in facet}) <= c for i, c in enumerate(spec.factors))
         where, want = ("boundary", 1) if boundary else ("interior", 2)
-        label = f"{where} facet {[v.idx for v in facet]}"
+        label = f"{where} facet {list(facet)}"
         if len(own) != want:
             noun = "simplex" if len(own) == 1 else "simplices"
             out.append(f"{label}: owned by {len(own)} {noun} {[i for i, _ in own]}, "
@@ -242,7 +229,7 @@ def verify(cand: TriangulationCandidate) -> VerifierReport:
 
     if members_ok:
         owners = _facet_owners(cand)
-        facet_diagnostics = _facet_diagnostics(owners, signed)
+        facet_diagnostics = _facet_diagnostics(spec, owners, signed)
     else:
         owners = {}
         facet_diagnostics = ["facet check skipped: not all members are nondegenerate full-dimensional"]

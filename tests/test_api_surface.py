@@ -29,6 +29,7 @@ KEPT = {
     "adjacency_graph": TRACED,
     "facet_rows": TRACED,
     "has_exterior_facet": TRACED,
+    "minimal_face": TRACED,
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -278,6 +278,8 @@ DEEP = "[" * 100_000 + "]" * 100_000
     ('{"factors": [' + "7" * 400_000 + '], "coords": "standard", "simplices": []}', None),
     ("4 " + "9" * 400_000 + "\n", ["bounds", "--config", "{file}"]),
     ("7 9\n", ["bounds", "--max-s", "7", "--max-t", "0", "--dim-cap", "7", "--config", "{file}"]),
+    ("4 3\n5 4\n", ["bounds", "--max-s", "5", "--max-t", "0", "--dim-cap", "5", "--config", "{file}"]),
+    ("6 8\n", ["vmax", "--s", "6", "--t", "0", "--config", "{file}"]),
     (None, ["standard", "--spec", "1", "--out", "{file}/x.json"]),
 ], ids=["top-level-list", "zero-factor", "non-integer-factors", "repeated-vertex",
         "simplices-not-a-list", "vertex-is-a-number", "simplex-not-a-list",
@@ -288,7 +290,8 @@ DEEP = "[" * 100_000 + "]" * 100_000
         "fbound-negative-count", "fbound-without-cap", "verify-jobs-flag", "case-jobs-flag",
         "bounds-memo-cache-flag", "memo-caps-mismatch", "caps-zero", "caps-negative",
         "caps-repeated-dim", "not-utf8", "deeply-nested", "huge-dimension", "huge-integer",
-        "caps-huge-integer", "caps-below-sylvester", "standard-unwritable-out"])
+        "caps-huge-integer", "caps-below-sylvester", "caps-below-searched-5",
+        "caps-below-searched-6", "standard-unwritable-out"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, doc, argv):
     f = tmp_path / "input.json"
     if isinstance(doc, bytes):

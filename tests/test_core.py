@@ -62,6 +62,24 @@ def test_reduce_rejects_mismatched_spec():
         S21.vertex((0, 0, 0)).reduced(SimplotopeSpec.of(2, 2).vertex((0, 0)))
 
 
+def products_through(dim):
+    """Every product of simplices of dimension at most dim, factors ascending."""
+    def rest(n, smallest):
+        yield ()
+        for c in range(smallest, n + 1):
+            yield from ((c,) + tail for tail in rest(n - c, c))
+    return [SimplotopeSpec(f) for f in rest(dim, 1) if f]
+
+
+def test_lifted_is_one_then_reduced_at_the_zero_vertex():
+    specs = products_through(5)
+    assert len(specs) == 18  # the partitions of 1, ..., 5
+    for spec in specs:
+        zero = spec.vertex((0,) * len(spec.factors))
+        for v in spec.vertices():
+            assert v.lifted() == (1,) + v.reduced(zero), (spec, v)
+
+
 # --- classes ----------------------------------------------------------------
 
 def test_corner_simplices_class_one():

@@ -135,6 +135,18 @@ def test_load_cube_caps_refuses_a_cap_below_sylvesters_simplex(tmp_path, d, atta
         load_cube_caps(path)
 
 
+def test_load_cube_caps_refuses_a_cap_below_a_searched_cap(tmp_path):
+    # the packaged caps at d <= 6 are the searched maxima (next test), so a
+    # file may match or raise them but not go below
+    packaged = load_cube_caps()
+    path = tmp_path / "caps.txt"
+    path.write_text("".join(f"{d} {packaged[d]}\n" for d in range(1, 7)) + "7 32\n8 1\n")
+    assert load_cube_caps(path) == {**{d: packaged[d] for d in range(1, 7)}, 7: 32, 8: 1}
+    path.write_text("4 3\n5 4\n")
+    with pytest.raises(ValueError, match="line 2 '5 4': the 5-cube has a simplex of class 5 "):
+        load_cube_caps(path)
+
+
 def test_caps_file_agrees_with_brute_force_small():
     # the configuration's small-dimension rows match an actual scan of cubes
     caps = load_cube_caps()

@@ -25,33 +25,41 @@ from simplotope.trisquare import (
     SYMBOLS,
     TRI_SQUARE,
     center_in_facet,
-    code_pivot,
     construction_stages,
     decode,
-    encode,
     minimal_triangulation_10,
     nondegenerate_subsets,
     overlap_matrix,
-    symbol_of,
     vertex_code,
 )
 from simplotope.verifier import interiors_overlap, verify
+
+ZERO = TRI_SQUARE.vertex((0, 0, 0))
 
 
 def canon(word):
     return "".join(sorted(word, key=SYMBOLS.index))
 
 
+def symbol_of():
+    return {v: s for s, v in vertex_code().items()}
+
+
+def encode(x):
+    """The word of a simplex: its vertices' symbols in symbol order."""
+    names = symbol_of()
+    return "".join(sorted((names[v] for v in x.vertices), key=SYMBOLS.index))
+
+
 def test_vertex_code_anchors():
     code = vertex_code()
-    pivot = code_pivot()
-    assert code["1"].reduced(pivot) == (0, 0, 0, 0)
-    assert code["2"].reduced(pivot) == (0, 0, 0, 1)
-    assert code["3"].reduced(pivot) == (0, 0, 1, 0)
-    assert code["4"].reduced(pivot) == (0, 1, 0, 0)
-    assert code["*"].reduced(pivot) == (1, 1, 1, 0)
+    assert code["1"].reduced(ZERO) == (0, 0, 0, 0)
+    assert code["2"].reduced(ZERO) == (0, 0, 0, 1)
+    assert code["3"].reduced(ZERO) == (0, 0, 1, 0)
+    assert code["4"].reduced(ZERO) == (0, 1, 0, 0)
+    assert code["*"].reduced(ZERO) == (1, 1, 1, 0)
     # numeric order: reduced coordinates strictly increase along the symbols
-    ordered = [code[s].reduced(pivot) for s in SYMBOLS]
+    ordered = [code[s].reduced(ZERO) for s in SYMBOLS]
     assert ordered == sorted(ordered)
 
 
@@ -137,9 +145,8 @@ def test_center_coefficients():
 
 def test_cramer_centers_equal_the_adjugate_solution():
     # the convex-combination system solved as adj . rhs / det instead
-    pivot = code_pivot()
     for x in tri_square_class2():
-        rows = [v.reduced(pivot) for v in x.vertices]
+        rows = [v.reduced(ZERO) for v in x.vertices]
         system = [[1] * 5] + [[r[k] for r in rows] for k in range(TRI_SQUARE.dim)]
         d, adj = scaled_inverse(system)
         rhs = [Fraction(1), *CENTER_REDUCED]
@@ -148,7 +155,7 @@ def test_cramer_centers_equal_the_adjugate_solution():
 
 def test_center_guard_for_class_one():
     with pytest.raises(ValueError):
-        center_in_facet(corner_simplex(TRI_SQUARE, code_pivot()))
+        center_in_facet(corner_simplex(TRI_SQUARE, ZERO))
 
 
 def test_overlap_lp_has_one_row_per_split_equality_and_z(monkeypatch):

@@ -14,7 +14,6 @@ from simplotope.standard import standard_triangulation
 from simplotope.trisquare import TRI_SQUARE, construction_stages, decode, minimal_triangulation_10
 from simplotope.verifier import (
     TriangulationCandidate,
-    _global_pivot,
     adjacency_graph,
     facet_rows,
     interiors_overlap,
@@ -205,7 +204,7 @@ def test_facet_rows_are_scaled_barycentric_functionals():
     for n in range(1, 5):
         for f in partitions(n):
             spec = SimplotopeSpec.of(*f)
-            pivot = _global_pivot(spec)
+            pivot = spec.vertex((0,) * len(spec.factors))
             for x in standard_triangulation(spec):
                 rows = facet_rows(x)
                 assert len(rows) == len(x.vertices) == spec.dim + 1
@@ -278,9 +277,9 @@ def standard(spec):
     return TriangulationCandidate(spec, tuple(standard_triangulation(spec)))
 
 
-def affine_dependence(spec, points):
+def affine_dependence(points):
     """The integer affine dependence of d + 2 points spanning dimension d (Cramer)."""
-    cols = [(1,) + p.reduced(_global_pivot(spec)) for p in points]
+    cols = [p.lifted() for p in points]
     rows = list(zip(*cols))
     return [(-1) ** k * det([r[:k] + r[k + 1:] for r in rows]) for k in range(len(points))]
 
@@ -300,7 +299,7 @@ def pair_flips(cand):
     for i, j in adjacency_graph(cand):
         union = sorted(xs[i].vertex_set | xs[j].vertex_set, key=lambda v: v.idx)
         (a,), (b,) = xs[i].vertex_set - xs[j].vertex_set, xs[j].vertex_set - xs[i].vertex_set
-        lam = affine_dependence(cand.spec, union)
+        lam = affine_dependence(union)
         sign = lam[union.index(a)]
         if {u for u, c in zip(union, lam) if c * sign > 0} != {a, b}:
             continue
