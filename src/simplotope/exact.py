@@ -5,15 +5,14 @@ Integers are plain Python ints (arbitrary precision), rationals are
 determinant uses fraction-free Bareiss elimination, so intermediate values
 stay integral.
 
-The LP solver is a dense simplex with Bland's least-index rule, which
-guarantees termination on the small, often degenerate programs this
-package produces.  It takes only programs that x = 0 satisfies, that is,
-with every rhs <= 0: the cover LP as its dual (`lptable`) and the overlap
-LP written homogeneously (`verifier`).  A row row . x >= rhs is written as
--row . x + s = -rhs with its surplus s >= 0, a unit column, and -rhs >= 0,
-so the surpluses form a feasible starting basis: an identity matrix, with
-denominator D = 1.  There is no phase 1 and no status "infeasible".
-Bland's rule terminates from any feasible basis.
+The LP solver is a dense simplex.  It takes only programs that x = 0
+satisfies, that is, with every rhs <= 0: the cover LP as its dual
+(`lptable`) and the overlap LP written homogeneously (`verifier`).  A row
+row . x >= rhs is written as -row . x + s = -rhs with its surplus s >= 0, a
+unit column, and -rhs >= 0, so the surpluses form a feasible starting
+basis: an identity matrix, with denominator D = 1.  There is no phase 1
+and no status "infeasible".  Entries may be ints or Fractions; an LP of
+ints, such as the cover LP, meets no Fraction until the result.
 
 The tableau is fraction-free as well (the Bareiss/Edmonds
 common-denominator form): each constraint row is scaled to integers, and the
@@ -25,9 +24,30 @@ Pivoting on (r, c) with p = T[r][c] keeps row r, sets D to p and replaces
 every other row by (T[i][j]·p − T[i][c]·T[r][j]) / D.  That division is exact
 because, by Sylvester's determinant identity (Bareiss's argument), the
 quotient is the corresponding minor for the new basis, an integer.  The
-ratio test only picks a positive p, so D stays positive.  Reduced costs and
-ratio tests compare integers; ``Fraction`` appears only in the returned value
-and solution.
+ratio test only picks a positive p, so D stays positive.
+
+The reduced costs times D ride along as one more row of T: the integer
+cost vector (scaled by the lcm of its denominators) over the rhs column's
+0, which the starting basis, of zero cost, already prices.  Entry j is
+c_j·D − Σ_i c_B(i)·T[i][j], which by Cramer's rule is plus or minus a minor
+of the constraint matrix bordered below by the cost row: the basis and the
+cost row's basic part, with column j appended.  The cost row is never a
+pivot row, so each pivot updates it by the same formula as any other row,
+and the division is exact by the same identity on the bordered matrix.  Its
+rhs entry is −(cost . x)·D, so the value is read from it; the solver checks
+that reading against cost . x over the final basis and raises RuntimeError
+if they differ.  Pricing is one scan of that row and ratio tests compare
+integers; ``Fraction`` appears only in the returned value and solution.
+
+The entering column is the most negative reduced cost, the lowest index on
+ties; the leaving row is the least ratio, ties to the lowest basic column.
+After a degenerate pivot (one whose ratio is 0) the entering column is
+Bland's least index with a negative reduced cost instead, until a pivot
+strictly lowers the objective again.  That terminates: a nondegenerate
+pivot strictly lowers the objective, so no basis recurs across one, and
+there are finitely many bases; a run of degenerate pivots follows Bland's
+rule from its second pivot on, and Bland's rule cannot cycle from any
+basis, so every such run ends.
 """
 
 from __future__ import annotations
@@ -91,15 +111,26 @@ def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]
     return d, adj
 
 
+Rational = int | Fraction
+
+
+def _rational(value) -> Rational:
+    """An int as it is, anything else as a Fraction."""
+    return value if isinstance(value, int) else Fraction(value)
+
+
 class LpProblem(Record):
-    """min objective . x  subject to  row . x >= rhs for every constraint, x >= 0."""
+    """min objective . x  subject to  row . x >= rhs for every constraint, x >= 0.
+
+    Entries are ints or Fractions.
+    """
 
     __slots__ = ("objective", "constraints")
-    objective: tuple[Fraction, ...]
-    constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    objective: tuple[Rational, ...]
+    constraints: tuple[tuple[tuple[Rational, ...], Rational], ...]
 
-    def __init__(self, objective: tuple[Fraction, ...],
-                 constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]):
+    def __init__(self, objective: tuple[Rational, ...],
+                 constraints: tuple[tuple[tuple[Rational, ...], Rational], ...]):
         n = len(objective)
         for row, _ in constraints:
             if len(row) != n:
@@ -109,8 +140,8 @@ class LpProblem(Record):
 
     @staticmethod
     def build(objective, constraints) -> "LpProblem":
-        obj = tuple(Fraction(c) for c in objective)
-        cons = tuple((tuple(Fraction(c) for c in row), Fraction(b)) for row, b in constraints)
+        obj = tuple(map(_rational, objective))
+        cons = tuple((tuple(map(_rational, row)), _rational(b)) for row, b in constraints)
         return LpProblem(obj, cons)
 
 
@@ -126,8 +157,9 @@ ZERO = Fraction(0)
 def _pivot(tab: list[list[int]], basis: list[int], d: int, row: int, col: int) -> int:
     """Pivot the integer tableau over denominator d on (row, col); return the new one.
 
-    Every other row i becomes (T[i]·p − T[i][col]·T[row]) / d with p = T[row][col],
-    an exact division; the pivot row stays and p > 0 becomes the denominator.
+    Every other row i, the reduced-cost row included, becomes
+    (T[i]·p − T[i][col]·T[row]) / d with p = T[row][col], an exact division;
+    the pivot row stays and p > 0 becomes the denominator.
     """
     p = tab[row][col]
     prow = tab[row]
@@ -144,27 +176,36 @@ def _pivot(tab: list[list[int]], basis: list[int], d: int, row: int, col: int) -
 
 
 def _simplex_phase(tab: list[list[int]], basis: list[int], d: int,
-                   cost: list[int]) -> tuple[str, int]:
-    """Minimize cost over the tableau in place from its feasible basis; Bland's
-    rule, so it terminates.
+                   cost: list[int]) -> tuple[str, int, int]:
+    """Minimize cost over the tableau in place from its feasible basis.
 
-    Returns the status and the final denominator.  The width comes from
-    cost, so a tableau without rows works too.
+    The reduced costs times d ride along as one more row while the phase
+    runs; the entering column is the most negative one (lowest index on
+    ties), or Bland's least index after a degenerate pivot until the
+    objective drops again, so it terminates (see the module docstring).
+    Returns the status, the final denominator and the objective value
+    times it, read from the reduced-cost row.  The width comes from cost,
+    so a tableau without rows works too.
     """
-    ncols = len(cost)
+    m = len(tab)
+    # c_j·d − Σ_i c_B(i)·T[i][j]; over the rhs column (c = 0) that is −value·d
+    priced = [(cost[b], line) for b, line in zip(basis, tab) if cost[b]]
+    tab.append([c * d - sum(cb * line[j] for cb, line in priced)
+                for j, c in enumerate([*cost, 0])])
+    bland = False
     while True:
-        # reduced cost of column j, times d > 0: c_j·d − Σ_i c_B(i)·T[i][j]
-        priced = [(cost[b], line) for b, line in zip(basis, tab) if cost[b]]
-        entering = -1
-        for j in range(ncols):
-            if cost[j] * d < sum(cb * line[j] for cb, line in priced):
-                entering = j
-                break
+        reduced = tab[m][:-1]
+        if bland:
+            entering = next((j for j, r in enumerate(reduced) if r < 0), -1)
+        else:
+            least = min(reduced, default=0)
+            entering = reduced.index(least) if least < 0 else -1
         if entering < 0:
-            return OPTIMAL, d
+            return OPTIMAL, d, -tab.pop()[-1]
         # ratio test T[i][-1] / T[i][entering] by cross-multiplication (d cancels)
         leaving = -1
-        for i, line in enumerate(tab):
+        for i in range(m):
+            line = tab[i]
             a = line[entering]
             if a > 0:
                 if leaving < 0:
@@ -175,7 +216,10 @@ def _simplex_phase(tab: list[list[int]], basis: list[int], d: int,
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
-            return UNBOUNDED, d
+            tab.pop()
+            return UNBOUNDED, d, 0
+        # a zero ratio leaves the objective where it is: a degenerate pivot
+        bland = tab[leaving][-1] == 0
         d = _pivot(tab, basis, d, leaving, entering)
 
 
@@ -208,12 +252,14 @@ def lp_minimize(problem: LpProblem) -> LpResult:
     basis = [n + i for i in range(m)]
     obj_scale = math.lcm(*(c.denominator for c in problem.objective))
     cost = _scaled(problem.objective, obj_scale) + [0] * m
-    status, d = _simplex_phase(tab, basis, 1, cost)
+    status, d, scaled_value = _simplex_phase(tab, basis, 1, cost)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
+    # the carried row must agree with the basis: cost . x_B, both times d
+    if scaled_value != sum(cost[b] * line[-1] for line, b in zip(tab, basis)):
+        raise RuntimeError("reduced-cost row disagrees with the basic solution")
     x = [ZERO] * n
     for line, b in zip(tab, basis):
         if b < n:
             x[b] = Fraction(line[-1], d)
-    value = sum((c * v for c, v in zip(problem.objective, x)), ZERO)
-    return LpResult(OPTIMAL, value, tuple(x))
+    return LpResult(OPTIMAL, Fraction(scaled_value, d * obj_scale), tuple(x))

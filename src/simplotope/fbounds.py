@@ -71,8 +71,8 @@ The search covers every subset without enumerating them all:
   leaf R + (u, v) with start <= u < v is among the v maximized over.
   Expanded over the u >= start independent of R and the v > u, the stems
   give the leaves of the same search run two levels deeper without a test,
-  classes included (6,589 of them on (0, 3)).  V(0, 3) takes about 0.03 s
-  and V(2, 2) about 0.2 s (2 vCPUs, Python 3.11).
+  classes included (6,589 of them on (0, 3)).  V(0, 3) takes about 0.015 s
+  and V(2, 2) about 0.1 s (best of 7, 2 vCPUs, Python 3.11).
 - The segment, d = 1, has no stems; its V is 1.
 
 A VTable is the F evaluator of one cube-cap table.  It owns a copy of the
@@ -99,6 +99,16 @@ the same LP coefficients):
   dividing c/c', or c'/k > V(x, y)) is skipped before its footprint factor
   is looked up.  A footprint factor of 0 (k > V(i, j) among others) skips
   the shadow factor, as before.
+- The full-shape footprint, (i, j) = (s', t'), is sigma itself: it is
+  written as 1 for k = c' and 0 otherwise without a call, as F's full-shape
+  convention gives (k divides c' <= V(s', t'), so no other convention
+  applies).
+
+F itself looks up its memo before it tests any convention, so the 5,043
+memo hits of the d = 10 table skip those tests; a memoized key passed them
+when it was stored.  `lptable.build_lp` writes 0 for a class above
+V(s', t') rather than asking F for the convention's 0.  With both, the
+d = 10 table calls F 9,399 times instead of 12,191, with the same memo.
 
 V is asked for no pair the plain recursion does not ask for.  That
 recursion asks for V(s', t') at its first footprint, and for V(ss, tt) at
@@ -273,9 +283,16 @@ class VTable:
         raise VMaxUnavailable(f"no cube cap configured for dimension {dim}")
 
     def f(self, s: int, t: int, c: int, sp: int, tp: int, cp: int) -> int:
-        """F(s, t, c, s', t', c'): the conventions, the 0-face and full shapes,
-        then the memoized minimum of the combinatorial bound and the recurrence.
+        """F(s, t, c, s', t', c'): a memo hit, else the conventions, the 0-face
+        and full shapes, then the memoized minimum of the combinatorial bound
+        and the recurrence.
         """
+        key = (s, t, c, sp, tp, cp)
+        memo = self.memo
+        value = memo.values.get(key)
+        if value is not None:
+            memo.hits += 1
+            return value
         # the conventions: zero outside the admissible range, 1 on the full shape
         if s < 0 or t < 0 or sp < 0 or tp < 0 or c < 1 or cp < 1:
             return 0
@@ -290,12 +307,6 @@ class VTable:
             return 1 if cp == c else 0
         if sp == 0 and tp == 0:
             return s + 2 * t + 1 if cp == 1 else 0
-        key = (s, t, c, sp, tp, cp)
-        memo = self.memo
-        value = memo.values.get(key)
-        if value is not None:
-            memo.hits += 1
-            return value
         memo.misses += 1
         value = min(comb_bound(s, t, sp, tp), self.recurrence(s, t, c, sp, tp, cp))
         memo.values[key] = value
@@ -325,7 +336,8 @@ class VTable:
         cq = c // cp
         shadow_dim = s + 2 * t - sp - 2 * tp
         kqs = [(k, cp // k) for k in _divisors(cp) if cq % (cp // k) == 0]
-        footprints: dict[tuple[int, int, int], int] = {}
+        # the full-shape footprint is the whole of sigma: 1 for k = c', else 0
+        footprints = {(sp, tp, k): int(k == cp) for k, _ in kqs}
         best = 0
         for e in es:
             ss = sp - s + 2 * e

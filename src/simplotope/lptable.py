@@ -9,8 +9,12 @@ reported table entry since the x_c are cardinalities.
 
 The (s', t') = (0, 0) inequality is omitted: with F's vertex count there
 it would overshoot the reference table, and dropping a constraint only
-weakens the minimum, so the reported bounds stay valid.  Constraint rows
-are scaled by (s'+2t')! so the coefficient side is integral.
+weakens the minimum, so the reported bounds stay valid.  Each row is
+multiplied by (s'+2t')!, which leaves the coefficients c * F as they are
+and makes the requirement Q * (s'+2t')! / 2^t' an integer as well: the t'
+even factors 2, 4, ..., 2t' of (2t')! give 2^t' | (2t')!, and (2t')!
+divides (s'+2t')!.  So the cover LP and its dual hold ints only, and the
+solver meets no Fraction before its result.
 
 Only the breakpoint classes become columns.  `build_lp` reads diagonal
 keys F(s, t, c, s', t', c) alone, and on that family F is piecewise
@@ -153,8 +157,10 @@ def build_lp(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> LpProblem:
     v_rows = [vtable.get(sp, tp).value for sp, tp in pairs]
     classes = sorted({1, v_full}.union(v for v in v_rows if v < v_full))
     f = vtable.f
-    columns = [[c * f(s, t, c, sp, tp, c) for sp, tp in pairs] for c in classes]
-    rhs = [Fraction(q_count(QQuery(s, t, sp, tp)) * math.factorial(sp + 2 * tp), 2 ** tp)
+    # F vanishes on a class above V(s', t'), so that entry is written as 0
+    columns = [[c * f(s, t, c, sp, tp, c) if c <= v else 0 for (sp, tp), v in zip(pairs, v_rows)]
+               for c in classes]
+    rhs = [q_count(QQuery(s, t, sp, tp)) * (math.factorial(sp + 2 * tp) // 2 ** tp)
            for sp, tp in pairs]
     for row, (sp, tp) in enumerate(pairs):
         if rhs[row] > 0 and not any(col[row] for col in columns):

@@ -56,8 +56,9 @@ def vertex_code() -> dict[str, VertexPoint]:
     return dict(zip(SYMBOLS, sorted(TRI_SQUARE.vertices(), key=VertexPoint.lifted)))
 
 
-def decode(word: str) -> VertexSimplex:
-    code = vertex_code()
+def decode(word: str, code: dict[str, VertexPoint] | None = None) -> VertexSimplex:
+    """The simplex on the symbols of word; pass `code` to reuse one table."""
+    code = code or vertex_code()
     return VertexSimplex(TRI_SQUARE, [code[ch] for ch in word])
 
 
@@ -89,7 +90,8 @@ def center_in_facet(x: VertexSimplex) -> tuple[Fraction, ...]:
 
 def minimal_triangulation_10() -> TriangulationCandidate:
     """The minimal ten-simplex triangulation, decoded from its symbols."""
-    return TriangulationCandidate(TRI_SQUARE, tuple(decode(w) for w in MINIMAL_10))
+    code = vertex_code()
+    return TriangulationCandidate(TRI_SQUARE, tuple(decode(w, code) for w in MINIMAL_10))
 
 
 # --- the 12 -> 11 -> 10 construction ---------------------------------------
@@ -132,7 +134,7 @@ def _replace(cand: TriangulationCandidate, region: str, apex: str,
             removed += 1
         else:
             keep.append(x)
-    added = tuple(VertexSimplex(TRI_SQUARE, [code[ch] for ch in base + apex]) for base in new_bases)
+    added = tuple(decode(base + apex, code) for base in new_bases)
     return TriangulationCandidate(cand.spec, tuple(keep) + added), removed
 
 

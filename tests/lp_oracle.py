@@ -6,9 +6,11 @@ in the kernel's form: rows with rhs <= 0 are negated and start on their
 surplus, rows with rhs > 0 start on an artificial, and phase 1 (minimize
 the artificials) decides feasibility before phase 2.  On the LPs the kernel
 accepts, every rhs is <= 0, so there is no artificial and no phase 1, and
-phase 2 pivots on the same columns and rows as the kernel (same standard
-form, Bland's rule with the same leaving-row tie-break): the two must agree
-on status, value and solution exactly.  The tests also use it directly on
+phase 2 starts from the kernel's basis in the same standard form.  It
+prices by Bland's least index throughout, where the kernel takes the most
+negative reduced cost, so the two may pivot differently; the tests compare
+status, value and solution, and on every LP they compare both reach the
+same optimal vertex.  The tests also use it directly on
 LPs that need phase 1, such as primal cover LPs and the normalized overlap
 LP.  It is kept only for the tests.
 

@@ -169,6 +169,29 @@ def test_lp_degenerate_terminates():
     assert r.status == OPTIMAL and r.value == -1 and r.solution == (1, 0, 1, 0)
 
 
+def test_lp_beale_cycling_example_terminates():
+    # Beale (1955), built to make the largest-coefficient rule cycle at x = 0
+    F = Fraction
+    problem = LpProblem.build([F(-3, 4), 20, F(-1, 2), 6], [
+        ([F(-1, 4), 8, 1, -9], 0), ([F(-1, 2), 12, F(1, 2), -3], 0), ([0, 0, -1, 0], -1)])
+    r = lp_minimize(problem)
+    assert r.status == OPTIMAL and r.value == F(-5, 4)
+    assert r == fraction_lp_minimize(problem)
+
+
+def test_lp_value_row_is_checked(monkeypatch):
+    # the value read from the reduced-cost row must equal objective . x
+    real_phase = exact._simplex_phase
+
+    def corrupt(tab, basis, d, cost):
+        status, d, scaled_value = real_phase(tab, basis, d, cost)
+        return status, d, scaled_value + 1
+
+    monkeypatch.setattr(exact, "_simplex_phase", corrupt)
+    with pytest.raises(RuntimeError):
+        lp_minimize(dual_lp(LpProblem.build([1, 1], [([1, 0], 4), ([1, 2], 6)])))
+
+
 def test_lp_no_constraints():
     r = lp_minimize(LpProblem.build([1, 1], []))
     assert r.status == OPTIMAL and r.value == 0 and r.solution == (0, 0)
@@ -224,16 +247,38 @@ def test_lp_matches_fraction_oracle_on_random_lps():
     assert seen == {OPTIMAL, UNBOUNDED}
 
 
+CELLS_DIM10 = [(s, t) for t in range(6) for s in range(11 - 2 * t) if (s, t) != (0, 0)]
+
+
 def test_lp_matches_fraction_oracle_on_cell_lps():
-    # the duals of the cover LPs, which `solve_cell` solves
+    # the duals of the cover LPs, which `solve_cell` solves, through d = 10
     from simplotope.lptable import build_lp
 
-    cells = [(s, t) for s in range(7) for t in range(4) if 1 <= s + 2 * t <= 6]
-    for s, t in cells:
+    for s, t in CELLS_DIM10:
         problem = dual_lp(build_lp(s, t))
         got = lp_minimize(problem)
         assert got.status == OPTIMAL
         assert got == fraction_lp_minimize(problem), (s, t)
+
+
+def test_cell_lps_take_few_pivots(monkeypatch):
+    # Bland's rule alone takes 494 pivots on the 35 dual LPs of the d = 10
+    # table; most-negative pricing with its Bland fallback takes 176
+    from simplotope.lptable import build_lp
+
+    problems = [dual_lp(build_lp(s, t)) for s, t in CELLS_DIM10]
+    pivots = []
+    real_pivot = exact._pivot
+
+    def count(*args):
+        pivots.append(args[3:])  # (row, col)
+        return real_pivot(*args)
+
+    monkeypatch.setattr(exact, "_pivot", count)
+    for problem in problems:
+        assert lp_minimize(problem).status == OPTIMAL
+    assert len(problems) == 35
+    assert len(pivots) <= 200
 
 
 def test_lp_matches_fraction_oracle_on_overlap_lps(monkeypatch):

@@ -256,6 +256,19 @@ def test_csv_and_json_output():
     assert table.to_json() == table.to_json()  # deterministic
 
 
+def test_build_lp_keeps_its_entries_integral():
+    # Q (s'+2t')! / 2^t' is an integer (2^t' divides (2t')!, which divides
+    # (s'+2t')!), so the cover LP holds ints only, through the d = 13 row
+    cells = [(s, t) for t in range(7) for s in range(14 - 2 * t) if (s, t) != (0, 0)]
+    for s, t in cells:
+        problem = build_lp(s, t)
+        assert all(type(c) is int for c in problem.objective)
+        for (row, rhs), (sp, tp) in zip(problem.constraints, constraint_pairs(s, t)):
+            assert type(rhs) is int and all(type(c) is int for c in row), (s, t, sp, tp)
+            q = q_count(QQuery(s, t, sp, tp))
+            assert rhs == Fraction(q * math.factorial(sp + 2 * tp), 2 ** tp), (s, t, sp, tp)
+
+
 def test_build_lp_rejects_point():
     with pytest.raises(ValueError):
         build_lp(0, 0)
