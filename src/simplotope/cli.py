@@ -33,11 +33,11 @@ def _nonnegative(*named: tuple[str, int]) -> None:
             raise UsageError(f"{name} must be >= 0, got {value}")
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+def _parse_factors(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"{what} must be comma-separated integers, got {text!r}") from None
+        raise UsageError(f"--spec must be comma-separated integers, got {text!r}") from None
 
 
 def _vtable(args):
@@ -109,13 +109,16 @@ def cmd_verify(args) -> int:
 def cmd_standard(args) -> int:
     from .core import SimplotopeSpec
     from .standard import standard_triangulation
-    from .tfiles import candidate_to_dict, save_candidate
+    from .tfiles import MAX_DIMENSION, candidate_to_dict, save_candidate
     from .verifier import TriangulationCandidate
 
     try:
-        spec = SimplotopeSpec(_parse_int_list(args.spec, "--spec"))
+        spec = SimplotopeSpec(_parse_factors(args.spec))
     except ValueError as exc:
         raise UsageError(f"--spec {args.spec}: {exc}") from None
+    if spec.dim > MAX_DIMENSION:
+        raise UsageError(f"--spec: the factor dimensions add up to more than {MAX_DIMENSION}, "
+                         "the largest accepted")
     sims = standard_triangulation(spec)
     cand = TriangulationCandidate(spec, tuple(sims))
     meta = {"kind": "standard triangulation", "size": len(sims)}
@@ -134,17 +137,7 @@ def cmd_standard(args) -> int:
 def cmd_vmax(args) -> int:
     from .fbounds import VMaxUnavailable
 
-    if args.spec:
-        if args.s is not None or args.t is not None:
-            raise UsageError("vmax takes --spec s,t or --s and --t, not both")
-        pair = _parse_int_list(args.spec, "--spec")
-        if len(pair) != 2:
-            raise UsageError("vmax --spec takes exactly two counts, e.g. 1,2")
-        s, t = pair
-    elif args.s is None or args.t is None:
-        raise UsageError("vmax needs --spec s,t or both --s and --t")
-    else:
-        s, t = args.s, args.t
+    s, t = args.s, args.t
     _nonnegative(("s", s), ("t", t))
     try:
         entry = _vtable(args).get(s, t)
@@ -156,23 +149,10 @@ def cmd_vmax(args) -> int:
 
 
 def cmd_q(args) -> int:
-    from .counting import ENUM_DIM_LIMIT, QQuery, q_by_enumeration, q_by_generating_function, q_count
+    from .counting import q_count
 
     _nonnegative(("--s", args.s), ("--t", args.t), ("--sp", args.sp), ("--tp", args.tp))
-    query = QQuery(args.s, args.t, args.sp, args.tp)
-    value = q_count(query)
-    print(value)
-    if args.check:
-        gen = q_by_generating_function(query)
-        checks = [("generating-function", gen)]
-        if args.s + 2 * args.t <= ENUM_DIM_LIMIT:
-            checks.append(("enumeration", q_by_enumeration(query)))
-        bad = [(name, got) for name, got in checks if got != value]
-        for name, got in checks:
-            print(f"  {name}: {got}", file=sys.stderr)
-        if bad:
-            print("error: oracles disagree", file=sys.stderr)
-            return 1
+    print(q_count(args.s, args.t, args.sp, args.tp))
     return 0
 
 
@@ -241,9 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_standard)
 
     p = sub.add_parser("vmax", help="largest simplex class V(s,t)")
-    p.add_argument("--spec", help="segment,triangle counts, e.g. 1,2")
-    p.add_argument("--s", type=int)
-    p.add_argument("--t", type=int)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--t", type=int, required=True)
     p.add_argument("--config", help="cube-cap configuration file")
     p.set_defaults(func=cmd_vmax)
 
@@ -252,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--sp", type=int, required=True)
     p.add_argument("--tp", type=int, required=True)
-    p.add_argument("--check", action="store_true", help="cross-check against the oracles")
     p.set_defaults(func=cmd_q)
 
     p = sub.add_parser("fbound", help="exterior-face count bound F(s,t,c,s',t',c')")

@@ -48,10 +48,6 @@ class SimplotopeSpec(Record):
         object.__setattr__(self, "factors", factors)
 
     @staticmethod
-    def of(*factors: int) -> "SimplotopeSpec":
-        return SimplotopeSpec(tuple(factors))
-
-    @staticmethod
     def seg_tri(s: int, t: int) -> "SimplotopeSpec":
         """The product of s segments followed by t triangles."""
         if s < 0 or t < 0 or s + t == 0:
@@ -61,10 +57,6 @@ class SimplotopeSpec(Record):
     @property
     def dim(self) -> int:
         return sum(self.factors)
-
-    @property
-    def n_vertices(self) -> int:
-        return math.prod(c + 1 for c in self.factors)
 
     @property
     def polytope_class(self) -> int:
@@ -222,10 +214,6 @@ class VertexSimplex:
     def cls(self) -> int:
         """Normalized volume; only full-dimensional simplices carry a class."""
         return class_of(self, self.vertices[0])
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.cls == 0
 
 
 def class_of(x: VertexSimplex, pivot: VertexPoint) -> int:

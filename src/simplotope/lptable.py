@@ -73,7 +73,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .counting import QQuery, q_count
+from .counting import q_count
 from .exact import OPTIMAL, LpProblem, lp_minimize
 from .fbounds import DEFAULT_VTABLE, VMaxUnavailable, VTable
 
@@ -98,12 +98,6 @@ class BoundsTable(NamedTuple):
     dim_cap: int
     cells: tuple[BoundCell, ...]
     skipped: tuple[tuple[int, int, str], ...]
-
-    def cell(self, s: int, t: int) -> BoundCell:
-        for c in self.cells:
-            if (c.s, c.t) == (s, t):
-                return c
-        raise KeyError((s, t))
 
     def to_csv(self) -> str:
         lines = ["s,t,lp_value,lower_bound,v_used"]
@@ -160,7 +154,7 @@ def build_lp(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> LpProblem:
     # F vanishes on a class above V(s', t'), so that entry is written as 0
     columns = [[c * f(s, t, c, sp, tp, c) if c <= v else 0 for (sp, tp), v in zip(pairs, v_rows)]
                for c in classes]
-    rhs = [q_count(QQuery(s, t, sp, tp)) * (math.factorial(sp + 2 * tp) // 2 ** tp)
+    rhs = [q_count(s, t, sp, tp) * (math.factorial(sp + 2 * tp) // 2 ** tp)
            for sp, tp in pairs]
     for row, (sp, tp) in enumerate(pairs):
         if rhs[row] > 0 and not any(col[row] for col in columns):

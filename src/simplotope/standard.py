@@ -17,57 +17,46 @@ from .core import SimplotopeSpec, VertexPoint, VertexSimplex
 
 
 def orderings(spec: SimplotopeSpec) -> Iterator[tuple[int, ...]]:
-    """Interleavings of the factor labels, c_i copies of label i.
+    """Interleavings of the factor labels, c_i copies of label i, in
+    lexicographic order.
 
     Within one factor the y coordinates are forced into their chain order, so
     an ordering of all coordinates is exactly a multiset permutation of the
-    labels; the k-th occurrence of label i stands for y_k of factor i.
+    labels; the k-th occurrence of label i stands for y_k of factor i.  They
+    are stepped through by the next-permutation rule, from the sorted labels
+    on: find the last ascent k, swap seq[k] with the last entry above it and
+    reverse the tail after k.
     """
-    counts = list(spec.factors)
-    n = len(counts)
-    total = spec.dim
-    seq: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(seq) == total:
-            yield tuple(seq)
+    seq = [i for i, c in enumerate(spec.factors) for _ in range(c)]
+    while True:
+        yield tuple(seq)
+        k = len(seq) - 2
+        while k >= 0 and seq[k] >= seq[k + 1]:
+            k -= 1
+        if k < 0:
             return
-        for i in range(n):
-            if counts[i] > 0:
-                counts[i] -= 1
-                seq.append(i)
-                yield from rec()
-                seq.pop()
-                counts[i] += 1
-
-    yield from rec()
+        j = len(seq) - 1
+        while seq[j] <= seq[k]:
+            j -= 1
+        seq[k], seq[j] = seq[j], seq[k]
+        seq[k + 1:] = reversed(seq[k + 1:])
 
 
-def simplex_of_ordering(spec: SimplotopeSpec, ordering: Sequence[int],
-                        orientation: Sequence[Sequence[int]] | None = None) -> VertexSimplex:
+def simplex_of_ordering(spec: SimplotopeSpec, ordering: Sequence[int]) -> VertexSimplex:
     """The simplex spanned by the prefix-threshold vertices of an ordering.
 
     The prefix of length m sets the first m coordinates in the order to 1 and
     the rest to 0; within factor i, k ones select the k-th vertex along the
-    factor's chain.  `orientation` optionally remaps that chain per factor
-    (a permutation of 0..c_i, default identity).
+    factor's chain.
     """
-    verts = []
     counts = [0] * len(spec.factors)
-    verts.append(_chain_vertex(spec, counts, orientation))
+    verts = [VertexPoint(spec, tuple(counts))]
     for label in ordering:
         counts[label] += 1
-        verts.append(_chain_vertex(spec, counts, orientation))
+        verts.append(VertexPoint(spec, tuple(counts)))
     return VertexSimplex(spec, verts)
 
 
-def _chain_vertex(spec, counts, orientation) -> VertexPoint:
-    if orientation is None:
-        return VertexPoint(spec, tuple(counts))
-    return VertexPoint(spec, tuple(orientation[i][k] for i, k in enumerate(counts)))
-
-
-def standard_triangulation(spec: SimplotopeSpec,
-                           orientation: Sequence[Sequence[int]] | None = None) -> list[VertexSimplex]:
+def standard_triangulation(spec: SimplotopeSpec) -> list[VertexSimplex]:
     """All simplices of the standard triangulation; count = spec.polytope_class."""
-    return [simplex_of_ordering(spec, o, orientation) for o in orderings(spec)]
+    return [simplex_of_ordering(spec, o) for o in orderings(spec)]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .core import (
@@ -47,19 +48,16 @@ TRI_SQUARE = SimplotopeSpec.seg_tri(2, 1)
 MINIMAL_10 = ("1850*", "1450*", "1456*", "1356*", "1358*",
               "1398*", "1798*", "1708*", "#850*", "13582")
 
+# symbol -> vertex, in numeric order of the lifted rows
+VERTEX_CODE = MappingProxyType(dict(zip(SYMBOLS, sorted(TRI_SQUARE.vertices(), key=VertexPoint.lifted))))
+
 # reduced coordinates of the center: (1/2; 1/2; 1/3, 1/3)
 CENTER_REDUCED = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(1, 3))
 
 
-def vertex_code() -> dict[str, VertexPoint]:
-    """Symbol -> vertex, in numeric order of reduced coordinates."""
-    return dict(zip(SYMBOLS, sorted(TRI_SQUARE.vertices(), key=VertexPoint.lifted)))
-
-
-def decode(word: str, code: dict[str, VertexPoint] | None = None) -> VertexSimplex:
-    """The simplex on the symbols of word; pass `code` to reuse one table."""
-    code = code or vertex_code()
-    return VertexSimplex(TRI_SQUARE, [code[ch] for ch in word])
+def decode(word: str) -> VertexSimplex:
+    """The simplex on the symbols of word."""
+    return VertexSimplex(TRI_SQUARE, [VERTEX_CODE[ch] for ch in word])
 
 
 def center_in_facet(x: VertexSimplex) -> tuple[Fraction, ...]:
@@ -90,8 +88,7 @@ def center_in_facet(x: VertexSimplex) -> tuple[Fraction, ...]:
 
 def minimal_triangulation_10() -> TriangulationCandidate:
     """The minimal ten-simplex triangulation, decoded from its symbols."""
-    code = vertex_code()
-    return TriangulationCandidate(TRI_SQUARE, tuple(decode(w, code) for w in MINIMAL_10))
+    return TriangulationCandidate(TRI_SQUARE, tuple(map(decode, MINIMAL_10)))
 
 
 # --- the 12 -> 11 -> 10 construction ---------------------------------------
@@ -115,18 +112,22 @@ CUT_FOUR = ("356*", "358*", "398*", "3582")
 
 
 def standard_12() -> TriangulationCandidate:
-    """The standard triangulation, oriented so each simplex contains 1 and *."""
-    # the triangle factor's vertex chain runs 1-block, 2-block, *-block
-    orientation = [(0, 1), (0, 1), (0, 2, 1)]
-    sims = standard_triangulation(TRI_SQUARE, orientation)
+    """The standard triangulation, oriented so each simplex contains 1 and *.
+
+    The triangle factor's positions are relabeled through (0, 2, 1), so its
+    vertex chain runs 1-block, 2-block, *-block.
+    """
+    relabel = (0, 2, 1)
+    sims = [VertexSimplex(TRI_SQUARE, [VertexPoint(TRI_SQUARE, (a, b, relabel[c]))
+                                      for a, b, c in (v.idx for v in x.vertices)])
+            for x in standard_triangulation(TRI_SQUARE)]
     return TriangulationCandidate(TRI_SQUARE, tuple(sims))
 
 
 def _replace(cand: TriangulationCandidate, region: str, apex: str,
              new_bases: tuple[str, ...]) -> tuple[TriangulationCandidate, int]:
     """Swap the subcomplex inside cone(apex, region) for cones over new_bases."""
-    code = vertex_code()
-    allowed = {code[ch] for ch in region + apex}
+    allowed = {VERTEX_CODE[ch] for ch in region + apex}
     keep = []
     removed = 0
     for x in cand.simplices:
@@ -134,7 +135,7 @@ def _replace(cand: TriangulationCandidate, region: str, apex: str,
             removed += 1
         else:
             keep.append(x)
-    added = tuple(decode(base + apex, code) for base in new_bases)
+    added = tuple(decode(base + apex) for base in new_bases)
     return TriangulationCandidate(cand.spec, tuple(keep) + added), removed
 
 

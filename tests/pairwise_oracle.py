@@ -35,7 +35,7 @@ def meet_face_to_face(a, b):
     """
     if a.spec != b.spec:
         raise ValueError("simplices come from different simplotopes")
-    if a.is_degenerate or b.is_degenerate:
+    if a.cls == 0 or b.cls == 0:
         raise ValueError("face-to-face is only defined for nondegenerate simplices")
     pivot = _zero_vertex(a.spec)
     points = [(1,) + v.reduced(pivot) for v in a.vertices]

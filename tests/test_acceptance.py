@@ -15,8 +15,9 @@ import pytest
 
 from f_oracle import faces_over_f
 from face_oracle import all_simplices, corner_simplex, exterior_faces, tri_square_class2
+from q_oracle import ENUM_DIM_LIMIT, q_by_enumeration, q_by_generating_function
 from simplotope.core import SimplotopeSpec, has_exterior_facet
-from simplotope.counting import ENUM_DIM_LIMIT, QQuery, q_by_enumeration, q_by_generating_function, q_count
+from simplotope.counting import q_count
 from simplotope.fbounds import BRUTE_FORCE, DEFAULT_VTABLE, _orderly_stems, comb_bound
 from simplotope.lptable import bounds_table
 from simplotope.standard import standard_triangulation
@@ -65,8 +66,9 @@ def case_report():
 def test_criterion_01_table_reproduction():
     start = time.time()
     table = bounds_table(6, 3, 6)
+    cells = {(c.s, c.t): c for c in table.cells}
     for (s, t), want in TABLE_1_PINNED.items():
-        cell = table.cell(s, t)
+        cell = cells[s, t]
         assert cell.lower_bound == want, ((s, t), cell.lp_value)
     # every other cell the run produced matches the reference table as well
     for cell in table.cells:
@@ -109,13 +111,12 @@ def test_criterion_04_q_triple_agreement():
         for t in range(0, 5):
             for sp in range(0, s + t + 2):
                 for tp in range(0, t + 2):
-                    q = QQuery(s, t, sp, tp)
-                    closed = q_count(q)
-                    assert q_by_generating_function(q) == closed
+                    closed = q_count(s, t, sp, tp)
+                    assert q_by_generating_function(s, t, sp, tp) == closed
                     if s + 2 * t <= ENUM_DIM_LIMIT:
-                        assert q_by_enumeration(q) == closed
+                        assert q_by_enumeration(s, t, sp, tp) == closed
                         checked += 1
-    assert q_count(QQuery(0, 2, 2, 0)) == 9
+    assert q_count(0, 2, 2, 0) == 9
     report(4, f"closed form, generating function and enumeration agree "
               f"({checked} fully enumerated queries)")
 
@@ -150,7 +151,7 @@ def test_criterion_07_products_of_two_simplices():
     checked = 0
     for a in range(1, 5):
         for b in range(a, 6 - a):
-            spec = SimplotopeSpec.of(a, b)
+            spec = SimplotopeSpec((a, b))
             for x in all_simplices(spec):
                 if x.cls != 0:
                     assert x.cls == 1, (a, b, x)
@@ -163,18 +164,18 @@ def test_criterion_08_standard_triangulations():
     start = time.time()
     for n in range(1, 7):
         for factors in partitions(n):
-            spec = SimplotopeSpec.of(*factors)
+            spec = SimplotopeSpec(tuple(factors))
             tri = standard_triangulation(spec)
             assert len(tri) == spec.polytope_class
     certified = 0
     for n in range(1, 6):
         for factors in partitions(n):
-            spec = SimplotopeSpec.of(*factors)
+            spec = SimplotopeSpec(tuple(factors))
             cand = TriangulationCandidate(spec, tuple(standard_triangulation(spec)))
             rep = verify(cand)
             assert rep.certified, (factors, rep.diagnostics)
             certified += 1
-    cube6 = SimplotopeSpec.of(*[1] * 6)
+    cube6 = SimplotopeSpec((1,) * 6)
     rep = verify(TriangulationCandidate(cube6, tuple(standard_triangulation(cube6))))
     assert rep.certified and rep.total_class == 720, rep.diagnostics[:5]
     report(8, f"sizes match through dimension 6; all {certified} standard "

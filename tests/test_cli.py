@@ -152,15 +152,13 @@ def test_main_restores_the_int_string_limit(capsys):
         sys.set_int_max_str_digits(before)
 
 
-def test_q_with_oracles(capsys):
-    code, out, err = run(capsys, "q", "--s", "0", "--t", "2", "--sp", "2", "--tp", "0", "--check")
-    assert code == 0
-    assert out.strip() == "9"
-    assert "generating-function: 9" in err and "enumeration: 9" in err
+def test_q_prints_the_count(capsys):
+    code, out, err = run(capsys, "q", "--s", "0", "--t", "2", "--sp", "2", "--tp", "0")
+    assert (code, out, err) == (0, "9\n", "")
 
 
-def test_vmax_spec_form(capsys):
-    code, out, err = run(capsys, "vmax", "--spec", "1,2")
+def test_vmax_counts_form(capsys):
+    code, out, err = run(capsys, "vmax", "--s", "1", "--t", "2")
     assert code == 0 and out.strip() == "3"
     assert "brute-forced" in err
 
@@ -235,6 +233,14 @@ def test_standard_single_segment(capsys):
     assert json.loads(out)["simplices"] == [[[1, 0], [0, 1]]]
 
 
+def test_standard_one_long_factor(tmp_path, capsys):
+    # the simplex itself: its orderings are found without a call per coordinate
+    out_file = tmp_path / "simplex.json"
+    code, _, err = run(capsys, "standard", "--spec", "1000", "--coords", "reduced", "--out", str(out_file))
+    assert code == 0 and err == "1 simplices (size formula: 1)\n"
+    assert len(json.loads(out_file.read_text())["simplices"]) == 1
+
+
 # deeper than the JSON parser's recursion limit
 DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -256,10 +262,12 @@ DEEP = "[" * 100_000 + "]" * 100_000
     (None, ["bounds", "--max-t", "-1"]),
     (None, ["bounds", "--config", "/nonexistent/caps.txt"]),
     (None, ["vmax", "--s", "-1", "--t", "0"]),
-    (None, ["vmax", "--spec", "9,9"]),
-    (None, ["vmax", "--spec", "1,1", "--s", "5", "--t", "0"]),
+    (None, ["vmax", "--s", "9", "--t", "9"]),
+    (None, ["vmax", "--spec", "1,2"]),
     (None, ["q", "--s", "-1", "--t", "0", "--sp", "0", "--tp", "0"]),
+    (None, ["q", "--s", "0", "--t", "2", "--sp", "2", "--tp", "0", "--check"]),
     (None, ["standard", "--spec", "0"]),
+    (None, ["standard", "--spec", "99999999999"]),
     (None, ["fbound", "--s", "-1", "--t", "0", "--c", "1", "--sp", "0", "--tp", "0", "--cp", "1"]),
     (None, ["fbound", "--s", "20", "--t", "0", "--c", "2", "--sp", "1", "--tp", "0", "--cp", "1"]),
     (None, ["verify", "--input", "{file}", "--jobs", "2"]),
@@ -285,8 +293,8 @@ DEEP = "[" * 100_000 + "]" * 100_000
         "simplices-not-a-list", "vertex-is-a-number", "simplex-not-a-list",
         "reduction-vertex-not-a-list", "string-vertex-entry", "float-vertex-entry",
         "negative-max-t", "missing-config",
-        "vmax-negative-count", "vmax-without-cap", "vmax-spec-and-counts",
-        "q-negative-count", "standard-zero-factor",
+        "vmax-negative-count", "vmax-without-cap", "vmax-spec-flag",
+        "q-negative-count", "q-check-flag", "standard-zero-factor", "standard-huge-dimension",
         "fbound-negative-count", "fbound-without-cap", "verify-jobs-flag", "case-jobs-flag",
         "bounds-memo-cache-flag", "memo-caps-mismatch", "caps-zero", "caps-negative",
         "caps-repeated-dim", "not-utf8", "deeply-nested", "huge-dimension", "huge-integer",
@@ -339,7 +347,7 @@ def run_fresh(argv):
     ["verify", "--input", BUNDLED],
     ["case", "tri-square", "--check", "all"],
     ["standard", "--spec", "1,2"],
-    ["vmax", "--spec", "0,3"],
+    ["vmax", "--s", "0", "--t", "3"],
 ], ids=["bounds", "verify", "case", "standard", "vmax"])
 def test_cli_commands_do_not_import_numpy(argv):
     code, modules = run_fresh(argv)

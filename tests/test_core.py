@@ -42,9 +42,9 @@ def nondegenerate(spec):
 
 def test_spec_basics():
     assert S21.dim == 4
-    assert S21.n_vertices == 12
+    assert len(S21.vertices()) == 12
     assert S21.polytope_class == 12
-    assert SimplotopeSpec.of(2, 2).polytope_class == 6
+    assert SimplotopeSpec((2, 2)).polytope_class == 6
     with pytest.raises(ValueError):
         SimplotopeSpec(())
     with pytest.raises(ValueError):
@@ -59,7 +59,7 @@ def test_reduce_pivot_to_zero():
 
 def test_reduce_rejects_mismatched_spec():
     with pytest.raises(ValueError):
-        S21.vertex((0, 0, 0)).reduced(SimplotopeSpec.of(2, 2).vertex((0, 0)))
+        S21.vertex((0, 0, 0)).reduced(SimplotopeSpec((2, 2)).vertex((0, 0)))
 
 
 def products_through(dim):
@@ -83,7 +83,7 @@ def test_lifted_is_one_then_reduced_at_the_zero_vertex():
 # --- classes ----------------------------------------------------------------
 
 def test_corner_simplices_class_one():
-    for spec in [S11, S21, SimplotopeSpec.seg_tri(0, 2), SimplotopeSpec.of(1, 1, 1)]:
+    for spec in [S11, S21, SimplotopeSpec.seg_tri(0, 2), SimplotopeSpec((1, 1, 1))]:
         for v in spec.vertices():
             x = corner_simplex(spec, v)
             assert len(x.vertices) == spec.dim + 1
@@ -92,7 +92,7 @@ def test_corner_simplices_class_one():
 
 def test_corner_simplex_sizes():
     # one-cube: the segment itself; two triangles: five vertices
-    seg = SimplotopeSpec.of(1)
+    seg = SimplotopeSpec((1,))
     x = corner_simplex(seg, seg.vertex((1,)))
     assert {v.idx for v in x.vertices} == {(0,), (1,)}
     tt = SimplotopeSpec.seg_tri(0, 2)
@@ -119,7 +119,6 @@ def test_degenerate_class_zero():
     square_face = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)]
     x = VertexSimplex(S21, [S21.vertex(i) for i in square_face])
     assert x.cls == 0
-    assert x.is_degenerate
 
 
 def test_simplex_validation():
@@ -145,7 +144,7 @@ def test_symmetries(factors, fixing_vertex_0):
     # is left out: its closure check is 1.7M compositions.
     spec = SimplotopeSpec(factors)
     group = symmetries(spec, fixing_vertex_0=fixing_vertex_0)
-    n = spec.n_vertices
+    n = len(spec.vertices())
     shift = 0 if fixing_vertex_0 else 1
     order = math.prod(math.factorial(c + shift) for c in factors)
     order *= math.prod(math.factorial(m) for m in Counter(factors).values())
@@ -221,7 +220,7 @@ def test_exterior_faces_rejects_degenerate():
 
 def test_has_exterior_facet_products_of_two():
     for a, b in [(1, 1), (1, 2), (2, 2), (1, 3)]:
-        spec = SimplotopeSpec.of(a, b)
+        spec = SimplotopeSpec((a, b))
         for x in nondegenerate(spec):
             assert has_exterior_facet(x)
 
@@ -255,7 +254,7 @@ def test_parallel_lines_example():
 
 
 def test_tri_positioned():
-    prism = SimplotopeSpec.of(1, 2)
+    prism = SimplotopeSpec((1, 2))
     squares = [minimal_face([v for v in prism.vertices() if v.idx[1] != j]) for j in range(3)]
     assert is_tri_positioned(*squares)
     # the three edges of a triangular facet
@@ -263,7 +262,7 @@ def test_tri_positioned():
     edges = [minimal_face([v for v in tri_facet if v.idx[1] != j]) for j in range(3)]
     assert is_tri_positioned(*edges)
     # squares of a cube: no triangle factor, so never tri-positioned
-    cube = SimplotopeSpec.of(1, 1, 1)
+    cube = SimplotopeSpec((1, 1, 1))
     f1 = minimal_face([v for v in cube.vertices() if v.idx[0] == 0])
     f2 = minimal_face([v for v in cube.vertices() if v.idx[0] == 1])
     f3 = minimal_face([v for v in cube.vertices() if v.idx[1] == 0])
@@ -357,7 +356,7 @@ def test_footprint_shadow_basics():
 
 
 def test_footprint_empty_for_disjoint():
-    cube = SimplotopeSpec.of(1, 1, 1)
+    cube = SimplotopeSpec((1, 1, 1))
     x = VertexSimplex(cube, [cube.vertex(i) for i in
                              [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]])
     tau = ((cube.vertex((0, 0, 1)),))

@@ -179,6 +179,27 @@ def test_lp_beale_cycling_example_terminates():
     assert r == fraction_lp_minimize(problem)
 
 
+def test_lp_takes_blands_column_after_a_degenerate_pivot(monkeypatch):
+    # the first pivot enters x3 (reduced cost -5) in the row of rhs 0, so the
+    # objective stays put; Bland's rule then enters x1, the least index with
+    # a negative reduced cost, where the most negative one is x2
+    entering = []
+    real_pivot = exact._pivot
+
+    def record(tab, basis, d, row, col):
+        entering.append(col)
+        return real_pivot(tab, basis, d, row, col)
+
+    monkeypatch.setattr(exact, "_pivot", record)
+    problem = LpProblem.build([2, -2, -4, -5], [
+        ([-3, -2, -2, -2], -2), ([-1, 0, 1, 4], 0), ([1, 1, 1, -3], 0)])
+    r = lp_minimize(problem)
+    assert entering == [3, 1, 2]
+    assert r.status == OPTIMAL and r.value == Fraction(-17, 4)
+    assert r.solution == (0, 0, Fraction(3, 4), Fraction(1, 4))
+    assert r == fraction_lp_minimize(problem)
+
+
 def test_lp_value_row_is_checked(monkeypatch):
     # the value read from the reduced-cost row must equal objective . x
     real_phase = exact._simplex_phase
@@ -309,7 +330,7 @@ def test_lp_matches_fraction_oracle_on_face_to_face_lps(monkeypatch):
         return lp_minimize(problem)
 
     monkeypatch.setattr(pairwise_oracle, "lp_minimize", record)
-    sims = standard_triangulation(SimplotopeSpec.of(1, 1, 2))
+    sims = standard_triangulation(SimplotopeSpec((1, 1, 2)))
     for a, b in itertools.combinations(sims, 2):
         pairwise_oracle.meet_face_to_face(a, b)
     assert len(problems) == 66

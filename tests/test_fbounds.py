@@ -355,7 +355,7 @@ def test_corner_extremality_small():
 
 def test_f_positive_where_faces_exist():
     # a class-1 bound is positive whenever faces of that shape exist at all
-    from simplotope.counting import QQuery, q_count
+    from simplotope.counting import q_count
     for s in range(0, 5):
         for t in range(0, 3):
             if not 1 <= s + 2 * t <= 4:
@@ -364,7 +364,7 @@ def test_f_positive_where_faces_exist():
                 for tp in range(0, t + 1):
                     if sp + 2 * tp > s + 2 * t:
                         continue
-                    if q_count(QQuery(s, t, sp, tp)) > 0:
+                    if q_count(s, t, sp, tp) > 0:
                         assert f_bound(s, t, 1, sp, tp, 1) >= 1, (s, t, sp, tp)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from lp_oracle import fraction_lp_minimize, pareto_columns
-from simplotope.counting import QQuery, q_count
+from simplotope.counting import q_count
 from simplotope.exact import OPTIMAL, LpProblem, lp_minimize
 from simplotope.fbounds import DEFAULT_VTABLE, VTable, f_bound, load_cube_caps
 from simplotope.lptable import (
@@ -101,8 +101,7 @@ def test_full_table_matches_reference_through_dim_six():
 
 
 def test_point_cell():
-    table = bounds_table(0, 0, 6)
-    cell = table.cell(0, 0)
+    (cell,) = bounds_table(0, 0, 6).cells
     assert cell.lower_bound == 1 and cell.lp_value == 1
 
 
@@ -113,7 +112,7 @@ def test_skipped_cells_marked():
     table = bounds_table(8, 0, 13, vtable=VTable(caps=caps))
     reasons = {(s, t): r for s, t, r in table.skipped}
     assert (8, 0) in reasons and "no cube cap" in reasons[(8, 0)]
-    assert table.cell(7, 0).lower_bound == 1117
+    assert {(c.s, c.t): c.lower_bound for c in table.cells}[7, 0] == 1117
 
 
 # Every lp_value with s + 2t <= 6, t <= 2, as `simplotope bounds` prints it in a
@@ -140,7 +139,7 @@ def full_lp(s, t):
     """The cover LP with every class column, written out from f_bound and q_count."""
     v = DEFAULT_VTABLE.get(s, t).value
     rows = [([c * f_bound(s, t, c, sp, tp, c) for c in range(1, v + 1)],
-             Fraction(q_count(QQuery(s, t, sp, tp)) * math.factorial(sp + 2 * tp), 2 ** tp))
+             Fraction(q_count(s, t, sp, tp) * math.factorial(sp + 2 * tp), 2 ** tp))
             for sp, tp in constraint_pairs(s, t)]
     return LpProblem.build([1] * v, rows)
 
@@ -265,7 +264,7 @@ def test_build_lp_keeps_its_entries_integral():
         assert all(type(c) is int for c in problem.objective)
         for (row, rhs), (sp, tp) in zip(problem.constraints, constraint_pairs(s, t)):
             assert type(rhs) is int and all(type(c) is int for c in row), (s, t, sp, tp)
-            q = q_count(QQuery(s, t, sp, tp))
+            q = q_count(s, t, sp, tp)
             assert rhs == Fraction(q * math.factorial(sp + 2 * tp), 2 ** tp), (s, t, sp, tp)
 
 

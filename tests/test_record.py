@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from simplotope.core import FaceId, SimplotopeSpec, VertexPoint
-from simplotope.counting import QQuery
 from simplotope.exact import LpProblem, LpResult
 from simplotope.lptable import bounds_table
 from simplotope.record import Record
@@ -24,9 +23,7 @@ def make(kind, *args):
         return VertexPoint(SPEC, tuple(args))
     if kind == "face":
         return FaceId(SPEC, frozenset(args))
-    if kind == "lp":
-        return LpProblem.build([1] * args[0], [([1] * args[1], 1)])
-    return QQuery(*args)
+    return LpProblem.build([1] * args[0], [([1] * args[1], 1)])
 
 
 # (kind, arguments, other arguments of the same kind, arguments to refuse)
@@ -35,7 +32,6 @@ CHECKED = [
     ("vertex", (0, 2), (1, 2), [(0,), (2, 0), (0, 3), (0, -1)]),
     ("face", ((1, 0),), ((1, 1),), [((0, 2),), ((1, 3),), ((0, 0), (0, 1)), ((1, 0), (1, 1), (1, 2))]),
     ("lp", (2, 2), (3, 3), [(2, 3), (3, 1)]),
-    ("query", (1, 2, 0, 1), (1, 2, 1, 0), [(-1, 0, 0, 0), (0, 0, 0, -1)]),
 ]
 
 
@@ -75,7 +71,7 @@ def test_checked_records_hash_their_fields_as_a_tuple():
     assert hash(SPEC) == hash(((1, 2),))
     v = VertexPoint(SPEC, (1, 0))
     assert hash(v) == hash((SPEC, (1, 0)))
-    assert hash(QQuery(1, 2, 0, 1)) == hash((1, 2, 0, 1))
+    assert hash(LpProblem.build([1], [([1], 2)])) == hash(((1,), (((1,), 2),)))
 
 
 def test_plain_records_are_immutable_tuples():

@@ -33,7 +33,7 @@ def partitions(n, largest=None):
 def candidates_up_to_dim(n):
     for m in range(1, n + 1):
         for factors in partitions(m):
-            spec = SimplotopeSpec.of(*factors)
+            spec = SimplotopeSpec(tuple(factors))
             yield TriangulationCandidate(spec, tuple(standard_triangulation(spec)))
 
 
@@ -56,7 +56,7 @@ def test_deterministic_output(tmp_path):
 
 
 def test_metadata_preserved_and_ignored(tmp_path):
-    spec = SimplotopeSpec.of(1, 1)
+    spec = SimplotopeSpec((1, 1))
     cand = TriangulationCandidate(spec, tuple(standard_triangulation(spec)))
     doc = candidate_to_dict(cand, metadata={"note": "anything"})
     assert doc["metadata"] == {"note": "anything"}

@@ -24,13 +24,14 @@ from simplotope.trisquare import (
     MINIMAL_10,
     SYMBOLS,
     TRI_SQUARE,
+    VERTEX_CODE,
     center_in_facet,
     construction_stages,
     decode,
     minimal_triangulation_10,
     nondegenerate_subsets,
     overlap_matrix,
-    vertex_code,
+    standard_12,
 )
 from simplotope.verifier import interiors_overlap, verify
 
@@ -41,26 +42,30 @@ def canon(word):
     return "".join(sorted(word, key=SYMBOLS.index))
 
 
-def symbol_of():
-    return {v: s for s, v in vertex_code().items()}
+SYMBOL_OF = {v: s for s, v in VERTEX_CODE.items()}
+
+
+def word_in_order(x):
+    """The symbols of a simplex's vertices, in its vertex order."""
+    return "".join(SYMBOL_OF[v] for v in x.vertices)
 
 
 def encode(x):
     """The word of a simplex: its vertices' symbols in symbol order."""
-    names = symbol_of()
-    return "".join(sorted((names[v] for v in x.vertices), key=SYMBOLS.index))
+    return canon(word_in_order(x))
 
 
 def test_vertex_code_anchors():
-    code = vertex_code()
-    assert code["1"].reduced(ZERO) == (0, 0, 0, 0)
-    assert code["2"].reduced(ZERO) == (0, 0, 0, 1)
-    assert code["3"].reduced(ZERO) == (0, 0, 1, 0)
-    assert code["4"].reduced(ZERO) == (0, 1, 0, 0)
-    assert code["*"].reduced(ZERO) == (1, 1, 1, 0)
+    assert VERTEX_CODE["1"].reduced(ZERO) == (0, 0, 0, 0)
+    assert VERTEX_CODE["2"].reduced(ZERO) == (0, 0, 0, 1)
+    assert VERTEX_CODE["3"].reduced(ZERO) == (0, 0, 1, 0)
+    assert VERTEX_CODE["4"].reduced(ZERO) == (0, 1, 0, 0)
+    assert VERTEX_CODE["*"].reduced(ZERO) == (1, 1, 1, 0)
     # numeric order: reduced coordinates strictly increase along the symbols
-    ordered = [code[s].reduced(ZERO) for s in SYMBOLS]
+    ordered = [VERTEX_CODE[s].reduced(ZERO) for s in SYMBOLS]
     assert ordered == sorted(ordered)
+    with pytest.raises(TypeError):  # one table, read-only
+        VERTEX_CODE["1"] = VERTEX_CODE["2"]
 
 
 def test_exactly_24_class_two_simplices():
@@ -171,7 +176,7 @@ def test_overlap_lp_has_one_row_per_split_equality_and_z(monkeypatch):
     overlap_matrix(tri_square_class2())
     assert shapes == [(11, 11)] * 14
     shapes.clear()
-    cube = standard_triangulation(SimplotopeSpec.of(1, 1, 1))
+    cube = standard_triangulation(SimplotopeSpec((1, 1, 1)))
     segment = VertexSimplex(cube[0].spec, cube[0].vertices[:2])
     assert interiors_overlap(cube[0], cube[0]) and not interiors_overlap(cube[0], cube[1])
     assert interiors_overlap(segment, segment)
@@ -190,8 +195,7 @@ def test_minimal_triangulation_checks_out():
 
 def test_fat_pair_common_facet():
     s1850, s1358 = decode("1850*"), decode("1358*")
-    names = symbol_of()
-    common = {names[v] for v in s1850.vertex_set & s1358.vertex_set}
+    common = {SYMBOL_OF[v] for v in s1850.vertex_set & s1358.vertex_set}
     assert common == set("158*")
 
 
@@ -228,6 +232,20 @@ def test_boundary_tiling():
             for fa, fb in itertools.combinations(entries, 2):
                 assert not interiors_overlap(VertexSimplex(TRI_SQUARE, fa),
                                              VertexSimplex(TRI_SQUARE, fb))
+
+
+def test_standard_12_relabels_the_triangle_chain():
+    # the standard triangulation with the triangle's positions 1 and 2
+    # swapped: the same simplices, vertex for vertex, each from 1 to *
+    t12 = standard_12().simplices
+    assert [word_in_order(x) for x in t12] == [
+        "170#*", "178#*", "1789*", "140#*", "145#*", "1456*",
+        "128#*", "1289*", "125#*", "1256*", "1239*", "1236*"]
+    relabel = (0, 2, 1)
+    plain = standard_triangulation(TRI_SQUARE)
+    assert [[(a, b, relabel[c]) for a, b, c in (v.idx for v in x.vertices)] for x in plain] == \
+        [[v.idx for v in x.vertices] for x in t12]
+    assert {x.vertex_set for x in plain} != {x.vertex_set for x in t12}
 
 
 def test_construction_replay():

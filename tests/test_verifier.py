@@ -20,8 +20,8 @@ from simplotope.verifier import (
     verify,
 )
 
-SQ = SimplotopeSpec.of(1, 1)
-CUBE = SimplotopeSpec.of(1, 1, 1)
+SQ = SimplotopeSpec((1, 1))
+CUBE = SimplotopeSpec((1, 1, 1))
 
 
 def square_pair():
@@ -51,7 +51,7 @@ def test_overlap_agrees_with_the_normalized_lp():
     pairs = list(itertools.combinations(fat, 2))
     assert len(pairs) == 276
     rng = random.Random(25)
-    for spec in (CUBE, SimplotopeSpec.of(1, 2), SimplotopeSpec.of(2, 2)):
+    for spec in (CUBE, SimplotopeSpec((1, 2)), SimplotopeSpec((2, 2))):
         verts = spec.vertices()
         for _ in range(30):
             pairs.append(tuple(VertexSimplex(spec, rng.sample(verts, rng.randint(2, spec.dim + 1)))
@@ -103,7 +103,7 @@ def test_degenerate_rejected():
 
 
 def test_verify_product_of_triangles():
-    spec = SimplotopeSpec.of(2, 2)
+    spec = SimplotopeSpec((2, 2))
     report = verify(TriangulationCandidate(spec, tuple(standard_triangulation(spec))))
     assert report.certified
     assert report.classes == (1,) * 6
@@ -111,7 +111,7 @@ def test_verify_product_of_triangles():
 
 
 def test_verify_class_deficit():
-    spec = SimplotopeSpec.of(2, 2)
+    spec = SimplotopeSpec((2, 2))
     cand = TriangulationCandidate(spec, tuple(standard_triangulation(spec))[:-1])
     report = verify(cand)
     assert not report.certified and not report.facets_ok
@@ -152,7 +152,7 @@ def candidate(spec, simplices):
 
 
 def test_verify_apexes_on_one_side():
-    spec = SimplotopeSpec.of(2, 2)
+    spec = SimplotopeSpec((2, 2))
     report = verify(candidate(spec, SAME_SIDE_22))
     assert report.total_class == report.polytope_class == 6
     assert not report.certified and not report.facets_ok
@@ -184,7 +184,7 @@ def test_adjacency_square():
 def test_facet_matching_in_certified_partition():
     # every interior facet of a certified triangulation is shared by exactly
     # two simplices; every other facet lies in a simplotope facet
-    for spec in [SimplotopeSpec.of(2, 2), SimplotopeSpec.of(1, 1, 2)]:
+    for spec in [SimplotopeSpec((2, 2)), SimplotopeSpec((1, 1, 2))]:
         cand = TriangulationCandidate(spec, tuple(standard_triangulation(spec)))
         assert verify(cand).certified
         interior: Counter = Counter()
@@ -203,7 +203,7 @@ def test_facet_rows_are_scaled_barycentric_functionals():
     # row i vanishes at every vertex but the i-th, where it equals |det|
     for n in range(1, 5):
         for f in partitions(n):
-            spec = SimplotopeSpec.of(*f)
+            spec = SimplotopeSpec(tuple(f))
             pivot = spec.vertex((0,) * len(spec.factors))
             for x in standard_triangulation(spec):
                 rows = facet_rows(x)
@@ -217,7 +217,7 @@ def test_facet_rows_are_scaled_barycentric_functionals():
 def test_face_to_face_implies_disjoint_interiors():
     # the two exact engines must agree: distinct simplices meeting
     # face-to-face can never share an interior point
-    spec = SimplotopeSpec.of(1, 1, 2)
+    spec = SimplotopeSpec((1, 1, 2))
     verts = spec.vertices()
     rng = random.Random(23)
     pairs_checked = 0
@@ -331,7 +331,7 @@ def single_vertex_mutants(cand, count, rng):
     return out
 
 
-FLIP_BASES = [SimplotopeSpec.of(2, 2), SimplotopeSpec.of(1, 3), SimplotopeSpec.of(1, 1, 2)]
+FLIP_BASES = [SimplotopeSpec((2, 2)), SimplotopeSpec((1, 3)), SimplotopeSpec((1, 1, 2))]
 
 
 @pytest.fixture(scope="module")
@@ -339,8 +339,8 @@ def certified_inputs():
     """Triangulations that certify: standard ones up to 30 simplices through
     dimension 5, the construction stages, the bundled minimal triangulation
     and the certified pair flips of the (2,2), (1,3) and (1,1,2) triangulations."""
-    cands = [standard(SimplotopeSpec.of(*f)) for n in range(1, 6) for f in partitions(n)
-             if SimplotopeSpec.of(*f).polytope_class <= 30]
+    cands = [standard(SimplotopeSpec(tuple(f))) for n in range(1, 6) for f in partitions(n)
+             if SimplotopeSpec(tuple(f)).polytope_class <= 30]
     cands += list(construction_stages())
     cands.append(minimal_triangulation_10())
     return cands
@@ -366,7 +366,7 @@ def test_fast_path_agrees_with_oracle_on_flips():
                 certified += 1
                 assert {x.vertex_set for x in cand.simplices} != {x.vertex_set for x in base.simplices}
         assert certified >= 1, spec
-        if spec == SimplotopeSpec.of(2, 2):
+        if spec == SimplotopeSpec((2, 2)):
             assert certified < len(flips)  # some flips are rejected, by both
 
 
