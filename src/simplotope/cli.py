@@ -13,7 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
+
+# The largest (max_s + 1) x (max_t + 1) grid `bounds` walks; every cell of the
+# grid is a line of its output, solved or skipped.
+MAX_GRID_CELLS = 10_000
+# The most integers `standard` writes: simplices x vertices x coordinates.
+# The 8-cube takes 40,320 x 9 x 16, about 5.8 million.
+MAX_STANDARD_ENTRIES = 10_000_000
 
 
 class UsageError(Exception):
@@ -37,7 +45,8 @@ def _parse_factors(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"--spec must be comma-separated integers, got {text!r}") from None
+        raise UsageError(
+            f"--spec must be comma-separated integers, got {reprlib.repr(text)}") from None
 
 
 def _vtable(args):
@@ -56,6 +65,9 @@ def cmd_bounds(args) -> int:
     from .lptable import bounds_table
 
     _nonnegative(("--max-s", args.max_s), ("--max-t", args.max_t), ("--dim-cap", args.dim_cap))
+    if (args.max_s + 1) * (args.max_t + 1) > MAX_GRID_CELLS:
+        raise UsageError(f"the --max-s by --max-t grid has more than {MAX_GRID_CELLS} cells, "
+                         "the most accepted")
     table = bounds_table(args.max_s, args.max_t, args.dim_cap, vtable=_vtable(args))
     missing = [sk for sk in table.skipped if sk[2] != "beyond dimension cap"]
     if args.format == "json":
@@ -115,10 +127,13 @@ def cmd_standard(args) -> int:
     try:
         spec = SimplotopeSpec(_parse_factors(args.spec))
     except ValueError as exc:
-        raise UsageError(f"--spec {args.spec}: {exc}") from None
+        raise UsageError(f"--spec {reprlib.repr(args.spec)}: {exc}") from None
     if spec.dim > MAX_DIMENSION:
         raise UsageError(f"--spec: the factor dimensions add up to more than {MAX_DIMENSION}, "
                          "the largest accepted")
+    if spec.polytope_class * (spec.dim + 1) * (spec.dim + len(spec.factors)) > MAX_STANDARD_ENTRIES:
+        raise UsageError(f"--spec: the standard triangulation has more than {MAX_STANDARD_ENTRIES} "
+                         "coordinate entries, the most accepted")
     sims = standard_triangulation(spec)
     cand = TriangulationCandidate(spec, tuple(sims))
     meta = {"kind": "standard triangulation", "size": len(sims)}

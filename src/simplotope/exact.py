@@ -5,21 +5,22 @@ Integers are plain Python ints (arbitrary precision), rationals are
 determinant uses fraction-free Bareiss elimination, so intermediate values
 stay integral.
 
-The LP solver is a dense simplex.  It takes only programs that x = 0
-satisfies, that is, with every rhs <= 0: the cover LP as its dual
+The LP solver is a dense simplex.  It takes only integer programs that
+x = 0 satisfies, that is, with every rhs <= 0: the cover LP as its dual
 (`lptable`) and the overlap LP written homogeneously (`verifier`).  A row
 row . x >= rhs is written as -row . x + s = -rhs with its surplus s >= 0, a
 unit column, and -rhs >= 0, so the surpluses form a feasible starting
 basis: an identity matrix, with denominator D = 1.  There is no phase 1
-and no status "infeasible".  Entries may be ints or Fractions; an LP of
-ints, such as the cover LP, meets no Fraction until the result.
+and no status "infeasible", and an unbounded LP raises ValueError, so
+every solve that returns returns an optimum.  `LpProblem` refuses any
+entry that is not an int.
 
 The tableau is fraction-free as well (the Bareiss/Edmonds
-common-denominator form): each constraint row is scaled to integers, and the
-solver keeps an integer tableau T with one denominator D > 0 for every entry,
-so the rational tableau is T / D.  D is the absolute determinant of the
-current basis matrix, and by Cramer's rule every T[i][j] is plus or minus a
-minor of the integer constraint matrix (the basis with one column replaced).
+common-denominator form): the solver keeps an integer tableau T with one
+denominator D > 0 for every entry, so the rational tableau is T / D.  D is
+the absolute determinant of the current basis matrix, and by Cramer's rule
+every T[i][j] is plus or minus a minor of the integer constraint matrix (the
+basis with one column replaced).
 Pivoting on (r, c) with p = T[r][c] keeps row r, sets D to p and replaces
 every other row by (T[i][j]·p − T[i][c]·T[r][j]) / D.  That division is exact
 because, by Sylvester's determinant identity (Bareiss's argument), the
@@ -27,16 +28,15 @@ quotient is the corresponding minor for the new basis, an integer.  The
 ratio test only picks a positive p, so D stays positive.
 
 The reduced costs times D ride along as one more row of T: the integer
-cost vector (scaled by the lcm of its denominators) over the rhs column's
-0, which the starting basis, of zero cost, already prices.  Entry j is
-c_j·D − Σ_i c_B(i)·T[i][j], which by Cramer's rule is plus or minus a minor
-of the constraint matrix bordered below by the cost row: the basis and the
-cost row's basic part, with column j appended.  The cost row is never a
-pivot row, so each pivot updates it by the same formula as any other row,
-and the division is exact by the same identity on the bordered matrix.  Its
-rhs entry is −(cost . x)·D, so the value is read from it; the solver checks
-that reading against cost . x over the final basis and raises RuntimeError
-if they differ.  Pricing is one scan of that row and ratio tests compare
+cost vector over the rhs column's 0, which the starting basis, of zero
+cost, already prices.  Entry j is c_j·D − Σ_i c_B(i)·T[i][j], which by
+Cramer's rule is plus or minus a minor of the constraint matrix bordered
+below by the cost row: the basis and the cost row's basic part, with column
+j appended.  The cost row is never a pivot row, so each pivot updates it by
+the same formula as any other row, and the division is exact by the same
+identity on the bordered matrix.  Its rhs entry is −(cost . x)·D, so the
+value is read from it; the solver checks that reading against cost . x over
+the final basis and raises RuntimeError if they differ.  Pricing is one scan of that row and ratio tests compare
 integers; ``Fraction`` appears only in the returned value and solution.
 
 The entering column is the most negative reduced cost, the lowest index on
@@ -52,14 +52,10 @@ basis, so every such run ends.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .record import Record
-
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:
@@ -111,44 +107,33 @@ def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]
     return d, adj
 
 
-Rational = int | Fraction
-
-
-def _rational(value) -> Rational:
-    """An int as it is, anything else as a Fraction."""
-    return value if isinstance(value, int) else Fraction(value)
-
-
 class LpProblem(Record):
     """min objective . x  subject to  row . x >= rhs for every constraint, x >= 0.
 
-    Entries are ints or Fractions.
+    Every entry is an int; a Fraction, a float or a bool raises ValueError.
     """
 
     __slots__ = ("objective", "constraints")
-    objective: tuple[Rational, ...]
-    constraints: tuple[tuple[tuple[Rational, ...], Rational], ...]
+    objective: tuple[int, ...]
+    constraints: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __init__(self, objective: tuple[Rational, ...],
-                 constraints: tuple[tuple[tuple[Rational, ...], Rational], ...]):
-        n = len(objective)
+    def __init__(self, objective: Sequence[int],
+                 constraints: Sequence[tuple[Sequence[int], int]]):
+        objective = tuple(objective)
+        constraints = tuple((tuple(row), rhs) for row, rhs in constraints)
         for row, _ in constraints:
-            if len(row) != n:
+            if len(row) != len(objective):
                 raise ValueError("constraint row length does not match objective")
+        if any(type(v) is not int for v in objective) or any(
+                type(v) is not int for row, rhs in constraints for v in (*row, rhs)):
+            raise ValueError("every LP entry must be an int")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "constraints", constraints)
 
-    @staticmethod
-    def build(objective, constraints) -> "LpProblem":
-        obj = tuple(map(_rational, objective))
-        cons = tuple((tuple(map(_rational, row)), _rational(b)) for row, b in constraints)
-        return LpProblem(obj, cons)
-
 
 class LpResult(NamedTuple):
-    status: str
-    value: Fraction | None
-    solution: tuple[Fraction, ...] | None
+    value: Fraction
+    solution: tuple[Fraction, ...]
 
 
 ZERO = Fraction(0)
@@ -176,16 +161,17 @@ def _pivot(tab: list[list[int]], basis: list[int], d: int, row: int, col: int) -
 
 
 def _simplex_phase(tab: list[list[int]], basis: list[int], d: int,
-                   cost: list[int]) -> tuple[str, int, int]:
+                   cost: list[int]) -> tuple[int, int]:
     """Minimize cost over the tableau in place from its feasible basis.
 
     The reduced costs times d ride along as one more row while the phase
     runs; the entering column is the most negative one (lowest index on
     ties), or Bland's least index after a degenerate pivot until the
     objective drops again, so it terminates (see the module docstring).
-    Returns the status, the final denominator and the objective value
-    times it, read from the reduced-cost row.  The width comes from cost,
-    so a tableau without rows works too.
+    Returns the final denominator and the objective value times it, read
+    from the reduced-cost row, and raises ValueError when the LP is
+    unbounded.  The width comes from cost, so a tableau without rows works
+    too.
     """
     m = len(tab)
     # c_j·d − Σ_i c_B(i)·T[i][j]; over the rhs column (c = 0) that is −value·d
@@ -201,7 +187,7 @@ def _simplex_phase(tab: list[list[int]], basis: list[int], d: int,
             least = min(reduced, default=0)
             entering = reduced.index(least) if least < 0 else -1
         if entering < 0:
-            return OPTIMAL, d, -tab.pop()[-1]
+            return d, -tab.pop()[-1]
         # ratio test T[i][-1] / T[i][entering] by cross-multiplication (d cancels)
         leaving = -1
         for i in range(m):
@@ -216,45 +202,32 @@ def _simplex_phase(tab: list[list[int]], basis: list[int], d: int,
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
-            tab.pop()
-            return UNBOUNDED, d, 0
+            raise ValueError("the LP is unbounded")
         # a zero ratio leaves the objective where it is: a degenerate pivot
         bland = tab[leaving][-1] == 0
         d = _pivot(tab, basis, d, leaving, entering)
 
 
-def _scaled(values, scale: int) -> list[int]:
-    """Rationals (or ints) times a common multiple of their denominators."""
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
 def lp_minimize(problem: LpProblem) -> LpResult:
     """Exact optimum of an LP in >=/nonnegative form that x = 0 satisfies.
 
-    Raises ValueError on a row with rhs > 0.  Returns status optimal or
-    unbounded; when optimal, the solution satisfies every constraint exactly
-    over the rationals.
+    Raises ValueError on a row with rhs > 0 and on an unbounded LP.  The
+    solution satisfies every constraint exactly over the rationals.
     """
     n = len(problem.objective)
     m = len(problem.constraints)
     if any(rhs > 0 for _, rhs in problem.constraints):
         raise ValueError("lp_minimize needs x = 0 to be feasible: every rhs must be <= 0")
 
-    # Columns: n structural, m surplus (the starting basis), then -rhs.  Row
-    # i is scaled by the lcm of its denominators, and its surplus with it.
+    # Columns: n structural, m surplus (the starting basis), then -rhs.
     tab: list[list[int]] = []
     for i, (row, rhs) in enumerate(problem.constraints):
-        scale = math.lcm(rhs.denominator, *(c.denominator for c in row))
-        *coeffs, b = (-v for v in _scaled((*row, rhs), scale))
-        line = coeffs + [0] * m + [b]
+        line = [-v for v in row] + [0] * m + [-rhs]
         line[n + i] = 1
         tab.append(line)
     basis = [n + i for i in range(m)]
-    obj_scale = math.lcm(*(c.denominator for c in problem.objective))
-    cost = _scaled(problem.objective, obj_scale) + [0] * m
-    status, d, scaled_value = _simplex_phase(tab, basis, 1, cost)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
+    cost = list(problem.objective) + [0] * m
+    d, scaled_value = _simplex_phase(tab, basis, 1, cost)
     # the carried row must agree with the basis: cost . x_B, both times d
     if scaled_value != sum(cost[b] * line[-1] for line, b in zip(tab, basis)):
         raise RuntimeError("reduced-cost row disagrees with the basic solution")
@@ -262,4 +235,4 @@ def lp_minimize(problem: LpProblem) -> LpResult:
     for line, b in zip(tab, basis):
         if b < n:
             x[b] = Fraction(line[-1], d)
-    return LpResult(OPTIMAL, Fraction(scaled_value, d * obj_scale), tuple(x))
+    return LpResult(Fraction(scaled_value, d), tuple(x))

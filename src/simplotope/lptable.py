@@ -13,8 +13,8 @@ weakens the minimum, so the reported bounds stay valid.  Each row is
 multiplied by (s'+2t')!, which leaves the coefficients c * F as they are
 and makes the requirement Q * (s'+2t')! / 2^t' an integer as well: the t'
 even factors 2, 4, ..., 2t' of (2t')! give 2^t' | (2t')!, and (2t')!
-divides (s'+2t')!.  So the cover LP and its dual hold ints only, and the
-solver meets no Fraction before its result.
+divides (s'+2t')!.  So the cover LP and its dual hold ints only, as
+`exact.LpProblem` requires.
 
 Only the breakpoint classes become columns.  `build_lp` reads diagonal
 keys F(s, t, c, s', t', c) alone, and on that family F is piecewise
@@ -74,7 +74,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .counting import q_count
-from .exact import OPTIMAL, LpProblem, lp_minimize
+from .exact import LpProblem, lp_minimize
 from .fbounds import DEFAULT_VTABLE, VMaxUnavailable, VTable
 
 
@@ -161,16 +161,15 @@ def build_lp(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> LpProblem:
             raise InconsistentCellError(
                 f"(s,t)=({s},{t}) constraint (s',t')=({sp},{tp}) has no support")
     rows = [([col[row] for col in columns], b) for row, b in enumerate(rhs)]
-    return LpProblem.build([1] * len(classes), rows)
+    return LpProblem([1] * len(classes), rows)
 
 
 def dual_lp(problem: LpProblem) -> LpProblem:
     """The dual of min c.x, Ax >= b, x >= 0 (max b.y, A^T y <= c, y >= 0) in
     the solver's form: min -b.y subject to -A^T y >= -c, y >= 0."""
     rows = [row for row, _ in problem.constraints]
-    return LpProblem(tuple(-b for _, b in problem.constraints),
-                     tuple((tuple(-row[j] for row in rows), -c)
-                           for j, c in enumerate(problem.objective)))
+    return LpProblem([-b for _, b in problem.constraints],
+                     [([-row[j] for row in rows], -c) for j, c in enumerate(problem.objective)])
 
 
 def solve_cell(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> BoundCell:
@@ -180,10 +179,7 @@ def solve_cell(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> BoundCell:
     (see the module docstring); the cell value is minus the dual optimum.
     """
     problem = build_lp(s, t, vtable)
-    result = lp_minimize(dual_lp(problem))
-    if result.status != OPTIMAL:
-        raise RuntimeError(f"cell ({s},{t}): dual LP unexpectedly {result.status}")
-    value = -result.value
+    value = -lp_minimize(dual_lp(problem)).value
     entry = vtable.get(s, t)
     return BoundCell(
         s=s,

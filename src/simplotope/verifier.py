@@ -55,7 +55,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .core import SimplotopeSpec, VertexSimplex
-from .exact import OPTIMAL, LpProblem, det, lp_minimize, scaled_inverse
+from .exact import LpProblem, det, lp_minimize, scaled_inverse
 
 
 class TriangulationCandidate(NamedTuple):
@@ -127,11 +127,10 @@ def interiors_overlap(a: VertexSimplex, b: VertexSimplex) -> bool:
         rows += [(coeffs, 0), ([-c for c in coeffs], 0)]
     minus_z = [0] * n + [-1]
     rows.append((minus_z, -1))
-    result = lp_minimize(LpProblem.build(minus_z, rows))
-    if result.status != OPTIMAL or result.value not in (-1, 0):
-        raise RuntimeError(f"overlap LP came out {result.status} at {result.value}, "
-                           "but its optimum is -1 or 0")
-    return result.value == -1
+    value = lp_minimize(LpProblem(minus_z, rows)).value
+    if value not in (-1, 0):
+        raise RuntimeError(f"overlap LP came out at {value}, but its optimum is -1 or 0")
+    return value == -1
 
 
 # A facet as the facet map holds it: its vertices' index tuples, sorted.

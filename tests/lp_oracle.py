@@ -2,15 +2,18 @@
 
 This is the rational tableau the integer kernel in ``simplotope.exact``
 replaced, with the phase 1 that the kernel does not have.  It solves any LP
-in the kernel's form: rows with rhs <= 0 are negated and start on their
+in the kernel's form, with any rational entries (an `LpProblem`, or a
+`RationalLp` for the tests' LPs that are not integral), and returns a
+status with its result (`OracleResult`): rows with rhs <= 0 are negated and start on their
 surplus, rows with rhs > 0 start on an artificial, and phase 1 (minimize
 the artificials) decides feasibility before phase 2.  On the LPs the kernel
 accepts, every rhs is <= 0, so there is no artificial and no phase 1, and
 phase 2 starts from the kernel's basis in the same standard form.  It
 prices by Bland's least index throughout, where the kernel takes the most
 negative reduced cost, so the two may pivot differently; the tests compare
-status, value and solution, and on every LP they compare both reach the
-same optimal vertex.  The tests also use it directly on
+value and solution, and that the kernel raises exactly where the oracle
+says unbounded, and on every LP they compare both reach the same optimal
+vertex.  The tests also use it directly on
 LPs that need phase 1, such as primal cover LPs and the normalized overlap
 LP.  It is kept only for the tests.
 
@@ -20,10 +23,23 @@ columns `lptable.build_lp` builds are exactly its front.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from simplotope.exact import OPTIMAL, UNBOUNDED, LpProblem, LpResult
-
+OPTIMAL = "optimal"
+UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
+
+
+class RationalLp(NamedTuple):
+    """An LP of `simplotope.exact.LpProblem`'s form with any rational entries."""
+    objective: tuple
+    constraints: tuple
+
+
+class OracleResult(NamedTuple):
+    status: str
+    value: Fraction | None
+    solution: tuple[Fraction, ...] | None
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -71,14 +87,14 @@ def _simplex_phase(tab: list[list[Fraction]], basis: list[int], cost: list[Fract
         _pivot(tab, basis, leaving, entering)
 
 
-def fraction_lp_minimize(problem: LpProblem) -> LpResult:
+def fraction_lp_minimize(problem) -> OracleResult:
     """``simplotope.exact.lp_minimize`` for any rhs, with status infeasible too."""
     n = len(problem.objective)
     m = len(problem.constraints)
     if m == 0:
         if any(c < 0 for c in problem.objective):
-            return LpResult(UNBOUNDED, None, None)
-        return LpResult(OPTIMAL, ZERO, (ZERO,) * n)
+            return OracleResult(UNBOUNDED, None, None)
+        return OracleResult(OPTIMAL, ZERO, (ZERO,) * n)
 
     # rows with rhs <= 0 are negated and start on their surplus; rows with
     # rhs > 0 start on an artificial, numbered in row order after the surpluses
@@ -104,7 +120,7 @@ def fraction_lp_minimize(problem: LpProblem) -> LpResult:
             raise RuntimeError("phase 1 is bounded below by 0")
         p1value = sum((tab[i][-1] for i in range(m) if basis[i] >= live), ZERO)
         if p1value != 0:
-            return LpResult(INFEASIBLE, None, None)
+            return OracleResult(INFEASIBLE, None, None)
         for i in range(m):
             if basis[i] >= live:
                 for j in range(live):
@@ -115,13 +131,13 @@ def fraction_lp_minimize(problem: LpProblem) -> LpResult:
         basis = [b for b in basis if b < live]
     phase2 = [Fraction(c) for c in problem.objective] + [ZERO] * m
     if _simplex_phase(tab, basis, phase2) == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
+        return OracleResult(UNBOUNDED, None, None)
     x = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
             x[b] = tab[i][-1]
     value = sum((c * v for c, v in zip(problem.objective, x)), ZERO)
-    return LpResult(OPTIMAL, value, tuple(x))
+    return OracleResult(OPTIMAL, value, tuple(x))
 
 
 def pareto_columns(columns: list[tuple[int, ...]]) -> list[int]:

@@ -8,9 +8,9 @@ overlap LP it replaced, which needs phase 1 and so runs on the Fraction
 oracle.
 """
 
-from lp_oracle import INFEASIBLE, fraction_lp_minimize
+from lp_oracle import INFEASIBLE, OPTIMAL, fraction_lp_minimize
 from simplotope.core import VertexPoint
-from simplotope.exact import OPTIMAL, LpProblem, lp_minimize
+from simplotope.exact import LpProblem, lp_minimize
 from simplotope.verifier import facet_rows
 
 
@@ -44,10 +44,7 @@ def meet_face_to_face(a, b):
             for row in facet_rows(b)]
     rows.append(([-1] * n, -1))
     objective = [0 if v in b.vertex_set else -1 for v in a.vertices]
-    result = lp_minimize(LpProblem.build(objective, rows))
-    if result.status != OPTIMAL:
-        raise RuntimeError(f"face-to-face LP came out {result.status}, but it is bounded by -1")
-    return result.value == 0
+    return lp_minimize(LpProblem(objective, rows)).value == 0
 
 
 def overlap_by_normalized_lp(a, b):
@@ -78,7 +75,7 @@ def overlap_by_normalized_lp(a, b):
         row[i] = 1
         row[-1] = -1
         rows.append((row, 0))
-    result = fraction_lp_minimize(LpProblem.build([0] * (p + q) + [-1], rows))
+    result = fraction_lp_minimize(LpProblem([0] * (p + q) + [-1], rows))
     if result.status == INFEASIBLE:
         return False
     if result.status != OPTIMAL:

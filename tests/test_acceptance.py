@@ -8,6 +8,7 @@ through dimension 5 and of the 6-cube) live here rather than in the
 unit tests.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -16,14 +17,13 @@ import pytest
 from f_oracle import faces_over_f
 from face_oracle import all_simplices, corner_simplex, exterior_faces, tri_square_class2
 from q_oracle import ENUM_DIM_LIMIT, q_by_enumeration, q_by_generating_function
-from simplotope.core import SimplotopeSpec, has_exterior_facet
+from simplotope.core import SimplotopeSpec
 from simplotope.counting import q_count
-from simplotope.fbounds import BRUTE_FORCE, DEFAULT_VTABLE, _orderly_stems, comb_bound
+from simplotope.fbounds import BRUTE_FORCE, DEFAULT_VTABLE, _orderly_stems, _stem_maxima, comb_bound
 from simplotope.lptable import bounds_table
 from simplotope.standard import standard_triangulation
 from simplotope.trisquare import (
     MINIMAL_10,
-    TRI_SQUARE,
     center_in_facet,
     construction_stages,
     lower_bound_10_argument,
@@ -158,6 +158,23 @@ def test_criterion_07_products_of_two_simplices():
                     checked += 1
     report(7, f"every nondegenerate vertex simplex of a product of two "
               f"simplices has class 1 ({checked} simplices)")
+
+
+def test_criterion_07_the_staircase_is_minimal_through_dimension_seven():
+    # The abstract's two-simplex theorem on every Delta^a x Delta^b with
+    # 1 <= a <= b and a + b <= 7.  The stem search finds V = 1, so a cover by
+    # vertex simplices needs class(P) / V = C(a+b, a) of them (the full-shape
+    # row of the cover LP), and the staircase certifies with exactly that many.
+    products = [(a, b) for a in range(1, 8) for b in range(a, 8 - a)]
+    assert len(products) == 12
+    for a, b in products:
+        spec = SimplotopeSpec((a, b))
+        assert max(q for _, q in _stem_maxima(spec)) == 1, (a, b)
+        tri = standard_triangulation(spec)
+        assert len(tri) == math.comb(a + b, a) == spec.polytope_class, (a, b)
+        assert verify(TriangulationCandidate(spec, tuple(tri))).certified, (a, b)
+    report(7, f"on all {len(products)} products of two simplices through dimension 7, "
+              "V = 1 and the staircase certifies with class(P) simplices: it is minimal")
 
 
 def test_criterion_08_standard_triangulations():

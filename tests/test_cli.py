@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -239,6 +240,37 @@ def test_standard_one_long_factor(tmp_path, capsys):
     code, _, err = run(capsys, "standard", "--spec", "1000", "--coords", "reduced", "--out", str(out_file))
     assert code == 0 and err == "1 simplices (size formula: 1)\n"
     assert len(json.loads(out_file.read_text())["simplices"]) == 1
+
+
+@pytest.mark.parametrize("spec", [",".join(["x"] * 150), ",".join(["1"] * 150) + ",0"],
+                         ids=["not-integers", "zero-factor"])
+def test_standard_spec_errors_echo_the_spec_shortened(capsys, spec):
+    code, out, err = run(capsys, "standard", "--spec", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --spec") and err.count("\n") == 1
+    assert len(err.encode()) < 120
+
+
+def test_standard_refuses_the_twelve_cube_before_generating(capsys):
+    # 479,001,600 simplices: refused from the size formula alone
+    start = time.perf_counter()
+    code, out, err = run(capsys, "standard", "--spec", ",".join(["1"] * 12))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: --spec: the standard triangulation has more than 10000000")
+
+
+def test_bounds_refuses_a_grid_above_ten_thousand_cells(capsys):
+    code, out, err = run(capsys, "bounds", "--max-s", "3000", "--max-t", "300", "--dim-cap", "2")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: the --max-s by --max-t grid has more than 10000 cells")
+    code, out, _ = run(capsys, "bounds", "--max-s", "10000", "--max-t", "0")
+    assert code == 2 and out == ""
+    # exactly 10,000 cells is accepted; all but the first two are beyond the cap
+    code, out, _ = run(capsys, "bounds", "--max-s", "9999", "--max-t", "0", "--dim-cap", "1",
+                       "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and len(doc["cells"]) == 2 and len(doc["skipped"]) == 9998
 
 
 # deeper than the JSON parser's recursion limit

@@ -1,6 +1,7 @@
 """Exact kernel: determinants and the integer LP solver."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,15 +10,8 @@ import pytest
 import pairwise_oracle
 import simplotope.exact as exact
 import simplotope.verifier as verifier
-from lp_oracle import fraction_lp_minimize
-from simplotope.exact import (
-    OPTIMAL,
-    UNBOUNDED,
-    LpProblem,
-    det,
-    lp_minimize,
-    scaled_inverse,
-)
+from lp_oracle import OPTIMAL, UNBOUNDED, RationalLp, fraction_lp_minimize
+from simplotope.exact import LpProblem, LpResult, det, lp_minimize, scaled_inverse
 from simplotope.lptable import dual_lp
 
 
@@ -102,35 +96,74 @@ def test_scaled_inverse_is_the_adjugate():
         scaled_inverse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
 
 
-# lp_minimize takes LPs that x = 0 satisfies (every rhs <= 0).  The examples
-# are the duals (max b.y, A^T y <= c, y >= 0, as min -b.y, -A^T y >= -c) of
-# small covering LPs, whose optima they are up to sign.
+# lp_minimize takes integer LPs that x = 0 satisfies (every rhs <= 0).  The
+# examples are the duals (max b.y, A^T y <= c, y >= 0, as min -b.y,
+# -A^T y >= -c) of small covering LPs, whose optima they are up to sign.
+
+def integral(problem):
+    """A rational LP as integers: each row times the lcm of its denominators,
+    rhs included, and the objective times the lcm of its own, returned with
+    that objective scale.  Scaling a row keeps its half-space, so the LP
+    keeps its feasible set and its optimal vertices."""
+    def scaled(values):
+        scale = math.lcm(*(Fraction(v).denominator for v in values))
+        return [int(v * scale) for v in values], scale
+
+    objective, scale = scaled(problem.objective)
+    rows = []
+    for row, rhs in problem.constraints:
+        *coeffs, b = scaled([*row, rhs])[0]
+        rows.append((coeffs, b))
+    return LpProblem(objective, rows), scale
+
+
+def agrees_with_oracle(rational):
+    """Solve an LP with the Fraction oracle, and scaled to integers with the
+    kernel: the kernel must reach the oracle's solution, with the value
+    times the objective scale, and raise exactly where the oracle says
+    unbounded.  Returns the oracle's status."""
+    want = fraction_lp_minimize(rational)
+    problem, scale = integral(rational)
+    if want.status == UNBOUNDED:
+        with pytest.raises(ValueError, match="unbounded"):
+            lp_minimize(problem)
+    else:
+        assert lp_minimize(problem) == LpResult(want.value * scale, want.solution), rational
+    return want.status
+
+
+def test_lp_problem_takes_ints_only():
+    assert LpProblem([1, 2], [([3, 4], -5)]) == LpProblem((1, 2), (((3, 4), -5),))
+    for bad in (Fraction(1, 2), Fraction(2), 1.0, True):
+        for objective, constraints in [([bad, 1], [([1, 1], 0)]), ([1, 1], [([1, bad], 0)]),
+                                       ([1, 1], [([1, 1], bad)])]:
+            with pytest.raises(ValueError, match="int"):
+                LpProblem(objective, constraints)
+
 
 def test_lp_examples():
     # min x1 + x2 with x1 >= 4, x1 + 2 x2 >= 6 has optimum 5 at (4, 1)
-    r = lp_minimize(dual_lp(LpProblem.build([1, 1], [([1, 0], 4), ([1, 2], 6)])))
-    assert r.status == OPTIMAL and r.value == -5 and r.solution == (Fraction(1, 2), Fraction(1, 2))
-    r = lp_minimize(dual_lp(LpProblem.build([1], [([1], 3)])))
-    assert r.status == OPTIMAL and r.value == -3 and r.solution == (1,)
-    r = lp_minimize(LpProblem.build([-1], [([1], 0)]))
-    assert r.status == UNBOUNDED
+    r = lp_minimize(dual_lp(LpProblem([1, 1], [([1, 0], 4), ([1, 2], 6)])))
+    assert r.value == -5 and r.solution == (Fraction(1, 2), Fraction(1, 2))
+    r = lp_minimize(dual_lp(LpProblem([1], [([1], 3)])))
+    assert r.value == -3 and r.solution == (1,)
+    with pytest.raises(ValueError, match="unbounded"):
+        lp_minimize(LpProblem([-1], [([1], 0)]))
 
 
 def test_lp_refuses_a_positive_rhs():
     # x = 0 violates x1 >= 1: the kernel has no phase 1 to find another start
     with pytest.raises(ValueError):
-        lp_minimize(LpProblem.build([1, 1], [([-1, 0], -2), ([1, 0], 1)]))
+        lp_minimize(LpProblem([1, 1], [([-1, 0], -2), ([1, 0], 1)]))
     with pytest.raises(ValueError):
-        lp_minimize(LpProblem.build([1], [([1], Fraction(1, 3))]))
+        lp_minimize(LpProblem([1], [([3], 1)]))
 
 
 def test_lp_residuals_exact():
-    obj = [Fraction(2), Fraction(3), Fraction(1)]
-    cons = [([1, 1, 0], Fraction(7, 3)), ([0, 2, 1], Fraction(5, 2)), ([1, 0, 3], 1)]
-    primal = LpProblem.build(obj, cons)
+    # the rhs 7/3, 5/2, 1 times 6, which scales the optimum by 6
+    primal = LpProblem([2, 3, 1], [([1, 1, 0], 14), ([0, 2, 1], 15), ([1, 0, 3], 6)])
     problem = dual_lp(primal)
     r = lp_minimize(problem)
-    assert r.status == OPTIMAL
     for row, rhs in problem.constraints:
         residual = sum(c * x for c, x in zip(row, r.solution)) - rhs
         assert residual >= 0
@@ -145,38 +178,42 @@ def test_lp_value_invariant_under_permutation():
     rng = random.Random(3)
     obj = [1, 2, 1, 3]
     cons = [([1, 1, 0, 0], 4), ([0, 1, 1, 1], 3), ([2, 0, 1, 0], 5), ([1, 0, 0, 2], 2)]
-    base = lp_minimize(dual_lp(LpProblem.build(obj, cons))).value
+    base = lp_minimize(dual_lp(LpProblem(obj, cons))).value
     for _ in range(5):
         cperm = rng.sample(range(len(cons)), len(cons))
         vperm = rng.sample(range(4), 4)
         obj2 = [obj[v] for v in vperm]
         cons2 = [([cons[c][0][v] for v in vperm], cons[c][1]) for c in cperm]
-        assert lp_minimize(dual_lp(LpProblem.build(obj2, cons2))).value == base
+        assert lp_minimize(dual_lp(LpProblem(obj2, cons2))).value == base
 
 
 def test_lp_degenerate_terminates():
     # many redundant constraints through one vertex, (1, 1): Bland's rule must not cycle
     cons = [([-1, 0], -1), ([0, -1], -1), ([-1, -1], -2), ([-2, -1], -3), ([-1, -2], -3),
             ([-3, -3], -6)]
-    r = lp_minimize(LpProblem.build([-1, -1], cons))
-    assert r.status == OPTIMAL and r.value == -2 and r.solution == (1, 1)
+    r = lp_minimize(LpProblem([-1, -1], cons))
+    assert r.value == -2 and r.solution == (1, 1)
     # Chvatal's example, on which the largest-coefficient rule cycles at x = 0
     F = Fraction
-    problem = LpProblem.build([-10, 57, 9, 24], [
-        ([F(-1, 2), F(11, 2), F(5, 2), -9], 0), ([F(-1, 2), F(3, 2), F(1, 2), -1], 0),
-        ([-1, 0, 0, 0], -1)])
+    chvatal = RationalLp((-10, 57, 9, 24), (
+        ((F(-1, 2), F(11, 2), F(5, 2), -9), 0), ((F(-1, 2), F(3, 2), F(1, 2), -1), 0),
+        ((-1, 0, 0, 0), -1)))
+    problem, scale = integral(chvatal)
+    assert scale == 1 and problem.constraints[0] == ((-1, 11, 5, -18), 0)
     r = lp_minimize(problem)
-    assert r.status == OPTIMAL and r.value == -1 and r.solution == (1, 0, 1, 0)
+    assert r.value == -1 and r.solution == (1, 0, 1, 0)
+    assert agrees_with_oracle(chvatal) == OPTIMAL
 
 
 def test_lp_beale_cycling_example_terminates():
     # Beale (1955), built to make the largest-coefficient rule cycle at x = 0
     F = Fraction
-    problem = LpProblem.build([F(-3, 4), 20, F(-1, 2), 6], [
-        ([F(-1, 4), 8, 1, -9], 0), ([F(-1, 2), 12, F(1, 2), -3], 0), ([0, 0, -1, 0], -1)])
-    r = lp_minimize(problem)
-    assert r.status == OPTIMAL and r.value == F(-5, 4)
-    assert r == fraction_lp_minimize(problem)
+    beale = RationalLp((F(-3, 4), 20, F(-1, 2), 6), (
+        ((F(-1, 4), 8, 1, -9), 0), ((F(-1, 2), 12, F(1, 2), -3), 0), ((0, 0, -1, 0), -1)))
+    problem, scale = integral(beale)
+    assert scale == 4 and problem.objective == (-3, 80, -2, 24)
+    assert lp_minimize(problem).value == -5  # -5/4 times 4
+    assert agrees_with_oracle(beale) == OPTIMAL
 
 
 def test_lp_takes_blands_column_after_a_degenerate_pivot(monkeypatch):
@@ -191,13 +228,13 @@ def test_lp_takes_blands_column_after_a_degenerate_pivot(monkeypatch):
         return real_pivot(tab, basis, d, row, col)
 
     monkeypatch.setattr(exact, "_pivot", record)
-    problem = LpProblem.build([2, -2, -4, -5], [
+    problem = LpProblem([2, -2, -4, -5], [
         ([-3, -2, -2, -2], -2), ([-1, 0, 1, 4], 0), ([1, 1, 1, -3], 0)])
     r = lp_minimize(problem)
     assert entering == [3, 1, 2]
-    assert r.status == OPTIMAL and r.value == Fraction(-17, 4)
+    assert r.value == Fraction(-17, 4)
     assert r.solution == (0, 0, Fraction(3, 4), Fraction(1, 4))
-    assert r == fraction_lp_minimize(problem)
+    assert agrees_with_oracle(problem) == OPTIMAL
 
 
 def test_lp_value_row_is_checked(monkeypatch):
@@ -205,18 +242,19 @@ def test_lp_value_row_is_checked(monkeypatch):
     real_phase = exact._simplex_phase
 
     def corrupt(tab, basis, d, cost):
-        status, d, scaled_value = real_phase(tab, basis, d, cost)
-        return status, d, scaled_value + 1
+        d, scaled_value = real_phase(tab, basis, d, cost)
+        return d, scaled_value + 1
 
     monkeypatch.setattr(exact, "_simplex_phase", corrupt)
     with pytest.raises(RuntimeError):
-        lp_minimize(dual_lp(LpProblem.build([1, 1], [([1, 0], 4), ([1, 2], 6)])))
+        lp_minimize(dual_lp(LpProblem([1, 1], [([1, 0], 4), ([1, 2], 6)])))
 
 
 def test_lp_no_constraints():
-    r = lp_minimize(LpProblem.build([1, 1], []))
-    assert r.status == OPTIMAL and r.value == 0 and r.solution == (0, 0)
-    assert lp_minimize(LpProblem.build([1, -1], [])).status == UNBOUNDED
+    r = lp_minimize(LpProblem([1, 1], []))
+    assert r.value == 0 and r.solution == (0, 0)
+    with pytest.raises(ValueError, match="unbounded"):
+        lp_minimize(LpProblem([1, -1], []))
 
 
 def test_lp_solve_is_one_simplex_phase(monkeypatch):
@@ -231,16 +269,17 @@ def test_lp_solve_is_one_simplex_phase(monkeypatch):
 
     monkeypatch.setattr(exact, "_simplex_phase", spy)
     F = Fraction
-    problem = LpProblem.build([-2, -3, 1], [
-        ([-1, -1, 0], -4), ([F(-1, 2), -2, 1], F(-5, 3)), ([1, -1, 0], 0)])
+    rational = RationalLp((-2, -3, 1), (
+        ((-1, -1, 0), -4), ((F(-1, 2), -2, 1), F(-5, 3)), ((1, -1, 0), 0)))
+    problem, _ = integral(rational)
     r = lp_minimize(problem)
     assert phases == [1]
-    assert r.status == OPTIMAL and r == fraction_lp_minimize(problem)
     assert all(sum(c * x for c, x in zip(row, r.solution)) >= rhs
                for row, rhs in problem.constraints)
+    assert agrees_with_oracle(rational) == OPTIMAL
 
 
-def _random_lp(rng: random.Random) -> LpProblem:
+def _random_lp(rng: random.Random) -> RationalLp:
     """Small LPs that x = 0 satisfies, with negative and fractional entries
     and split equalities (whose rhs is 0)."""
     def num():
@@ -254,17 +293,14 @@ def _random_lp(rng: random.Random) -> LpProblem:
             cons += [(row, 0), ([-c for c in row], 0)]
         else:
             cons.append((row, -abs(num())))
-    return LpProblem.build([num() for _ in range(n)], cons)
+    return RationalLp([num() for _ in range(n)], cons)
 
 
 def test_lp_matches_fraction_oracle_on_random_lps():
     rng = random.Random(2009)
     seen = set()
     for _ in range(600):
-        problem = _random_lp(rng)
-        got = lp_minimize(problem)
-        assert got == fraction_lp_minimize(problem), problem
-        seen.add(got.status)
+        seen.add(agrees_with_oracle(_random_lp(rng)))
     assert seen == {OPTIMAL, UNBOUNDED}
 
 
@@ -276,10 +312,7 @@ def test_lp_matches_fraction_oracle_on_cell_lps():
     from simplotope.lptable import build_lp
 
     for s, t in CELLS_DIM10:
-        problem = dual_lp(build_lp(s, t))
-        got = lp_minimize(problem)
-        assert got.status == OPTIMAL
-        assert got == fraction_lp_minimize(problem), (s, t)
+        assert agrees_with_oracle(dual_lp(build_lp(s, t))) == OPTIMAL, (s, t)
 
 
 def test_cell_lps_take_few_pivots(monkeypatch):
@@ -297,7 +330,7 @@ def test_cell_lps_take_few_pivots(monkeypatch):
 
     monkeypatch.setattr(exact, "_pivot", count)
     for problem in problems:
-        assert lp_minimize(problem).status == OPTIMAL
+        lp_minimize(problem)
     assert len(problems) == 35
     assert len(pivots) <= 200
 
@@ -316,7 +349,7 @@ def test_lp_matches_fraction_oracle_on_overlap_lps(monkeypatch):
     overlap_matrix(tri_square_class2())
     assert len(problems) == 14  # one per orbit of class-2 pairs
     for problem in problems:
-        assert lp_minimize(problem) == fraction_lp_minimize(problem)
+        assert agrees_with_oracle(problem) == OPTIMAL
 
 
 def test_lp_matches_fraction_oracle_on_face_to_face_lps(monkeypatch):
@@ -335,4 +368,4 @@ def test_lp_matches_fraction_oracle_on_face_to_face_lps(monkeypatch):
         pairwise_oracle.meet_face_to_face(a, b)
     assert len(problems) == 66
     for problem in problems:
-        assert lp_minimize(problem) == fraction_lp_minimize(problem)
+        assert agrees_with_oracle(problem) == OPTIMAL

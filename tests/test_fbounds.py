@@ -8,7 +8,14 @@ from collections import Counter
 
 import pytest
 
-from f_oracle import faces_over_f, leaves_by_stem, oracle_over_cells, orbit_face_counts
+from f_oracle import (
+    climb_to_f_violation,
+    faces_over_f,
+    leaves_by_stem,
+    make_f,
+    oracle_over_cells,
+    orbit_face_counts,
+)
 from face_oracle import corner_simplex, exterior_faces, face_class
 from v_oracle import v_by_enumeration
 from simplotope.core import SimplotopeSpec, VertexSimplex, symmetries
@@ -393,3 +400,32 @@ def test_orbit_face_counts_match_the_face_oracle(s, t):
                        for tp in range(t + 1) for sp in range(s + t - tp + 1)
                        for sub, _ in exterior_faces(x, (sp, tp)))
         assert counts == want, simplex
+
+
+# The F falsifier: a fixed seed and a fixed number of simplices climbed
+# through on each product that no exhaustive check reaches (d = 6 to 8).
+CLIMB_SEED = 3
+CLIMB_EVALUATIONS = 3000
+
+
+@pytest.mark.parametrize("s, t", [(2, 2), (4, 1), (1, 3), (3, 2), (2, 3)])
+def test_climb_finds_no_simplex_with_more_faces_than_f(s, t):
+    # evidence for F on these products, not a proof
+    assert climb_to_f_violation(s, t, f_bound, CLIMB_SEED, CLIMB_EVALUATIONS) is None
+
+
+def test_climb_finds_the_undercount_of_the_pre_mend_footprint_rule():
+    # F with the footprint factor 1 on the 0-face shape, as before the mend,
+    # undercounts on (3, 1); the climb finds a witness within the same
+    # budget, and the face oracle confirms its count
+    s, t = 3, 1
+    pre_mend = make_f(lambda s, t: DEFAULT_VTABLE.get(s, t).value, zero_faces=lambda s, t: 1)
+    found = climb_to_f_violation(s, t, pre_mend, CLIMB_SEED, CLIMB_EVALUATIONS)
+    assert found is not None
+    simplex, c, (sp, tp, cp), count, bound = found
+    assert count > bound == pre_mend(s, t, c, sp, tp, cp)
+    assert f_bound(s, t, c, sp, tp, cp) >= count  # the mended F bounds it
+    spec = SimplotopeSpec.seg_tri(s, t)
+    x = VertexSimplex(spec, [spec.vertices()[i] for i in simplex])
+    assert x.cls == c
+    assert sum(face_class(sub) == cp for sub, _ in exterior_faces(x, (sp, tp))) == count

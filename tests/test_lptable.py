@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from lp_oracle import fraction_lp_minimize, pareto_columns
+from lp_oracle import OPTIMAL, RationalLp, fraction_lp_minimize, pareto_columns
 from simplotope.counting import q_count
-from simplotope.exact import OPTIMAL, LpProblem, lp_minimize
+from simplotope.exact import LpProblem, lp_minimize
 from simplotope.fbounds import DEFAULT_VTABLE, VTable, f_bound, load_cube_caps
 from simplotope.lptable import (
     bounds_table,
@@ -89,7 +89,7 @@ def test_row_scaling_invariance():
     for (sp, tp), (row, rhs) in zip(constraint_pairs(1, 1), problem.constraints):
         f = Fraction(1, math.factorial(sp + 2 * tp))
         scaled_back.append(([c * f for c in row], rhs * f))
-    assert fraction_lp_minimize(LpProblem.build(problem.objective, scaled_back)).value \
+    assert fraction_lp_minimize(RationalLp(problem.objective, scaled_back)).value \
         == fraction_lp_minimize(problem).value
 
 
@@ -139,9 +139,9 @@ def full_lp(s, t):
     """The cover LP with every class column, written out from f_bound and q_count."""
     v = DEFAULT_VTABLE.get(s, t).value
     rows = [([c * f_bound(s, t, c, sp, tp, c) for c in range(1, v + 1)],
-             Fraction(q_count(s, t, sp, tp) * math.factorial(sp + 2 * tp), 2 ** tp))
+             q_count(s, t, sp, tp) * math.factorial(sp + 2 * tp) // 2 ** tp)
             for sp, tp in constraint_pairs(s, t)]
-    return LpProblem.build([1] * v, rows)
+    return LpProblem([1] * v, rows)
 
 
 CELLS_DIM10 = [(s, t) for t in range(6) for s in range(11 - 2 * t) if (s, t) != (0, 0)]

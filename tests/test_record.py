@@ -23,7 +23,7 @@ def make(kind, *args):
         return VertexPoint(SPEC, tuple(args))
     if kind == "face":
         return FaceId(SPEC, frozenset(args))
-    return LpProblem.build([1] * args[0], [([1] * args[1], 1)])
+    return LpProblem([1] * args[0], [([1] * args[1], 1)])
 
 
 # (kind, arguments, other arguments of the same kind, arguments to refuse)
@@ -71,13 +71,13 @@ def test_checked_records_hash_their_fields_as_a_tuple():
     assert hash(SPEC) == hash(((1, 2),))
     v = VertexPoint(SPEC, (1, 0))
     assert hash(v) == hash((SPEC, (1, 0)))
-    assert hash(LpProblem.build([1], [([1], 2)])) == hash(((1,), (((1,), 2),)))
+    assert hash(LpProblem([1], [([1], 2)])) == hash(((1,), (((1,), 2),)))
 
 
 def test_plain_records_are_immutable_tuples():
     cand = TriangulationCandidate(SPEC, ())
     table = bounds_table(1, 0, 1)
-    records = [cand, LpResult("optimal", Fraction(0), ()), Ingredient("x", True, ""), table,
+    records = [cand, LpResult(Fraction(0), ()), Ingredient("x", True, ""), table,
                table.cells[0]]
     for record in records:
         name = record._fields[0]
