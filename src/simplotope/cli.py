@@ -62,14 +62,14 @@ def _vtable(args):
 
 
 def cmd_bounds(args) -> int:
-    from .lptable import bounds_table
+    from .lptable import BEYOND_DIM_CAP, bounds_table
 
     _nonnegative(("--max-s", args.max_s), ("--max-t", args.max_t), ("--dim-cap", args.dim_cap))
     if (args.max_s + 1) * (args.max_t + 1) > MAX_GRID_CELLS:
         raise UsageError(f"the --max-s by --max-t grid has more than {MAX_GRID_CELLS} cells, "
                          "the most accepted")
     table = bounds_table(args.max_s, args.max_t, args.dim_cap, vtable=_vtable(args))
-    missing = [sk for sk in table.skipped if sk[2] != "beyond dimension cap"]
+    missing = [sk for sk in table.skipped if sk[2] != BEYOND_DIM_CAP]
     if args.format == "json":
         sys.stdout.write(table.to_json())
     else:
@@ -119,9 +119,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_standard(args) -> int:
-    from .core import SimplotopeSpec
+    from .core import MAX_DIMENSION, SimplotopeSpec
     from .standard import standard_triangulation
-    from .tfiles import MAX_DIMENSION, candidate_to_dict, save_candidate
+    from .tfiles import candidate_to_dict, save_candidate
     from .verifier import TriangulationCandidate
 
     try:
@@ -164,9 +164,12 @@ def cmd_vmax(args) -> int:
 
 
 def cmd_q(args) -> int:
+    from .core import MAX_DIMENSION
     from .counting import q_count
 
     _nonnegative(("--s", args.s), ("--t", args.t), ("--sp", args.sp), ("--tp", args.tp))
+    if args.s + 2 * args.t > MAX_DIMENSION:
+        raise UsageError(f"the dimension s + 2t is more than {MAX_DIMENSION}, the largest accepted")
     print(q_count(args.s, args.t, args.sp, args.tp))
     return 0
 

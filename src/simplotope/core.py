@@ -33,6 +33,13 @@ from .record import Record
 # the digits, so the files' parsers refuse longer integers before converting.
 MAX_INT_DIGITS = 4300
 
+# The largest simplotope dimension a file or command may ask for.  A
+# triangulation of dimension d lists d + 1 vertices of at least d entries per
+# simplex, so any file that could be certified is far below it; the bound
+# only stops a huge dimension (say an empty triangulation of a 10**30-simplex,
+# or a face count of 2^(10**7)) from reaching the arithmetic.
+MAX_DIMENSION = 10_000
+
 
 class SimplotopeSpec(Record):
     """Factor dimensions (c_1, ..., c_n) of a product of simplices."""

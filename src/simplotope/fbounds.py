@@ -85,39 +85,30 @@ also have to match the code that filled it, and a stored value is trusted
 as it stands, so one stale or altered entry would print a wrong cell with
 exit 0.
 
-The recurrence is pruned by the same zero conventions, so every F value is
-what the plain recursion gives, but far fewer keys are reached (the d = 10
-table memoizes 1,299 keys, where the plain recursion reaches 6,040 from
-the same LP coefficients):
+F's conventions live in `VTable.f` alone.  It looks up its memo first (a
+memoized key passed the conventions when it was stored), then returns 0
+outside the admissible range, on failed divisibility and on class overflow,
+1 or 0 on the full shape and the vertex count on the 0-face shape; only
+the other keys reach the memo.  The recurrence and `lptable.build_lp` take
+a convention's 0 from F.  The recurrence keeps three shortcuts:
 
-- The footprint factor F(s', t', c', i, j, k) depends on neither e nor w.
-  It is looked up once per (i, j, k) in one recurrence call.
-- An e whose shadow class c/c' exceeds V(ss, tt) adds nothing and is
-  skipped before any of its terms.
-- A term whose shadow factor F(ss, tt, c/c', x, y, c'/k) vanishes by a
-  convention (y < 0, x + 2y beyond the shadow's dimension, c'/k not
-  dividing c/c', or c'/k > V(x, y)) is skipped before its footprint factor
-  is looked up.  A footprint factor of 0 (k > V(i, j) among others) skips
-  the shadow factor, as before.
-- The full-shape footprint, (i, j) = (s', t'), is sigma itself: it is
-  written as 1 for k = c' and 0 otherwise without a call, as F's full-shape
-  convention gives (k divides c' <= V(s', t'), so no other convention
-  applies).
+- An e whose shadow class c/c' exceeds V(ss, tt) is skipped: the point
+  shadow (below) is written without F, so this is F's class check on it.
+- The loops run only over the divisor pairs (k, c'/k) with c'/k | c/c' and
+  the i that keep the shadow inside the shadow's dimension.  The terms
+  outside are zero by a convention, but asking F for them adds 2-8 ms to
+  the 20-23 ms that F and the cover LPs take at d = 10 with V known
+  (2 vCPUs, Python 3.11), and memoizes keys nothing else reaches.
+- One recurrence call looks up each footprint factor F(s', t', c', i, j, k),
+  which depends on neither e nor w, once, and a footprint of 0 skips the
+  shadow factor.  That cache and the caches of `comb_bound` and `_divisors`
+  save 1.5-6 ms there.
 
-F itself looks up its memo before it tests any convention, so the 5,043
-memo hits of the d = 10 table skip those tests; a memoized key passed them
-when it was stored.  `lptable.build_lp` writes 0 for a class above
-V(s', t') rather than asking F for the convention's 0.  With both, the
-d = 10 table calls F 9,399 times instead of 12,191, with the same memo.
-
-V is asked for no pair the plain recursion does not ask for.  That
-recursion asks for V(s', t') at its first footprint, and for V(ss, tt) at
-every e: its term w = 0, k = c', j = t', i = s' pairs the whole face
-(footprint 1) with the point shadow, which is 1 only if c/c' <= V(ss, tt).
-V(x, y) is only read when some earlier query already computed it; otherwise
-the term runs as before, and the shadow factor asks for V(x, y) only after
-a nonzero footprint, as the plain recursion does.  A missing cube cap therefore
-skips the same cells with the same reasons.
+The d = 10 table memoizes 1,299 keys (the plain recursion reaches 6,040)
+and calls F 12,191 times.  Every shape F reaches from a cell (s, t) is
+(0, 0) or one of the cell's rows (t' <= t, s' + t' <= s + t), whose V
+`build_lp` reads before any F, so V is computed for no pair the cell does
+not need and a missing cube cap skips the same cells with the same reasons.
 
 The 0-face shape has one F value: a nondegenerate simplex has s + 2t + 1
 exterior 0-faces, all of its vertices, each of class 1, which is
@@ -128,9 +119,8 @@ the same shadow whichever vertex of sigma v is, so the faces with a
 one-vertex footprint number up to sigma's vertex count times their shadows.
 The shadow of the whole of sigma is different: collapsing sigma maps it to
 a single point, of class 1, so the recurrence writes that shadow factor as
-1 for c'/k = 1 and 0 otherwise, rather than reading F at (0, 0); an e
-whose shadow class exceeds V(ss, tt) never gets that far.  With both in
-place every class, class 1 included, takes the smaller of the
+1 for c'/k = 1 and 0 otherwise, rather than reading F at (0, 0).  With
+both in place every class, class 1 included, takes the smaller of the
 combinatorial bound and the recurrence.
 """
 
@@ -177,13 +167,21 @@ def _sylvester_class(d: int) -> int:
     return abs(det(core))
 
 
+def _hadamard_class(d: int) -> int:
+    """The largest class a d-cube simplex can have: its matrix [1 | X], X 0/1,
+    gives the +-1 matrix [1 | 2X - J] with 2^d times its |det|, which
+    Hadamard (1893) bounds by (d + 1)^((d + 1) / 2)."""
+    return math.isqrt((d + 1) ** (d + 1) // 4 ** d)
+
+
 def load_cube_caps(path=None) -> dict[int, int]:
     """Cube maximal-class caps by dimension from a key-value text file.
 
     Each line holds a dimension and its cap, both >= 1 and of at most
     MAX_INT_DIGITS digits, and no dimension appears twice; a cap at a
     dimension of SYLVESTER_DIMS is at least the class of Sylvester's simplex
-    there, which the cube attains.  A file other than the packaged one may
+    there, which the cube attains, and no cap is above Hadamard's bound,
+    `_hadamard_class`.  A file other than the packaged one may
     not go below a packaged cap at d <= BRUTE_FORCE_DIM_LIMIT either: the
     tests find each of those caps as the class of a d-cube simplex by
     search.  A line that breaks this raises ValueError naming it (shortened
@@ -217,6 +215,10 @@ def load_cube_caps(path=None) -> dict[int, int]:
             raise ValueError(f"{where}: the {dim}-cube has a simplex of class {attained} "
                              f"(from Sylvester's Hadamard matrix of order {dim + 1}), "
                              "so a lower cap is unsound")
+        # d >= 7 puts the bound at >= 2^(d // 2): a cap of <= d / 2 bits is below it
+        if (dim < 7 or 2 * cap.bit_length() > dim) and cap > (bound := _hadamard_class(dim)):
+            raise ValueError(f"{where}: a {dim}-cube simplex has class at most {bound} "
+                             "(Hadamard's bound), so a higher cap is impossible")
         if cap < floors.get(dim, 0):
             raise ValueError(f"{where}: the {dim}-cube has a simplex of class {floors[dim]} "
                              "(the packaged cap, found by search), so a lower cap is unsound")
@@ -298,10 +300,7 @@ class VTable:
             return 0
         if sp + 2 * tp > s + 2 * t or c % cp:
             return 0
-        values = self._values  # V read directly; get() only computes a missing value
-        if c > (values.get((s, t)) or self.get(s, t))[0]:
-            return 0
-        if cp > (values.get((sp, tp)) or self.get(sp, tp))[0]:
+        if c > self.get(s, t)[0] or cp > self.get(sp, tp)[0]:
             return 0
         if sp == s and tp == t:
             return 1 if cp == c else 0
@@ -323,26 +322,20 @@ class VTable:
         ambient segment factors supporting the complement, bounds the face
         count.
 
-        Terms that a zero convention of F makes vanish are skipped before
-        the other factor is looked up (see the module docstring).
+        The caller, `f`, has already applied F's conventions at this key
+        (see the module docstring for the shortcuts the loops keep).
         """
-        if c < 1 or cp < 1 or c % cp or sp < 0 or tp < 0:
-            return 0
-        es = range(max(0, s - sp), min(s + t - sp - tp, s) + 1)
-        values = self._values
-        if not es or cp > (values.get((sp, tp)) or self.get(sp, tp))[0]:
-            return 0
         f = self.f
         cq = c // cp
         shadow_dim = s + 2 * t - sp - 2 * tp
         kqs = [(k, cp // k) for k in _divisors(cp) if cq % (cp // k) == 0]
-        # the full-shape footprint is the whole of sigma: 1 for k = c', else 0
-        footprints = {(sp, tp, k): int(k == cp) for k, _ in kqs}
+        footprints: dict[tuple[int, int, int], int] = {}
         best = 0
-        for e in es:
+        for e in range(max(0, s - sp), min(s + t - sp - tp, s) + 1):
             ss = sp - s + 2 * e
             tt = s + t - sp - tp - e
-            if cq > (values.get((ss, tt)) or self.get(ss, tt))[0]:
+            # F's class check on the point shadow, which is written without F
+            if cq > self.get(ss, tt)[0]:
                 continue
             total = 0
             for w in range(0, min(sp - s + e, tp) + 1):
@@ -351,11 +344,8 @@ class VTable:
                     for i in range(max(w, sp + 2 * tp - shadow_dim - 2 * j),
                                    min(sp + tp - j, sp + w) + 1):
                         x = sp - i + 2 * w
-                        vx = values.get((x, y))
                         point = x == 0 and y == 0  # the shadow of the whole of sigma
                         for k, kq in kqs:
-                            if vx is not None and kq > vx[0]:
-                                continue
                             a = footprints.get((i, j, k))
                             if a is None:
                                 a = footprints[(i, j, k)] = f(sp, tp, cp, i, j, k)

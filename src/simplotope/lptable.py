@@ -78,6 +78,10 @@ from .exact import LpProblem, lp_minimize
 from .fbounds import DEFAULT_VTABLE, VMaxUnavailable, VTable
 
 
+# The skip reason of a cell past the dimension cap: the one skip that is not an error.
+BEYOND_DIM_CAP = "beyond dimension cap"
+
+
 class InconsistentCellError(Exception):
     """A constraint with no support but a positive requirement: F/Q disagree."""
 
@@ -138,8 +142,9 @@ def constraint_pairs(s: int, t: int) -> list[tuple[int, int]]:
 def build_lp(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> LpProblem:
     """The cover LP of (s, t) on its breakpoint class columns.
 
-    Column c holds c * F(s, t, c, s', t', c) for each constraint pair, for
-    c in 1, V(s, t) and every V(s', t') < V(s, t) over the rows, ascending:
+    Column c holds c * F(s, t, c, s', t', c) for each constraint pair (0
+    where c > V(s', t'), by F's class convention), for c in 1, V(s, t) and
+    every V(s', t') < V(s, t) over the rows, ascending:
     the top class of each interval on which F is constant in c, at most one
     column per distinct V value (see the module docstring).  A row that
     needs support no column gives raises InconsistentCellError.
@@ -151,9 +156,7 @@ def build_lp(s: int, t: int, vtable: VTable = DEFAULT_VTABLE) -> LpProblem:
     v_rows = [vtable.get(sp, tp).value for sp, tp in pairs]
     classes = sorted({1, v_full}.union(v for v in v_rows if v < v_full))
     f = vtable.f
-    # F vanishes on a class above V(s', t'), so that entry is written as 0
-    columns = [[c * f(s, t, c, sp, tp, c) if c <= v else 0 for (sp, tp), v in zip(pairs, v_rows)]
-               for c in classes]
+    columns = [[c * f(s, t, c, sp, tp, c) for sp, tp in pairs] for c in classes]
     rhs = [q_count(s, t, sp, tp) * (math.factorial(sp + 2 * tp) // 2 ** tp)
            for sp, tp in pairs]
     for row, (sp, tp) in enumerate(pairs):
@@ -204,7 +207,7 @@ def bounds_table(max_s: int, max_t: int, dim_cap: int,
     for s in range(0, max_s + 1):
         for t in range(0, max_t + 1):
             if s + 2 * t > dim_cap:
-                skipped.append((s, t, "beyond dimension cap"))
+                skipped.append((s, t, BEYOND_DIM_CAP))
                 continue
             if s == 0 and t == 0:
                 # the empty product is a point; one 0-simplex covers it

@@ -4,8 +4,8 @@ The document carries the factor dimensions, the coordinate system of the
 vertex arrays ("standard": one 0/1 entry per barycentric coordinate;
 "reduced": one entry per dimension plus the reduction vertex in standard
 coordinates), and the simplices as lists of flat integer vertex arrays.
-Extra keys (such as "metadata") are preserved on load and ignored by the
-verifier.  Output is deterministic: sorted keys, simplices in input order.
+Extra keys (such as "metadata") are accepted on load and ignored.  Output
+is deterministic: sorted keys, simplices in input order.
 """
 
 from __future__ import annotations
@@ -14,15 +14,8 @@ import json
 import reprlib
 from typing import Sequence
 
-from .core import MAX_INT_DIGITS, SimplotopeSpec, VertexPoint, VertexSimplex
+from .core import MAX_DIMENSION, MAX_INT_DIGITS, SimplotopeSpec, VertexPoint, VertexSimplex
 from .verifier import TriangulationCandidate
-
-# The largest simplotope dimension a file may declare.  A triangulation of
-# dimension d lists d + 1 vertices of at least d entries per simplex, so any
-# file that could be certified is far below it; the bound only stops a huge
-# declared dimension (say an empty triangulation of a 10**30-simplex) from
-# reaching the polytope-class computation.
-MAX_DIMENSION = 10_000
 
 
 class TriangulationFileError(ValueError):

@@ -13,6 +13,7 @@ import pytest
 
 import simplotope
 from simplotope.cli import main
+from simplotope.fbounds import load_cube_caps
 
 BUNDLED = str(resources.files("simplotope").joinpath("data/tri_square_minimal.json"))
 
@@ -133,22 +134,31 @@ def test_verify_prints_a_polytope_class_of_any_length(tmp_path, capsys):
 
 
 def test_q_prints_an_answer_of_any_length(capsys):
-    code, out, err = run(capsys, "q", "--s", "20000", "--t", "0", "--sp", "0", "--tp", "0")
+    code, out, err = run(capsys, "q", "--s", "10000", "--t", "0", "--sp", "3333", "--tp", "0")
     assert code == 0 and err == ""
-    assert out == full_digits(2 ** 20000) + "\n"  # the 20000-cube's vertices: 6021 digits
+    # the 10000-cube's 3333-faces: 4770 digits, past the default int-string limit
+    assert out == full_digits(math.comb(10000, 3333) * 2 ** 6667) + "\n"
+    assert len(out) == 4771
+
+
+def test_q_answers_at_the_largest_dimension_accepted(capsys):
+    code, out, err = run(capsys, "q", "--s", "10000", "--t", "0", "--sp", "0", "--tp", "0")
+    assert code == 0 and err == ""
+    assert out == full_digits(2 ** 10000) + "\n"  # the 10000-cube's vertices: 3011 digits
+    assert len(out) == 3012
 
 
 @pytest.mark.skipif(not HAS_INT_LIMIT, reason="no int-string limit before Python 3.11")
 def test_main_restores_the_int_string_limit(capsys):
     before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(5000)
+    sys.set_int_max_str_digits(4500)
     try:
-        code, out, _ = run(capsys, "q", "--s", "20000", "--t", "0", "--sp", "0", "--tp", "0")
-        assert code == 0 and len(out) == 6022
-        assert sys.get_int_max_str_digits() == 5000
+        code, out, _ = run(capsys, "q", "--s", "10000", "--t", "0", "--sp", "3333", "--tp", "0")
+        assert code == 0 and len(out) == 4771
+        assert sys.get_int_max_str_digits() == 4500
         code, _, _ = run(capsys, "q", "--s", "x", "--t", "0", "--sp", "0", "--tp", "0")
         assert code == 2  # argparse's exit
-        assert sys.get_int_max_str_digits() == 5000
+        assert sys.get_int_max_str_digits() == 4500
     finally:
         sys.set_int_max_str_digits(before)
 
@@ -277,6 +287,12 @@ def test_bounds_refuses_a_grid_above_ten_thousand_cells(capsys):
 DEEP = "[" * 100_000 + "]" * 100_000
 
 
+# The packaged caps with 10^30 at d = 7 and 8, where Hadamard's bound gives 32
+# and 76; listing the divisors of such a cap by trial division would take years.
+CAPS_ABOVE_HADAMARD = "".join(f"{d} {10 ** 30 if d in (7, 8) else cap}\n"
+                              for d, cap in load_cube_caps().items())
+
+
 @pytest.mark.parametrize("doc, argv", [
     ([1, 2, 3], None),
     ({"factors": [0], "coords": "standard", "simplices": []}, None),
@@ -298,6 +314,7 @@ DEEP = "[" * 100_000 + "]" * 100_000
     (None, ["vmax", "--spec", "1,2"]),
     (None, ["q", "--s", "-1", "--t", "0", "--sp", "0", "--tp", "0"]),
     (None, ["q", "--s", "0", "--t", "2", "--sp", "2", "--tp", "0", "--check"]),
+    (None, ["q", "--s", "1", "--t", "5000", "--sp", "0", "--tp", "0"]),
     (None, ["standard", "--spec", "0"]),
     (None, ["standard", "--spec", "99999999999"]),
     (None, ["fbound", "--s", "-1", "--t", "0", "--c", "1", "--sp", "0", "--tp", "0", "--cp", "1"]),
@@ -320,18 +337,20 @@ DEEP = "[" * 100_000 + "]" * 100_000
     ("7 9\n", ["bounds", "--max-s", "7", "--max-t", "0", "--dim-cap", "7", "--config", "{file}"]),
     ("4 3\n5 4\n", ["bounds", "--max-s", "5", "--max-t", "0", "--dim-cap", "5", "--config", "{file}"]),
     ("6 8\n", ["vmax", "--s", "6", "--t", "0", "--config", "{file}"]),
+    (CAPS_ABOVE_HADAMARD, ["bounds", "--max-s", "8", "--max-t", "0", "--dim-cap", "8",
+                           "--config", "{file}"]),
     (None, ["standard", "--spec", "1", "--out", "{file}/x.json"]),
 ], ids=["top-level-list", "zero-factor", "non-integer-factors", "repeated-vertex",
         "simplices-not-a-list", "vertex-is-a-number", "simplex-not-a-list",
         "reduction-vertex-not-a-list", "string-vertex-entry", "float-vertex-entry",
         "negative-max-t", "missing-config",
         "vmax-negative-count", "vmax-without-cap", "vmax-spec-flag",
-        "q-negative-count", "q-check-flag", "standard-zero-factor", "standard-huge-dimension",
+        "q-negative-count", "q-check-flag", "q-beyond-max-dimension", "standard-zero-factor", "standard-huge-dimension",
         "fbound-negative-count", "fbound-without-cap", "verify-jobs-flag", "case-jobs-flag",
         "bounds-memo-cache-flag", "memo-caps-mismatch", "caps-zero", "caps-negative",
         "caps-repeated-dim", "not-utf8", "deeply-nested", "huge-dimension", "huge-integer",
         "caps-huge-integer", "caps-below-sylvester", "caps-below-searched-5",
-        "caps-below-searched-6", "standard-unwritable-out"])
+        "caps-below-searched-6", "caps-above-hadamard", "standard-unwritable-out"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, doc, argv):
     f = tmp_path / "input.json"
     if isinstance(doc, bytes):
@@ -346,6 +365,21 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, doc, argv):
     assert len(err) < 300  # values are echoed shortened
     if before is not None:
         assert f.read_bytes() == before  # a refused file is left as it was
+
+
+def test_refusals_of_huge_inputs_are_quick(tmp_path, capsys):
+    # both commands used to run for many seconds: q printing a 2^s-sized
+    # answer, and bounds listing the divisors of a 10^30 cap
+    config = tmp_path / "caps.txt"
+    config.write_text(CAPS_ABOVE_HADAMARD)
+    for argv in (["q", "--s", "10000000", "--t", "0", "--sp", "0", "--tp", "0"],
+                 ["bounds", "--max-s", "8", "--max-t", "0", "--dim-cap", "8",
+                  "--config", str(config)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "line 7 " in err and "Hadamard" in err
 
 
 # Runs one command in a fresh interpreter, then reports its exit code and

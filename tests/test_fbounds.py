@@ -28,6 +28,7 @@ from simplotope.fbounds import (
     VTable,
     _brute_force_vmax,
     _divisors,
+    _hadamard_class,
     _cofactor,
     _orderly_stems,
     _stem_maxima,
@@ -140,6 +141,25 @@ def test_load_cube_caps_refuses_a_cap_below_sylvesters_simplex(tmp_path, d, atta
     path.write_text(f"1 1\n{d} {attained - 1}\n")
     with pytest.raises(ValueError, match=f"line 2 '{d} {attained - 1}': .* class {attained} "):
         load_cube_caps(path)
+
+
+@pytest.mark.parametrize("d, bound", [(3, 2), (7, 32), (11, 1458)])
+def test_load_cube_caps_refuses_a_cap_above_hadamards_bound(tmp_path, d, bound):
+    # d + 1 = 4, 8, 12 are Hadamard orders, so these cubes meet the bound
+    path = tmp_path / "caps.txt"
+    path.write_text(f"{d} {bound}\n")
+    assert load_cube_caps(path) == {d: bound}
+    path.write_text(f"1 1\n{d} {bound + 1}\n")
+    with pytest.raises(ValueError, match=f"line 2 '{d} {bound + 1}': .* at most {bound} "):
+        load_cube_caps(path)
+
+
+def test_load_cube_caps_checks_hadamards_bound_without_huge_powers(tmp_path):
+    # a cap of at most d / 2 bits is below the bound; (d + 1)^(d + 1) is never formed
+    path = tmp_path / "caps.txt"
+    path.write_text(f"{10 ** 4000} {2 ** 100}\n")
+    assert load_cube_caps(path) == {10 ** 4000: 2 ** 100}
+    assert all(cap <= _hadamard_class(d) for d, cap in load_cube_caps().items())
 
 
 def test_load_cube_caps_refuses_a_cap_below_a_searched_cap(tmp_path):

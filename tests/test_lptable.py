@@ -12,6 +12,7 @@ from simplotope.counting import q_count
 from simplotope.exact import LpProblem, lp_minimize
 from simplotope.fbounds import DEFAULT_VTABLE, VTable, f_bound, load_cube_caps
 from simplotope.lptable import (
+    BEYOND_DIM_CAP,
     bounds_table,
     build_lp,
     constraint_pairs,
@@ -113,6 +114,13 @@ def test_skipped_cells_marked():
     reasons = {(s, t): r for s, t, r in table.skipped}
     assert (8, 0) in reasons and "no cube cap" in reasons[(8, 0)]
     assert {(c.s, c.t): c.lower_bound for c in table.cells}[7, 0] == 1117
+
+
+def test_cells_past_the_dimension_cap_carry_the_reason_bounds_forgives():
+    # `simplotope bounds` exits 0 when every skip has this reason
+    table = bounds_table(2, 1, 2)
+    assert table.skipped == ((1, 1, BEYOND_DIM_CAP), (2, 1, BEYOND_DIM_CAP))
+    assert '"reason": "beyond dimension cap"' in table.to_json()
 
 
 # Every lp_value with s + 2t <= 6, t <= 2, as `simplotope bounds` prints it in a

@@ -8,6 +8,7 @@ import pytest
 
 from face_oracle import corner_simplex, tri_square_class2
 from pairwise_oracle import meet_face_to_face, overlap_by_normalized_lp
+from placing import random_placings
 from simplotope.core import SimplotopeSpec, VertexPoint, VertexSimplex, minimal_face
 from simplotope.exact import det
 from simplotope.standard import standard_triangulation
@@ -388,6 +389,38 @@ def test_fast_path_agrees_with_oracle_on_mutants():
                 assert not report.facets_ok  # only the facet check can reject these
             assert adjacency_graph(cand) == old_adjacency_scan(cand)
     assert preserving >= 10
+
+
+# Seeded placing triangulations (tests/placing.py), with the fewest simplices
+# a triangulation can have: the table's cells (3,0) and (4,0), and for (1,1,2)
+# the bound 10 of the triangle-cross-square case study.
+PLACINGS = [(CUBE, 60, 3, 5), (SimplotopeSpec((1, 1, 1, 1)), 30, 4, 16),
+            (SimplotopeSpec((1, 1, 2)), 40, 112, 10)]
+
+
+@pytest.fixture(scope="module")
+def placings():
+    return {spec: random_placings(spec, count, seed) for spec, count, seed, _ in PLACINGS}
+
+
+@pytest.mark.parametrize("spec, bound", [(spec, bound) for spec, _, _, bound in PLACINGS],
+                         ids=["3-cube", "4-cube", "1-1-2"])
+def test_placings_certify_and_respect_the_lower_bound(placings, spec, bound):
+    not_unimodular = 0
+    for cand in placings[spec]:
+        report = verify(cand)
+        assert report.certified, (cand.spec, report.diagnostics)
+        assert len(cand.simplices) >= bound
+        not_unimodular += max(report.classes) > 1
+    assert not_unimodular  # unlike every standard triangulation
+
+
+def test_fast_path_agrees_with_oracle_on_cube_placings(placings):
+    rng = random.Random(5)
+    for cand in placings[CUBE]:
+        assert pairwise_oracle(cand)
+        for mutant in single_vertex_mutants(cand, 2, rng):
+            assert verify(mutant).certified == pairwise_oracle(mutant)
 
 
 def test_adjacency_matches_old_scan_on_malformed_candidates():
