@@ -68,7 +68,10 @@ def cmd_bounds(args) -> int:
     if (args.max_s + 1) * (args.max_t + 1) > MAX_GRID_CELLS:
         raise UsageError(f"the --max-s by --max-t grid has more than {MAX_GRID_CELLS} cells, "
                          "the most accepted")
-    table = bounds_table(args.max_s, args.max_t, args.dim_cap, vtable=_vtable(args))
+    try:
+        table = bounds_table(args.max_s, args.max_t, args.dim_cap, vtable=_vtable(args))
+    except RecursionError:
+        raise UsageError("F's recurrence nests deeper than Python's stack allows") from None
     missing = [sk for sk in table.skipped if sk[2] != BEYOND_DIM_CAP]
     if args.format == "json":
         sys.stdout.write(table.to_json())
@@ -90,8 +93,7 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers TriangulationFileError, bad JSON and bytes that are
         # not UTF-8; RecursionError is JSON nested deeper than the parser goes
-        print(f"error: --input {args.input}: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--input {args.input}: {exc}") from None
     report = verify(cand)
     if args.format == "json":
         payload = {
@@ -183,6 +185,8 @@ def cmd_fbound(args) -> int:
         value = f_bound(*key, vtable=_vtable(args))
     except VMaxUnavailable as exc:
         raise UsageError(f"F{key}: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"F{key}: the recurrence nests deeper than Python's stack allows") from None
     print(value)
     return 0
 

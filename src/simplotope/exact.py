@@ -27,17 +27,19 @@ because, by Sylvester's determinant identity (Bareiss's argument), the
 quotient is the corresponding minor for the new basis, an integer.  The
 ratio test only picks a positive p, so D stays positive.
 
-The reduced costs times D ride along as one more row of T: the integer
-cost vector over the rhs column's 0, which the starting basis, of zero
-cost, already prices.  Entry j is c_j·D − Σ_i c_B(i)·T[i][j], which by
-Cramer's rule is plus or minus a minor of the constraint matrix bordered
+`lp_minimize` runs one simplex loop from that basis.  The reduced costs
+times D ride along as one more row of T, and it starts as the integer cost
+vector over the rhs column's 0: the surplus basis costs nothing and D = 1,
+so there is nothing to price.  Entry j is c_j·D − Σ_i c_B(i)·T[i][j], which
+by Cramer's rule is plus or minus a minor of the constraint matrix bordered
 below by the cost row: the basis and the cost row's basic part, with column
 j appended.  The cost row is never a pivot row, so each pivot updates it by
 the same formula as any other row, and the division is exact by the same
 identity on the bordered matrix.  Its rhs entry is −(cost . x)·D, so the
 value is read from it; the solver checks that reading against cost . x over
-the final basis and raises RuntimeError if they differ.  Pricing is one scan of that row and ratio tests compare
-integers; ``Fraction`` appears only in the returned value and solution.
+the final basis and raises RuntimeError if they differ.  Pricing is one
+scan of that row and ratio tests compare integers; ``Fraction`` appears
+only in the returned value and solution.
 
 The entering column is the most negative reduced cost, the lowest index on
 ties; the leaving row is the least ratio, ties to the lowest basic column.
@@ -160,54 +162,6 @@ def _pivot(tab: list[list[int]], basis: list[int], d: int, row: int, col: int) -
     return p
 
 
-def _simplex_phase(tab: list[list[int]], basis: list[int], d: int,
-                   cost: list[int]) -> tuple[int, int]:
-    """Minimize cost over the tableau in place from its feasible basis.
-
-    The reduced costs times d ride along as one more row while the phase
-    runs; the entering column is the most negative one (lowest index on
-    ties), or Bland's least index after a degenerate pivot until the
-    objective drops again, so it terminates (see the module docstring).
-    Returns the final denominator and the objective value times it, read
-    from the reduced-cost row, and raises ValueError when the LP is
-    unbounded.  The width comes from cost, so a tableau without rows works
-    too.
-    """
-    m = len(tab)
-    # c_j·d − Σ_i c_B(i)·T[i][j]; over the rhs column (c = 0) that is −value·d
-    priced = [(cost[b], line) for b, line in zip(basis, tab) if cost[b]]
-    tab.append([c * d - sum(cb * line[j] for cb, line in priced)
-                for j, c in enumerate([*cost, 0])])
-    bland = False
-    while True:
-        reduced = tab[m][:-1]
-        if bland:
-            entering = next((j for j, r in enumerate(reduced) if r < 0), -1)
-        else:
-            least = min(reduced, default=0)
-            entering = reduced.index(least) if least < 0 else -1
-        if entering < 0:
-            return d, -tab.pop()[-1]
-        # ratio test T[i][-1] / T[i][entering] by cross-multiplication (d cancels)
-        leaving = -1
-        for i in range(m):
-            line = tab[i]
-            a = line[entering]
-            if a > 0:
-                if leaving < 0:
-                    leaving = i
-                    continue
-                lhs = line[-1] * tab[leaving][entering]
-                rhs = tab[leaving][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
-                    leaving = i
-        if leaving < 0:
-            raise ValueError("the LP is unbounded")
-        # a zero ratio leaves the objective where it is: a degenerate pivot
-        bland = tab[leaving][-1] == 0
-        d = _pivot(tab, basis, d, leaving, entering)
-
-
 def lp_minimize(problem: LpProblem) -> LpResult:
     """Exact optimum of an LP in >=/nonnegative form that x = 0 satisfies.
 
@@ -227,7 +181,38 @@ def lp_minimize(problem: LpProblem) -> LpResult:
         tab.append(line)
     basis = [n + i for i in range(m)]
     cost = list(problem.objective) + [0] * m
-    d, scaled_value = _simplex_phase(tab, basis, 1, cost)
+    # the reduced costs times d: the surplus basis costs nothing and d = 1
+    tab.append(cost + [0])
+    d = 1
+    bland = False
+    while True:
+        reduced = tab[m][:-1]
+        if bland:
+            entering = next((j for j, r in enumerate(reduced) if r < 0), -1)
+        else:
+            least = min(reduced, default=0)
+            entering = reduced.index(least) if least < 0 else -1
+        if entering < 0:
+            break
+        # ratio test T[i][-1] / T[i][entering] by cross-multiplication (d cancels)
+        leaving = -1
+        for i in range(m):
+            line = tab[i]
+            a = line[entering]
+            if a > 0:
+                if leaving < 0:
+                    leaving = i
+                    continue
+                lhs = line[-1] * tab[leaving][entering]
+                rhs = tab[leaving][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving = i
+        if leaving < 0:
+            raise ValueError("the LP is unbounded")
+        # a zero ratio leaves the objective where it is: a degenerate pivot
+        bland = tab[leaving][-1] == 0
+        d = _pivot(tab, basis, d, leaving, entering)
+    scaled_value = -tab.pop()[-1]
     # the carried row must agree with the basis: cost . x_B, both times d
     if scaled_value != sum(cost[b] * line[-1] for line, b in zip(tab, basis)):
         raise RuntimeError("reduced-cost row disagrees with the basic solution")

@@ -137,7 +137,6 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .core import MAX_INT_DIGITS, SimplotopeSpec, symmetries
 from .counting import comb0
-from .exact import det
 
 
 class VMaxUnavailable(Exception):
@@ -150,21 +149,8 @@ BRUTE_FORCE = "brute-forced"
 CUBE_CAP = "configured-cube-cap"
 
 
-# Dimensions d where a cap is checked against the class of Sylvester's
-# simplex (`_sylvester_class`): d + 1 = 4, 8, 16.
+# Dimensions d where the cube attains Hadamard's bound: d + 1 = 4, 8, 16.
 SYLVESTER_DIMS = (3, 7, 15)
-
-
-def _sylvester_class(d: int) -> int:
-    """The class of a d-cube simplex from Sylvester's Hadamard matrix of order d + 1.
-
-    For d + 1 a power of 2, Sylvester's matrix has entry (i, j) equal to
-    (-1)^popcount(i & j).  Its 0/1 core, (1 - entry) / 2 for 1 <= i, j <= d,
-    is popcount(i & j) mod 2; its rows and the origin span a simplex of the
-    d-cube whose class is |det| of the core.  A cap below it is unsound.
-    """
-    core = [[bin(i & j).count("1") % 2 for j in range(1, d + 1)] for i in range(1, d + 1)]
-    return abs(det(core))
 
 
 def _hadamard_class(d: int) -> int:
@@ -178,14 +164,15 @@ def load_cube_caps(path=None) -> dict[int, int]:
     """Cube maximal-class caps by dimension from a key-value text file.
 
     Each line holds a dimension and its cap, both >= 1 and of at most
-    MAX_INT_DIGITS digits, and no dimension appears twice; a cap at a
-    dimension of SYLVESTER_DIMS is at least the class of Sylvester's simplex
-    there, which the cube attains, and no cap is above Hadamard's bound,
-    `_hadamard_class`.  A file other than the packaged one may
-    not go below a packaged cap at d <= BRUTE_FORCE_DIM_LIMIT either: the
-    tests find each of those caps as the class of a d-cube simplex by
-    search.  A line that breaks this raises ValueError naming it (shortened
-    by `reprlib`).
+    MAX_INT_DIGITS digits, and no dimension appears twice; no cap is above
+    Hadamard's bound, `_hadamard_class`, and at a dimension of SYLVESTER_DIMS
+    none is below it: Sylvester's Hadamard matrix of order d + 1 meets the
+    bound, and its 0/1 core, popcount(i & j) mod 2 for 1 <= i, j <= d, spans
+    with the origin a d-cube simplex of that class.  A file other than the
+    packaged one may not go below a packaged cap at d <= BRUTE_FORCE_DIM_LIMIT
+    either: the tests find each of those caps as the class of a d-cube simplex
+    by search.  A line that breaks this raises ValueError naming it
+    (shortened by `reprlib`).
     """
     if path is None:
         text = resources.files("simplotope").joinpath("data/cube_caps.txt").read_text()
@@ -211,7 +198,7 @@ def load_cube_caps(path=None) -> dict[int, int]:
             raise ValueError(f"{where}: dimension and cap must be >= 1")
         if dim in caps:
             raise ValueError(f"{where}: dimension {reprlib.repr(dim)} is given twice")
-        if dim in SYLVESTER_DIMS and cap < (attained := _sylvester_class(dim)):
+        if dim in SYLVESTER_DIMS and cap < (attained := _hadamard_class(dim)):
             raise ValueError(f"{where}: the {dim}-cube has a simplex of class {attained} "
                              f"(from Sylvester's Hadamard matrix of order {dim + 1}), "
                              "so a lower cap is unsound")

@@ -382,6 +382,39 @@ def test_refusals_of_huge_inputs_are_quick(tmp_path, capsys):
     assert "line 7 " in err and "Hadamard" in err
 
 
+def test_f_deeper_than_the_stack_exits_2_with_one_line(tmp_path):
+    # caps that load_cube_caps accepts (131072 at d = 15, 1 past the packaged
+    # ones) up to d = 600: F(600, ...) recurses once per dimension
+    caps = {d: 131072 if d == 15 else 1 for d in range(1, 601)} | load_cube_caps()
+    config = tmp_path / "caps.txt"
+    config.write_text("".join(f"{d} {cap}\n" for d, cap in caps.items()))
+
+    def fbound(s):
+        argv = ["fbound", "--s", str(s), "--t", "0", "--c", "1", "--sp", "1", "--tp", "0",
+                "--cp", "1", "--config", str(config)]
+        return subprocess.run([sys.executable, "-m", "simplotope.cli", *argv], env=fresh_env(),
+                              capture_output=True, text=True, timeout=60)
+
+    assert fbound(450).returncode == 0
+    start = time.perf_counter()
+    proc = fbound(600)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: F(600, ") and proc.stderr.count("\n") == 1
+
+
+def test_bounds_reports_a_recursion_error_in_one_line(monkeypatch, capsys):
+    import simplotope.lptable as lptable
+
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(lptable, "bounds_table", too_deep)
+    code, out, err = run(capsys, "bounds", "--max-s", "1", "--max-t", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: F's recurrence") and err.count("\n") == 1
+
+
 # Runs one command in a fresh interpreter, then reports its exit code and
 # every module imported on the way.
 FRESH_CLI_SCRIPT = """
@@ -393,11 +426,15 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(simplotope.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(script, *argv):
     """What `script` prints as JSON, run in a fresh interpreter that imports this package."""
-    src = str(Path(simplotope.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)

@@ -134,7 +134,10 @@ def test_load_cube_caps_refuses_long_numbers_in_a_short_message(tmp_path):
 @pytest.mark.parametrize("d, attained", [(3, 2), (7, 32), (15, 131072)])
 def test_load_cube_caps_refuses_a_cap_below_sylvesters_simplex(tmp_path, d, attained):
     # the 0/1 core of Sylvester's Hadamard matrix of order d + 1 is a d-cube
-    # simplex of this class, so any lower cap is unsound
+    # simplex of this class, so any lower cap is unsound; it meets Hadamard's
+    # bound, which is what load_cube_caps checks against
+    core = [[bin(i & j).count("1") % 2 for j in range(1, d + 1)] for i in range(1, d + 1)]
+    assert abs(det(core)) == attained == _hadamard_class(d)
     path = tmp_path / "caps.txt"
     path.write_text(f"{d} {attained}\n")
     assert load_cube_caps(path) == {d: attained}

@@ -392,10 +392,11 @@ def test_fast_path_agrees_with_oracle_on_mutants():
 
 
 # Seeded placing triangulations (tests/placing.py), with the fewest simplices
-# a triangulation can have: the table's cells (3,0) and (4,0), and for (1,1,2)
-# the bound 10 of the triangle-cross-square case study.
+# a triangulation can have: the table's cells (3,0), (4,0), (5,0) and (1,2),
+# and for (1,1,2) the bound 10 of the triangle-cross-square case study.
 PLACINGS = [(CUBE, 60, 3, 5), (SimplotopeSpec((1, 1, 1, 1)), 30, 4, 16),
-            (SimplotopeSpec((1, 1, 2)), 40, 112, 10)]
+            (SimplotopeSpec((1, 1, 2)), 40, 112, 10), (SimplotopeSpec((1,) * 5), 4, 11, 60),
+            (SimplotopeSpec((1, 2, 2)), 10, 11, 20)]
 
 
 @pytest.fixture(scope="module")
@@ -404,7 +405,7 @@ def placings():
 
 
 @pytest.mark.parametrize("spec, bound", [(spec, bound) for spec, _, _, bound in PLACINGS],
-                         ids=["3-cube", "4-cube", "1-1-2"])
+                         ids=["3-cube", "4-cube", "1-1-2", "5-cube", "1-2-2"])
 def test_placings_certify_and_respect_the_lower_bound(placings, spec, bound):
     not_unimodular = 0
     for cand in placings[spec]:
@@ -415,12 +416,22 @@ def test_placings_certify_and_respect_the_lower_bound(placings, spec, bound):
     assert not_unimodular  # unlike every standard triangulation
 
 
-def test_fast_path_agrees_with_oracle_on_cube_placings(placings):
+def oracle_agrees_on_placings(cands):
+    """The oracle accepts each placing, and both verifiers agree on two mutants of each."""
     rng = random.Random(5)
-    for cand in placings[CUBE]:
+    for cand in cands:
         assert pairwise_oracle(cand)
         for mutant in single_vertex_mutants(cand, 2, rng):
             assert verify(mutant).certified == pairwise_oracle(mutant)
+
+
+def test_fast_path_agrees_with_oracle_on_cube_placings(placings):
+    oracle_agrees_on_placings(placings[CUBE])
+
+
+def test_fast_path_agrees_with_oracle_on_1_2_2_placings(placings):
+    # the oracle takes seconds on a 5-cube placing, so those are left to verify
+    oracle_agrees_on_placings(placings[SimplotopeSpec((1, 2, 2))][:2])
 
 
 def test_adjacency_matches_old_scan_on_malformed_candidates():
