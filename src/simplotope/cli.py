@@ -19,6 +19,11 @@ import sys
 # The largest (max_s + 1) x (max_t + 1) grid `bounds` walks; every cell of the
 # grid is a line of its output, solved or skipped.
 MAX_GRID_CELLS = 10_000
+# The largest dimension `bounds` walks, min(--dim-cap, max_s + 2 max_t).  A
+# --config may cap every dimension, and F's work per cell grows about as s^4
+# along the segments: with caps of 1 through 100, `--max-s 100 --max-t 0
+# --dim-cap 100` takes about 0.4 s, where `--max-s 400` took 40 s.
+MAX_BOUNDS_DIM = 100
 # The most integers `standard` writes: simplices x vertices x coordinates.
 # The 8-cube takes 40,320 x 9 x 16, about 5.8 million.
 MAX_STANDARD_ENTRIES = 10_000_000
@@ -68,6 +73,10 @@ def cmd_bounds(args) -> int:
     if (args.max_s + 1) * (args.max_t + 1) > MAX_GRID_CELLS:
         raise UsageError(f"the --max-s by --max-t grid has more than {MAX_GRID_CELLS} cells, "
                          "the most accepted")
+    reach = min(args.dim_cap, args.max_s + 2 * args.max_t)
+    if reach > MAX_BOUNDS_DIM:
+        raise UsageError(f"the table reaches dimension {reach}, more than {MAX_BOUNDS_DIM}, "
+                         "the largest accepted")
     try:
         table = bounds_table(args.max_s, args.max_t, args.dim_cap, vtable=_vtable(args))
     except RecursionError:

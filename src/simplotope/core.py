@@ -12,15 +12,17 @@ an orientation or an overlap system.
 The class of a full-dimensional vertex simplex is the absolute determinant of
 its reduced coordinate matrix augmented with a column of ones (an integer:
 the simplex volume times d!).  Faces are identified by their set of
-always-zero coordinates, which makes the minimal face of a vertex set and
-the exterior facets of a simplex plain set computations.
+always-zero coordinates, which makes the minimal face of a vertex set a
+plain set computation.  The (factor, position) spots a vertex uses are a
+mask over the standard coordinates, and the spots of a simplex's exterior
+facets, those exactly one of its vertices uses, are once & ~twice over its
+vertices' masks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -161,12 +163,13 @@ class FaceId(Record):
     zeros: frozenset[tuple[int, int]]
 
     def __init__(self, spec: SimplotopeSpec, zeros: frozenset[tuple[int, int]]):
+        counts: dict[int, int] = {}
         for i, j in zeros:
             c = spec.factors[i]
             if not 0 <= j <= c:
                 raise ValueError("zero position out of range")
-        counts = Counter(i for i, _ in zeros)
-        if any(counts[i] > c for i, c in enumerate(spec.factors)):
+            counts[i] = counts.get(i, 0) + 1
+        if any(counts.get(i, 0) > c for i, c in enumerate(spec.factors)):
             raise ValueError("a face cannot fix a whole factor block at zero")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "zeros", zeros)
@@ -235,23 +238,32 @@ def class_of(x: VertexSimplex, pivot: VertexPoint) -> int:
     return abs(det(rows))
 
 
-def exterior_facet_positions(idxs: Iterable[tuple[int, ...]]) -> set[tuple[int, int]]:
-    """Zero coordinates of the simplotope facets that hold a facet of a simplex.
+def spot_mask(v: VertexPoint) -> int:
+    """The (factor, position) spots vertex v uses, as a mask: spot (i, j) is
+    bit j + sum of (c_k + 1) over k < i, the index of its standard coordinate."""
+    return sum(1 << k for k, x in enumerate(v.standard()) if x)
 
-    The simplex is given by its vertices' index tuples (`VertexPoint.idx`),
-    and the caller has found it nondegenerate.  A nondegenerate simplex uses
-    every position of every factor (otherwise all its vertices share a zero
-    coordinate and it lies in a facet).  So its facet without vertex v
-    misses position j of factor i, and lies in the simplotope facet (i, j),
-    exactly when v is its only vertex at that position: the spots are the
-    (factor, position) pairs that exactly one vertex uses.
+
+def exterior_spots(masks: Iterable[int]) -> int:
+    """The spots of the simplotope facets that hold a facet of a simplex, as a mask.
+
+    The simplex is given by its vertices' `spot_mask`s, and the caller has
+    found it nondegenerate.  A nondegenerate simplex uses every position of
+    every factor (otherwise all its vertices share a zero coordinate and it
+    lies in a facet).  So its facet without vertex v misses position j of
+    factor i, and lies in the simplotope facet (i, j), exactly when v is its
+    only vertex at that position: the spots are those that exactly one
+    vertex uses, once & ~twice.
     """
-    uses = Counter(spot for idx in idxs for spot in enumerate(idx))
-    return {spot for spot, n in uses.items() if n == 1}
+    once = twice = 0
+    for m in masks:
+        twice |= once & m
+        once |= m
+    return once & ~twice
 
 
 def has_exterior_facet(x: VertexSimplex) -> bool:
     """True when some d of the d+1 vertices lie in a facet of the simplotope."""
     if x.cls == 0:
         raise ValueError("exterior facets are only defined for nondegenerate simplices")
-    return bool(exterior_facet_positions(v.idx for v in x.vertices))
+    return bool(exterior_spots(map(spot_mask, x.vertices)))

@@ -41,18 +41,32 @@ The search covers every subset without enumerating them all:
   vertices, `_orderly_stems`.  Testing only prefixes that short is sound:
   a canonical set passes the test at every prefix, and a leaf the test did
   not cut is still a d-set of some class, so it cannot raise the maximum.
-- Canonicity is a bitmask comparison.  A vertex set is a mask with vertex v
-  at bit n - 1 - v.  For sets A and B of equal size, sorted(A) < sorted(B)
-  exactly when the lowest vertex of A ^ B lies in A, that is, when A's
-  mask is the larger integer.  The search keeps one image mask per
-  element of H, grows each by one bit per added vertex, and cuts a prefix
-  when the largest image mask exceeds its own: one `max` per node in place
-  of |H| - 1 sorted images.
+- Canonicity is one packed-integer test.  A vertex set is a mask with
+  vertex v at bit n - 1 - v.  For sets A and B of equal size,
+  sorted(A) < sorted(B) exactly when the lowest vertex of A ^ B lies in A,
+  that is, when A's mask is the larger integer.  So a prefix with mask
+  `grown` is canonical when seen_k <= grown for the image mask seen_k of
+  every element g_k of H other than the identity.  The |H| - 1 comparisons
+  are one: lay the image masks side by side in fields of n + 1 bits,
+  seen = sum of seen_k 2^((n + 1) k), with ones = sum of 2^((n + 1) k) and
+  guards = 2^n ones, the top bit of every field.  Field k of
+  guards + grown * ones - seen is then 2^n + grown - seen_k, which lies in
+  [1, 2^(n + 1)) because 0 <= grown, seen_k < 2^n; so no field borrows
+  from the next, the integer's fields are exactly these values, and the
+  guard bit of field k survives exactly when seen_k <= grown.  The prefix
+  is canonical exactly when (guards + grown * ones - seen) & guards equals
+  guards.  Adding a vertex v > every vertex of the prefix sets a new bit
+  of grown and, g_k being injective, a new bit g_k(v) of each seen_k, so
+  the search carries that integer and adds bit(v) * ones minus v's packed
+  images to it (`_canonical_extension`): one addition and one mask per
+  node, and one packed int per vertex in memory.
 - Each level of the search adds one vector and eliminates it against the
   levels below by fraction-free Bareiss steps, whose divisions are exact by
   Sylvester's identity.  A vector that eliminates to zero is dependent on
   the ones chosen, so that branch and every superset of it is degenerate
-  and is cut.  No float is used anywhere.
+  and is cut.  No float is used anywhere.  That walk, `elimination_stems`,
+  takes any integer vectors and the canonicity test as a hook; the
+  triangle-cross-square scan runs it on the lifted rows with no hook.
 - The last two levels are not searched.  After R's d - 2 rows, a vector
   reduces to zero on their pivot columns and to alpha(u) and beta(u) on
   the two free columns f1 < f2, two integer linear forms
@@ -71,8 +85,9 @@ The search covers every subset without enumerating them all:
   leaf R + (u, v) with start <= u < v is among the v maximized over.
   Expanded over the u >= start independent of R and the v > u, the stems
   give the leaves of the same search run two levels deeper without a test,
-  classes included (6,589 of them on (0, 3)).  V(0, 3) takes about 0.015 s
-  and V(2, 2) about 0.1 s (best of 7, 2 vCPUs, Python 3.11).
+  classes included (6,589 of them on (0, 3)).  V(0, 3) takes about 0.012 s
+  and V(2, 2) about 0.09 s (best of 7), V(6, 0) 0.15 s and V(1, 3) 1.9 s
+  (best of 3; 2 vCPUs, Python 3.11).
 - The segment, d = 1, has no stems; its V is 1.
 
 A VTable is the F evaluator of one cube-cap table.  It owns a copy of the
@@ -133,7 +148,7 @@ import operator
 import reprlib
 from importlib import resources
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import MAX_INT_DIGITS, SimplotopeSpec, symmetries
 from .counting import comb0
@@ -366,63 +381,115 @@ def _cofactor(k: int, rows: list[list[int]], cols: list[int], pivots: list[int],
     return phi
 
 
-def _orderly_stems(spec: SimplotopeSpec) -> Iterator[
-        tuple[tuple[int, ...], list[int], list[int], int, int]]:
-    """The stems of the orderly search: its canonical prefixes of d - 2 vertices.
+def elimination_stems(vecs: Sequence[Sequence[int]], start: int = 0,
+                      admit: Callable[[Any, int], Any] | None = None, state: Any = None
+                      ) -> Iterator[tuple[tuple[int, ...], list[int], list[int], int, int]]:
+    """The stems of a depth-first search over independent subsets of `vecs`.
 
-    Yields (prefix, alpha, beta, p, start) for each prefix R of vertices
-    other than vertex 0 that passes the canonicity test at every length and
-    spans, with vertex 0, d - 2 independent vectors.  alpha and beta are the
-    `_cofactor` forms of the two columns f1 < f2 that no row of R pivots
-    on, p is R's last Bareiss pivot, and the leaves below R are R + (u, v)
-    for start <= u < v (see the module docstring).  Needs d >= 2.
+    vecs are integer vectors of one length m >= 2.  The search chooses
+    indices from `start` on in increasing order, eliminates each chosen
+    vector against the ones before it by fraction-free Bareiss steps (exact
+    by Sylvester's identity), cuts a vector that eliminates to zero (it and
+    every superset are dependent) and stops m - 2 indices deep.  It yields,
+    in lexicographic order, (prefix, alpha, beta, p, start') for each
+    independent prefix of m - 2 indices: alpha and beta are the `_cofactor`
+    forms of the two columns f1 < f2 that no row of the prefix pivots on, p
+    is its last pivot and start' is one past its last index.  The m-subset
+    prefix + (u, v), start' <= u < v, then has |det| equal to
+    |alpha(u) beta(v) - beta(u) alpha(v)| / |p| (see the module docstring).
+
+    With an admission hook, index v extends a prefix only when
+    admit(prefix's state, v) returns a state other than None, which the
+    longer prefix carries; the empty prefix carries `state`.  The hook is
+    asked before the elimination.
     """
-    d = spec.dim
-    verts = spec.vertices()
-    n = len(verts)
-    vecs = [v.reduced(verts[0]) for v in verts]
-    others = symmetries(spec, fixing_vertex_0=True)[1:]
-    # a vertex set is a mask with vertex v at bit n - 1 - v; images[v] holds
-    # the bit of g(v) for every g in others
-    images = [[1 << (n - 1 - g[v]) for g in others] for v in range(n)]
+    m = len(vecs[0])
+    depth = m - 2
+    n = len(vecs)
     chosen: list[int] = []
     # level k holds the k-th chosen vector after Bareiss elimination against
     # levels 0..k-1, its pivot column and its pivot; pivots[k] divides step k + 1
-    rows: list[list[int]] = [[]] * d
-    cols = [0] * d
-    pivots = [1] * (d + 1)
+    rows: list[list[int]] = [[]] * m
+    cols = [0] * m
+    pivots = [1] * (m + 1)
 
-    def push(level: int, vec: tuple[int, ...]) -> bool:
+    def push(level: int, vec: Sequence[int]) -> bool:
         """Eliminate vec against the levels below; False if it is dependent on them."""
         v = list(vec)
         for j in range(level):
             row, c, p, prev = rows[j], cols[j], pivots[j + 1], pivots[j]
-            m = v[c]
-            if m or p != prev:
-                v = [(p * x - m * y) // prev for x, y in zip(v, row)]
+            x = v[c]
+            if x or p != prev:
+                v = [(p * a - x * b) // prev for a, b in zip(v, row)]
         for c, x in enumerate(v):
             if x:
                 rows[level], cols[level], pivots[level + 1] = v, c, x
                 return True
         return False
 
-    def search(level: int, start: int, mask: int, seen: list[int]):
-        if level == d - 2:
-            f1, f2 = sorted(set(range(d)).difference(cols[:level]))
+    def search(level: int, start: int, state):
+        if level == depth:
+            f1, f2 = sorted(set(range(m)).difference(cols[:level]))
             yield (tuple(chosen), _cofactor(level, rows, cols, pivots, f1),
                    _cofactor(level, rows, cols, pivots, f2), pivots[level], start)
             return
         for v in range(start, n):
-            grown = mask | 1 << (n - 1 - v)
-            grown_seen = list(map(operator.or_, seen, images[v]))
-            # canonical: no image is a larger mask, that is, a smaller sorted tuple
-            if max(grown_seen, default=0) <= grown and push(level, vecs[v]):
+            grown = state
+            if admit is not None and (grown := admit(state, v)) is None:
+                continue
+            if push(level, vecs[v]):
                 chosen.append(v)
-                yield from search(level + 1, v + 1, grown, grown_seen)
+                yield from search(level + 1, v + 1, grown)
                 chosen.pop()
 
+    return search(0, start, state)
+
+
+def _canonical_extension(n: int, others: Sequence[Sequence[int]]
+                         ) -> tuple[Callable[[int, int], int | None], int]:
+    """The canonicity test of the orderly search over n vertices, as an
+    `elimination_stems` hook, and the empty prefix's state.
+
+    `others` are the permutations of range(n) a vertex set is compared with.
+    The state is guards + grown * ones - seen, one field of n + 1 bits per
+    permutation (see the module docstring); the hook returns the state grown
+    by vertex v if every guard bit survives, and None otherwise.
+    """
+    width = n + 1
+    ones = ((1 << width * len(others)) - 1) // ((1 << width) - 1)
+    guards = ones << n
+    steps = []
+    for v in range(n):
+        # v's packed images: the bit of g(v) in the field of each g
+        image = bytearray((width * len(others) + 7) // 8)
+        for k, g in enumerate(others):
+            at = k * width + n - 1 - g[v]
+            image[at >> 3] |= 1 << (at & 7)
+        steps.append((ones << (n - 1 - v)) - int.from_bytes(image, "little"))
+
+    def admit(state: int, v: int) -> int | None:
+        state += steps[v]
+        return state if state & guards == guards else None
+
+    return admit, guards
+
+
+def _orderly_stems(spec: SimplotopeSpec) -> Iterator[
+        tuple[tuple[int, ...], list[int], list[int], int, int]]:
+    """The stems of the orderly search: its canonical prefixes of d - 2 vertices.
+
+    Yields (prefix, alpha, beta, p, start) for each prefix R of vertices
+    other than vertex 0 that passes the canonicity test at every length and
+    spans, with vertex 0, d - 2 independent vectors: the `elimination_stems`
+    of the vertices' reduced coordinates at vertex 0 from vertex 1 on, with
+    `_canonical_extension` as the hook.  The leaves below R are R + (u, v)
+    for start <= u < v (see the module docstring).  Needs d >= 2.
+    """
+    verts = spec.vertices()
     # vertex 0 is in the simplex and reduces to the zero vector
-    return search(0, 1, 0, [0] * len(others))
+    vecs = [v.reduced(verts[0]) for v in verts]
+    admit, state = _canonical_extension(len(verts), symmetries(spec, fixing_vertex_0=True)[1:])
+    return elimination_stems(vecs, 1, admit, state)
 
 
 def _stem_maxima(spec: SimplotopeSpec) -> Iterator[tuple[tuple, int]]:

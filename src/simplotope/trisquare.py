@@ -12,16 +12,21 @@ facets needs six distinct class-1 simplices), and the bound is met by an
 explicit ten-simplex triangulation obtained from the standard twelve by two
 cone replacements.
 
-The checks scan all 792 five-subsets of the vertices as index tuples, with
-one determinant of lifted rows each, and build a `VertexSimplex` only for
-the 24 of class 2.  The overlap test solves one small LP per orbit of
-class-2 pairs under the product's symmetries: 14 LPs of 11 rows.
+The checks find the 504 nondegenerate five-subsets of the vertices, as
+index tuples, with `fbounds.elimination_stems`: one fraction-free
+elimination per independent three-vertex prefix of lifted rows, then one
+cross product of two linear forms per pair of further vertices, in place of
+a determinant per subset.  Their exterior-facet spots are masks over the
+vertices' spots (`core.exterior_spots`), and a `VertexSimplex` is built
+only for the 24 of class 2.  The overlap test solves one small LP per orbit
+of class-2 pairs under the product's symmetries: 14 LPs of 11 rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
@@ -30,11 +35,11 @@ from .core import (
     SimplotopeSpec,
     VertexPoint,
     VertexSimplex,
-    exterior_facet_positions,
+    exterior_spots,
+    spot_mask,
     symmetries,
 )
-from .exact import det
-from .fbounds import DEFAULT_VTABLE
+from .fbounds import DEFAULT_VTABLE, elimination_stems
 from .lptable import solve_cell
 from .standard import standard_triangulation
 from .verifier import TriangulationCandidate, interiors_overlap, verify
@@ -60,26 +65,52 @@ def decode(word: str) -> VertexSimplex:
     return VertexSimplex(TRI_SQUARE, [VERTEX_CODE[ch] for ch in word])
 
 
+def _exact_quotient(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"division of {a} by {b} is not exact")
+    return q
+
+
 def center_in_facet(x: VertexSimplex) -> tuple[Fraction, ...]:
     """Barycentric coefficients of the center in a class-2 simplex.
 
     Solves the exact convex-combination system A . coeffs = (1; center), A
-    the transpose of the vertices' lifted rows, by Cramer's rule: with the
-    rhs scaled by the lcm of its denominators (6) to integers, coefficient i
-    is det(A with column i replaced by the rhs) / (6 det A).  |det A| is the
-    class, so a simplex of another class is refused.  Exactly one
-    coefficient is zero and the rest are positive, so the center is
-    interior to a facet.
+    the transpose of the vertices' lifted rows, with the rhs scaled by the
+    lcm of its denominators (6) to integers: one fraction-free (Bareiss)
+    elimination of [A | rhs], whose last pivot D is +-det A, then integer
+    back-substitution for y = 6 D coeffs.  By Cramer's rule each y_i is
+    +-det(A with column i replaced by the rhs), an integer, so every
+    division of the back-substitution is exact, as is every elimination
+    step by Sylvester's identity; one that is not raises ArithmeticError.
+    Coefficient i is y_i / (6 D).  |D| is the class, so a simplex of
+    another class is refused.  Exactly one coefficient is zero and the rest
+    are positive, so the center is interior to a facet.
     """
-    system = [list(column) for column in zip(*(v.lifted() for v in x.vertices))]
-    n = len(x.vertices)
-    d = det(system)
-    if abs(d) != 2:
-        raise ValueError("the center-in-facet property is about class-2 simplices")
     scale = math.lcm(*(c.denominator for c in CENTER_REDUCED))
     rhs = [scale] + [int(c * scale) for c in CENTER_REDUCED]
-    coeffs = [Fraction(det([line[:i] + [r] + line[i + 1:] for line, r in zip(system, rhs)]), scale * d)
-              for i in range(n)]
+    m = [list(column) + [r] for column, r in zip(zip(*(v.lifted() for v in x.vertices)), rhs)]
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        r = next((i for i in range(k, n) if m[i][k]), None)
+        if r is None:
+            prev = 0  # a zero column from row k on: det A = 0
+            break
+        m[k], m[r] = m[r], m[k]
+        top = m[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            m[i] = [0] * (k + 1) + [_exact_quotient(top[k] * row[j] - row[k] * top[j], prev)
+                                    for j in range(k + 1, n + 1)]
+        prev = top[k]
+    if abs(prev) != 2:
+        raise ValueError("the center-in-facet property is about class-2 simplices")
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        y[i] = _exact_quotient(prev * row[n] - sum(map(operator.mul, row[i + 1:n], y[i + 1:])), row[i])
+    coeffs = [Fraction(yi, scale * prev) for yi in y]
     zeros = sum(1 for a in coeffs if a == 0)
     if zeros != 1 or any(a < 0 for a in coeffs):
         raise ValueError(f"center not interior to a facet: coefficients {coeffs}")
@@ -205,14 +236,22 @@ def nondegenerate_subsets() -> list[tuple[tuple[int, ...], int]]:
 
     A subset is a sorted tuple of indices into `TRI_SQUARE.vertices()`, in
     `itertools.combinations` order over all 792; its class is |det| of the
-    vertices' lifted reduced coordinates (1, reduced), computed once.
+    vertices' lifted rows.  The stems of `elimination_stems` over the lifted
+    rows are the independent three-vertex prefixes, in that order; below a
+    stem, the class of prefix + (u, v), start <= u < v, is
+    |alpha(u) beta(v) - beta(u) alpha(v)| / |p|, and a division that is not
+    exact raises ArithmeticError.  A subset with a dependent prefix has
+    class 0.
     """
     lifted = [v.lifted() for v in TRI_SQUARE.vertices()]
     out = []
-    for sub in itertools.combinations(range(len(lifted)), TRI_SQUARE.dim + 1):
-        cls = abs(det([lifted[i] for i in sub]))
-        if cls:
-            out.append((sub, cls))
+    for prefix, alpha, beta, p, start in elimination_stems(lifted):
+        priced = [(u, sum(map(operator.mul, alpha, row)), sum(map(operator.mul, beta, row)))
+                  for u, row in enumerate(lifted[start:], start)]
+        for (u, au, bu), (v, av, bv) in itertools.combinations(priced, 2):
+            cls = _exact_quotient(abs(au * bv - bu * av), abs(p))
+            if cls:
+                out.append(((*prefix, u, v), cls))
     return out
 
 
@@ -227,8 +266,9 @@ def lower_bound_10_argument() -> CaseReport:
 
     verts = TRI_SQUARE.vertices()
     nondeg = nondegenerate_subsets()
-    # spots[n] is empty exactly when simplex n has no exterior facet
-    spots = [exterior_facet_positions(verts[i].idx for i in sub) for sub, _ in nondeg]
+    masks = [spot_mask(v) for v in verts]
+    # spots[n] is 0 exactly when simplex n has no exterior facet
+    spots = [exterior_spots(masks[i] for i in sub) for sub, _ in nondeg]
     facet_ok = all(spots)
     max_class = max(cls for _, cls in nondeg)
     ingredients.append(Ingredient(
@@ -252,11 +292,10 @@ def lower_bound_10_argument() -> CaseReport:
         "no-three-disjoint-fat", bad_triples == 0,
         f"{bad_triples} of {len(fat) * (len(fat) - 1) * (len(fat) - 2) // 6} triples pairwise disjoint"))
 
-    parallel_violations = 0
-    for x_spots in spots:
-        for i, c in enumerate(TRI_SQUARE.factors):
-            if c == 1 and (i, 0) in x_spots and (i, 1) in x_spots:
-                parallel_violations += 1
+    # both spots of each segment factor: its two standard coordinates
+    offsets = itertools.accumulate((c + 1 for c in TRI_SQUARE.factors), initial=0)
+    segments = [0b11 << at for at, c in zip(offsets, TRI_SQUARE.factors) if c == 1]
+    parallel_violations = sum(x_spots & both == both for x_spots in spots for both in segments)
     # each prism facet has class 3 and holds only class-1 tetrahedra, so a
     # pair of opposite prisms forces 2 * 3 distinct class-1 cover members
     prism_class = SimplotopeSpec.seg_tri(1, 1).polytope_class

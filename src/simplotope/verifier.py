@@ -51,7 +51,6 @@ test of the triangle-cross-square argument.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import NamedTuple
 
 from .core import SimplotopeSpec, VertexSimplex
@@ -210,10 +209,10 @@ def _adjacency(owners: dict[Facet, list[tuple[int, int]]]) -> tuple[tuple[int, i
     # Two vertex sets of at most d + 1 elements share exactly d vertices
     # exactly when they have one d-subset in common; identical simplices
     # share all d + 1 of theirs.
-    shared: Counter = Counter()
+    shared: dict[tuple[int, int], int] = {}
     for own in owners.values():
         for (i, _), (j, _) in itertools.combinations(own, 2):
-            shared[i, j] += 1
+            shared[i, j] = shared.get((i, j), 0) + 1
     return tuple(sorted(pair for pair, n in shared.items() if n == 1))
 
 

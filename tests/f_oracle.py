@@ -16,6 +16,11 @@ exterior-face counts of one simplex of every orbit, which F must bound, and
 ``faces_over_f`` compares the two.  ``leaves_by_stem`` expands the stems of
 the orderly V search into that simplex of every orbit.
 
+``orderly_stems_by_mask_lists`` is the orderly V search's stem generator as
+it was before its elimination walk and canonicity test were shared and
+packed: one image mask per stabilizer element in a list, a prefix cut when
+their maximum exceeds its own mask, and the elimination inline.
+
 ``climb_to_f_violation`` reaches the products that no exhaustive check
 does: a hill-climb over simplices, by one-vertex swaps, towards more
 exterior faces of some kind than F allows.  It and ``orbit_face_counts``
@@ -29,7 +34,7 @@ import operator
 import random
 from collections import Counter
 
-from simplotope.core import SimplotopeSpec
+from simplotope.core import SimplotopeSpec, symmetries
 from simplotope.exact import det
 from simplotope.fbounds import VMaxUnavailable, VTable, f_bound
 
@@ -124,6 +129,61 @@ def oracle_over_cells(caps, dim):
             except VMaxUnavailable:
                 pass
     return oracle, asked
+
+
+def orderly_stems_by_mask_lists(spec):
+    """(prefix, alpha, beta, p, start) for each canonical, independent prefix
+    of d - 2 vertices other than vertex 0, as `fbounds._orderly_stems`
+    yields them (see the `fbounds` docstring), with canonicity tested on a
+    list of image masks per prefix.  Needs d >= 2."""
+    d = spec.dim
+    verts = spec.vertices()
+    n = len(verts)
+    vecs = [v.reduced(verts[0]) for v in verts]
+    others = symmetries(spec, fixing_vertex_0=True)[1:]
+    # a vertex set is a mask with vertex v at bit n - 1 - v; images[v] holds
+    # the bit of g(v) for every g in others
+    images = [[1 << (n - 1 - g[v]) for g in others] for v in range(n)]
+    chosen = []
+    rows, cols, pivots = [[]] * d, [0] * d, [1] * (d + 1)
+
+    def push(level, vec):
+        v = list(vec)
+        for j in range(level):
+            row, c, p, prev = rows[j], cols[j], pivots[j + 1], pivots[j]
+            m = v[c]
+            if m or p != prev:
+                v = [(p * x - m * y) // prev for x, y in zip(v, row)]
+        for c, x in enumerate(v):
+            if x:
+                rows[level], cols[level], pivots[level + 1] = v, c, x
+                return True
+        return False
+
+    def cofactor(k, free):
+        phi = [0] * d
+        phi[free] = pivots[k]
+        for j in range(k - 1, -1, -1):
+            q, r = divmod(-sum(map(operator.mul, rows[j], phi)), pivots[j + 1])
+            if r:
+                raise ArithmeticError(f"cofactor division by {pivots[j + 1]} is not exact")
+            phi[cols[j]] = q
+        return phi
+
+    def search(level, start, mask, seen):
+        if level == d - 2:
+            f1, f2 = sorted(set(range(d)).difference(cols[:level]))
+            yield tuple(chosen), cofactor(level, f1), cofactor(level, f2), pivots[level], start
+            return
+        for v in range(start, n):
+            grown = mask | 1 << (n - 1 - v)
+            grown_seen = list(map(operator.or_, seen, images[v]))
+            if max(grown_seen, default=0) <= grown and push(level, vecs[v]):
+                chosen.append(v)
+                yield from search(level + 1, v + 1, grown, grown_seen)
+                chosen.pop()
+
+    return search(0, 1, 0, [0] * len(others))
 
 
 def leaves_by_stem(spec, stems):

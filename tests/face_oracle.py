@@ -10,12 +10,18 @@ over the public face model of ``simplotope.core``: a face is the set
 `minimal_face` gives the smallest face holding some vertices.  It is kept
 only for the tests to check the proof's lemmas and the evaluator against.
 `all_simplices`, every vertex set of the right size as a simplex, is the
-enumeration the case study's scan over vertex indices is checked against.
+enumeration the case study's scan over vertex indices is checked against,
+and `nondegenerate_subsets_by_det` is that scan as it was, one determinant
+per five-subset.  `exterior_facet_positions` is the spot rule as a set of
+(factor, position) pairs counted per vertex, and `spot_set` reads the
+package's spot masks as such sets.
 """
 
 import itertools
+from collections import Counter
 
 from simplotope.core import SimplotopeSpec, VertexPoint, VertexSimplex, minimal_face
+from simplotope.exact import det
 from simplotope.trisquare import TRI_SQUARE
 
 
@@ -28,6 +34,33 @@ def all_simplices(spec):
 def tri_square_class2():
     """The class-2 simplices of the triangle-cross-square, by the case study's own filter."""
     return [x for x in all_simplices(TRI_SQUARE) if x.cls == 2]
+
+
+def nondegenerate_subsets_by_det():
+    """Every nondegenerate 5-subset of the tri-square's vertices as a sorted
+    tuple of vertex indices, with its class: |det| of the lifted rows, one
+    determinant per subset, in `itertools.combinations` order."""
+    lifted = [v.lifted() for v in TRI_SQUARE.vertices()]
+    out = []
+    for sub in itertools.combinations(range(len(lifted)), TRI_SQUARE.dim + 1):
+        cls = abs(det([lifted[i] for i in sub]))
+        if cls:
+            out.append((sub, cls))
+    return out
+
+
+def exterior_facet_positions(idxs):
+    """The (factor, position) spots that exactly one of a nondegenerate
+    simplex's vertices uses, given by their index tuples: the zero
+    coordinates of the simplotope facets that hold a facet of the simplex."""
+    uses = Counter(spot for idx in idxs for spot in enumerate(idx))
+    return {spot for spot, n in uses.items() if n == 1}
+
+
+def spot_set(mask, spec):
+    """A spot mask as a set of (factor, position): bit k is standard coordinate k."""
+    spots = [(i, j) for i, c in enumerate(spec.factors) for j in range(c + 1)]
+    return {spot for k, spot in enumerate(spots) if mask >> k & 1}
 
 
 def _kept(fid, factor):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import simplotope
-from simplotope.cli import main
+from simplotope.cli import MAX_BOUNDS_DIM, main
 from simplotope.fbounds import load_cube_caps
 
 BUNDLED = str(resources.files("simplotope").joinpath("data/tri_square_minimal.json"))
@@ -382,16 +382,22 @@ def test_refusals_of_huge_inputs_are_quick(tmp_path, capsys):
     assert "line 7 " in err and "Hadamard" in err
 
 
-def test_f_deeper_than_the_stack_exits_2_with_one_line(tmp_path):
-    # caps that load_cube_caps accepts (131072 at d = 15, 1 past the packaged
-    # ones) up to d = 600: F(600, ...) recurses once per dimension
+def capped_everywhere(tmp_path):
+    """Caps that load_cube_caps accepts at every dimension through 600: the
+    packaged ones, 131072 at d = 15 and 1 elsewhere."""
     caps = {d: 131072 if d == 15 else 1 for d in range(1, 601)} | load_cube_caps()
     config = tmp_path / "caps.txt"
     config.write_text("".join(f"{d} {cap}\n" for d, cap in caps.items()))
+    return str(config)
+
+
+def test_f_deeper_than_the_stack_exits_2_with_one_line(tmp_path):
+    # caps up to d = 600: F(600, ...) recurses once per dimension
+    config = capped_everywhere(tmp_path)
 
     def fbound(s):
         argv = ["fbound", "--s", str(s), "--t", "0", "--c", "1", "--sp", "1", "--tp", "0",
-                "--cp", "1", "--config", str(config)]
+                "--cp", "1", "--config", config]
         return subprocess.run([sys.executable, "-m", "simplotope.cli", *argv], env=fresh_env(),
                               capture_output=True, text=True, timeout=60)
 
@@ -421,7 +427,10 @@ FRESH_CLI_SCRIPT = """
 import contextlib, io, json, sys
 from simplotope import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = cli.main(sys.argv[1:])
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
 print(json.dumps([code, sorted(sys.modules)]))
 """
 
@@ -495,3 +504,38 @@ def test_verify_does_not_import_the_case_study():
     code, modules = run_fresh(["verify", "--input", BUNDLED])
     assert code == 0
     assert "simplotope.cli" in modules and "simplotope.trisquare" not in modules
+
+
+def package_modules(argv):
+    code, modules = run_fresh(argv)
+    assert code == 0
+    return {m.removeprefix("simplotope.") for m in modules if m.startswith("simplotope.")}
+
+
+def test_each_command_loads_only_its_modules():
+    # a kernel moved into a module `verify` loads would be compiled on every
+    # one of its starts; the case study's and the bounds' code stay off it
+    assert package_modules(["verify", "--input", BUNDLED]) == {
+        "cli", "core", "exact", "record", "tfiles", "verifier"}
+    assert package_modules(["bounds", "--max-s", "3", "--max-t", "1"]).isdisjoint(
+        {"verifier", "tfiles", "trisquare"})
+    assert package_modules(["--help"]) == {"cli"}
+
+
+def test_bounds_refuses_a_dimension_above_the_limit_at_once(tmp_path, capsys):
+    # with every dimension capped, --max-s 200 walked the table for 2 s with
+    # nothing printed, and --max-s 400 for 40 s
+    config = capped_everywhere(tmp_path)
+    for argv, reach in ((["--max-s", "200", "--max-t", "0", "--dim-cap", "200"], 200),
+                        (["--max-s", "0", "--max-t", "51", "--dim-cap", "600"], 102)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", *argv, "--config", config)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: the table reaches dimension {reach}, more than 100"), err
+    # the largest table accepted prints every cell; a larger grid under the
+    # same dimension cap is accepted too
+    for max_s in (MAX_BOUNDS_DIM, 2 * MAX_BOUNDS_DIM):
+        code, out, _ = run(capsys, "bounds", "--max-s", str(max_s), "--max-t", "0",
+                           "--dim-cap", str(MAX_BOUNDS_DIM), "--config", config)
+        assert code == 0 and len(out.splitlines()) == MAX_BOUNDS_DIM + 2

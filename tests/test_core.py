@@ -11,6 +11,7 @@ from face_oracle import (
     all_simplices,
     corner_simplex,
     exterior_faces,
+    exterior_facet_positions,
     exterior_facet_positions_by_minimal_face,
     face_class,
     footprint,
@@ -19,14 +20,16 @@ from face_oracle import (
     is_tri_positioned,
     shadow,
     signature,
+    spot_set,
 )
 from simplotope.core import (
     SimplotopeSpec,
     VertexSimplex,
     class_of,
-    exterior_facet_positions,
+    exterior_spots,
     has_exterior_facet,
     minimal_face,
+    spot_mask,
     symmetries,
 )
 
@@ -227,13 +230,32 @@ def test_has_exterior_facet_products_of_two():
 
 @pytest.mark.parametrize("factors", [(1, 1, 2), (1, 2), (2, 2)])
 def test_exterior_facet_positions_match_minimal_faces(factors):
-    for x in nondegenerate(SimplotopeSpec(factors)):
+    # the spot masks, the per-vertex count and the minimal faces of the
+    # d-subsets give the same spots on every nondegenerate simplex
+    spec = SimplotopeSpec(factors)
+    for x in nondegenerate(spec):
         spots = exterior_facet_positions(v.idx for v in x.vertices)
         assert spots == exterior_facet_positions_by_minimal_face(x), x
+        assert spot_set(exterior_spots(map(spot_mask, x.vertices)), spec) == spots, x
+
+
+def test_spot_mask_holds_one_position_per_factor():
+    spec = SimplotopeSpec((1, 3, 2))
+    for v in spec.vertices():
+        assert spot_set(spot_mask(v), spec) == set(enumerate(v.idx)), v
+
+
+def test_exterior_spots_are_the_spots_used_once():
+    # seeded masks with spots used once, twice and three times
+    rng = random.Random(41)
+    for _ in range(500):
+        masks = [rng.getrandbits(12) for _ in range(rng.randint(0, 6))]
+        once = {k for k in range(12) if sum(m >> k & 1 for m in masks) == 1}
+        assert exterior_spots(masks) == sum(1 << k for k in once), masks
 
 
 def test_has_exterior_facet_rejects_degenerate():
-    # exterior_facet_positions takes simplices its caller found nondegenerate
+    # exterior_spots takes simplices its caller found nondegenerate
     square_face = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)]
     with pytest.raises(ValueError):
         has_exterior_facet(VertexSimplex(S21, [S21.vertex(i) for i in square_face]))

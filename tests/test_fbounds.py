@@ -15,6 +15,7 @@ from f_oracle import (
     make_f,
     oracle_over_cells,
     orbit_face_counts,
+    orderly_stems_by_mask_lists,
 )
 from face_oracle import corner_simplex, exterior_faces, face_class
 from v_oracle import v_by_enumeration
@@ -27,12 +28,14 @@ from simplotope.fbounds import (
     VMaxUnavailable,
     VTable,
     _brute_force_vmax,
+    _canonical_extension,
     _divisors,
     _hadamard_class,
     _cofactor,
     _orderly_stems,
     _stem_maxima,
     comb_bound,
+    elimination_stems,
     f_bound,
     load_cube_caps,
 )
@@ -259,6 +262,100 @@ def test_mask_order_is_sorted_tuple_order():
         assert (sorted(a) < sorted(b)) == (mask_a > mask_b), (a, b)
         low = min(set(a) ^ set(b), default=None)  # the lowest vertex of A ^ B
         assert (sorted(a) < sorted(b)) == (low in a), (a, b)
+
+
+@pytest.mark.parametrize("s, t", [(0, 3), (1, 2), (2, 1), (3, 0), (2, 2), (3, 1)])
+def test_orderly_stems_match_the_mask_list_oracle(s, t):
+    # the shared elimination walk and the packed canonicity test yield the
+    # stems of the search that kept a list of image masks, tuple for tuple
+    spec = SimplotopeSpec.seg_tri(s, t)
+    assert list(_orderly_stems(spec)) == list(orderly_stems_by_mask_lists(spec))
+
+
+def seeded_matrices():
+    """Small integer matrices of every width from 2 to 5, with zero rows,
+    repeated rows and rows that are sums of others among them."""
+    rng = random.Random(41)
+    for m in (2, 3, 4, 5):
+        for _ in range(6):
+            rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m + 2)]
+            rows.insert(rng.randrange(len(rows) + 1), [0] * m)
+            rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+            a, b = rng.sample(rows, 2)
+            rows.insert(rng.randrange(len(rows) + 1), [x + y for x, y in zip(a, b)])
+            yield rows
+
+
+def unit_vectors(m):
+    return [[int(i == j) for j in range(m)] for i in range(m)]
+
+
+def test_elimination_stems_price_every_subset():
+    # the stems are the independent (m - 2)-prefixes in order, and every
+    # m-subset below a stem has |det| = |alpha(u) beta(v) - beta(u) alpha(v)| / |p|
+    for rows in seeded_matrices():
+        m = len(rows[0])
+        priced = {}
+        stems = list(elimination_stems(rows))
+        for prefix, alpha, beta, p, start in stems:
+            form = [(sum(map(operator.mul, alpha, r)), sum(map(operator.mul, beta, r))) for r in rows]
+            for u, v in itertools.combinations(range(start, len(rows)), 2):
+                (au, bu), (av, bv) = form[u], form[v]
+                cls, rem = divmod(abs(au * bv - bu * av), abs(p))
+                assert rem == 0
+                priced[(*prefix, u, v)] = cls
+        independent = [sub for sub in itertools.combinations(range(len(rows)), m - 2)
+                       if m == 2 or any(det([rows[i] for i in sub] + [e, f]) for e, f in
+                                        itertools.combinations(unit_vectors(m), 2))]
+        assert [stem[0] for stem in stems] == independent
+        for sub in itertools.combinations(range(len(rows)), m):
+            assert priced.get(sub, 0) == abs(det([rows[i] for i in sub])), (rows, sub)
+
+
+def test_elimination_stems_ask_the_hook_before_each_vector():
+    # a hook that admits only even indices and counts the prefix's length
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 1]]
+    asked = []
+
+    def even(state, v):
+        asked.append((state, v))
+        return state + 1 if v % 2 == 0 else None
+
+    stems = list(elimination_stems(rows, 0, even, 0))
+    assert [stem[0] for stem in stems] == [(0,), (2,), (4,)]
+    assert asked == [(0, v) for v in range(5)]
+
+
+def canonical_by_max(n, others, chosen):
+    """max over `others` of the image mask of `chosen` is at most its own mask."""
+    grown = sum(1 << (n - 1 - v) for v in chosen)
+    return max((sum(1 << (n - 1 - g[v]) for v in chosen) for g in others), default=0) <= grown
+
+
+def test_canonical_extension_is_the_largest_image_mask_test():
+    # seeded permutation lists, with the identity in some (every set ties
+    # with its own image) and none in others (the trivial group)
+    rng = random.Random(41)
+    checked = {True: 0, False: 0}
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        others = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 6))]
+        if trial % 3 == 0:
+            others.append(tuple(range(n)))
+        if trial % 7 == 0:
+            others = []
+        admit, state = _canonical_extension(n, others)
+        chosen = []
+        for v in sorted(rng.sample(range(n), rng.randint(1, n))):
+            grown = admit(state, v)
+            want = canonical_by_max(n, others, chosen + [v])
+            assert (grown is not None) == want, (n, others, chosen, v)
+            checked[want] += 1
+            if grown is None:
+                break
+            state = grown
+            chosen.append(v)
+    assert min(checked.values()) > 100
 
 
 def test_divisors_by_trial_division():

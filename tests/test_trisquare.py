@@ -12,11 +12,13 @@ from face_oracle import (
     corner_simplex,
     exterior_facet_positions_by_minimal_face,
     face_class,
+    nondegenerate_subsets_by_det,
     signature,
+    spot_set,
     tri_square_class2,
 )
-from simplotope import verifier
-from simplotope.core import SimplotopeSpec, VertexSimplex, exterior_facet_positions, minimal_face, symmetries
+from simplotope import trisquare, verifier
+from simplotope.core import SimplotopeSpec, VertexSimplex, exterior_spots, minimal_face, spot_mask, symmetries
 from simplotope.exact import scaled_inverse
 from simplotope.standard import standard_triangulation
 from simplotope.trisquare import (
@@ -78,7 +80,8 @@ def test_index_scan_matches_the_enumeration():
     # the scan over vertex indices finds the same nondegenerate vertex sets,
     # classes and exterior-facet spots as the enumeration of simplices
     verts = TRI_SQUARE.vertices()
-    scanned = {frozenset(verts[i] for i in sub): (cls, exterior_facet_positions(verts[i].idx for i in sub))
+    scanned = {frozenset(verts[i] for i in sub): (cls, spot_set(exterior_spots(spot_mask(verts[i]) for i in sub),
+                                                               TRI_SQUARE))
                for sub, cls in nondegenerate_subsets()}
     enumerated = {x.vertex_set: (x.cls, exterior_facet_positions_by_minimal_face(x))
                   for x in all_simplices(TRI_SQUARE) if x.cls}
@@ -86,6 +89,27 @@ def test_index_scan_matches_the_enumeration():
     assert scanned == enumerated
     fat = {vs for vs, (cls, _) in scanned.items() if cls == 2}
     assert fat == {x.vertex_set for x in tri_square_class2()} and len(fat) == 24
+
+
+def test_scan_equals_one_determinant_per_subset():
+    # the same (subset, class) pairs in the same combinations order
+    assert nondegenerate_subsets() == nondegenerate_subsets_by_det()
+
+
+def test_scan_division_is_checked(monkeypatch):
+    # a stem pivot doubled: a class-1 subset's cross product |p| is not a
+    # multiple of 2|p|, and the scan must raise, not round
+    stems = trisquare.elimination_stems
+    monkeypatch.setattr(trisquare, "elimination_stems",
+                        lambda rows: ((*stem[:3], 2 * stem[3], stem[4]) for stem in stems(rows)))
+    with pytest.raises(ArithmeticError):
+        nondegenerate_subsets()
+
+
+def test_exact_quotient_is_checked():
+    assert trisquare._exact_quotient(-12, 3) == -4
+    with pytest.raises(ArithmeticError):
+        trisquare._exact_quotient(7, 2)
 
 
 def vertex_indices(x):
