@@ -20,10 +20,11 @@ import sys
 # grid is a line of its output, solved or skipped.
 MAX_GRID_CELLS = 10_000
 # The largest dimension `bounds` walks, min(--dim-cap, max_s + 2 max_t).  A
-# --config may cap every dimension, and F's work per cell grows about as s^4
-# along the segments: with caps of 1 through 100, `--max-s 100 --max-t 0
-# --dim-cap 100` takes about 0.4 s, where `--max-s 400` took 40 s.
-MAX_BOUNDS_DIM = 100
+# --config may cap every dimension, and F's work grows fastest along the
+# triangles: with caps of 1 through 600, the slowest table accepted,
+# `--max-s 40 --max-t 20 --dim-cap 40`, takes 9 s, and at dimension 41 10 s
+# (2 vCPUs, Python 3.11); `--max-s 0 --max-t 50 --dim-cap 100` ran past 5 min.
+MAX_BOUNDS_DIM = 40
 # The most integers `standard` writes: simplices x vertices x coordinates.
 # The 8-cube takes 40,320 x 9 x 16, about 5.8 million.
 MAX_STANDARD_ENTRIES = 10_000_000

@@ -60,20 +60,13 @@ The search covers every subset without enumerating them all:
   the search carries that integer and adds bit(v) * ones minus v's packed
   images to it (`_canonical_extension`): one addition and one mask per
   node, and one packed int per vertex in memory.
-- Each level of the search adds one vector and eliminates it against the
-  levels below by fraction-free Bareiss steps, whose divisions are exact by
-  Sylvester's identity.  A vector that eliminates to zero is dependent on
-  the ones chosen, so that branch and every superset of it is degenerate
-  and is cut.  No float is used anywhere.  That walk, `elimination_stems`,
-  takes any integer vectors and the canonicity test as a hook; the
-  triangle-cross-square scan runs it on the lifted rows with no hook.
-- The last two levels are not searched.  After R's d - 2 rows, a vector
-  reduces to zero on their pivot columns and to alpha(u) and beta(u) on
-  the two free columns f1 < f2, two integer linear forms
-  (`_cofactor`, exact back-substitution that raises ArithmeticError on a
-  division that is not exact).  One more Bareiss step gives the class of
-  {0} + R + {u, v} as |alpha(u) beta(v) - beta(u) alpha(v)| / |p|, with p
-  R's last pivot, exactly by Sylvester's identity.
+- The search is `exact.elimination_stems` over the vertices' reduced
+  coordinates at vertex 0, from vertex 1 on, with the canonicity test as
+  its hook.  A vector that eliminates to zero depends on the ones chosen,
+  so that branch and every superset of it is cut.  The last two levels are
+  not searched: a stem R comes with its last pivot p and the
+  `exact.cofactor` forms alpha and beta of its two free columns, and the
+  class of {0} + R + {u, v} is |alpha(u) beta(v) - beta(u) alpha(v)| / |p|.
 - For fixed u that is |w . v| / |p| with w = alpha(u) beta - beta(u) alpha.
   A vertex's reduced coordinates at vertex 0 take at most one coordinate
   of each factor's block, in any combination, so the maximum over all
@@ -82,7 +75,8 @@ The search covers every subset without enumerating them all:
   every u with the same (alpha(u), beta(u)).  V is the maximum over stems
   and u >= start.  It is sound, because a nonzero value is the class of
   the simplex on 0, R, u and the maximizing v, and complete, because every
-  leaf R + (u, v) with start <= u < v is among the v maximized over.
+  leaf R + (u, v) with start <= u < v is among the v maximized over; the
+  walk yields no stem with start > n - 2, below which no leaf lies.
   Expanded over the u >= start independent of R and the v > u, the stems
   give the leaves of the same search run two levels deeper without a test,
   classes included (6,589 of them on (0, 3)).  V(0, 3) takes about 0.012 s
@@ -144,14 +138,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import reprlib
 from importlib import resources
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import MAX_INT_DIGITS, SimplotopeSpec, symmetries
 from .counting import comb0
+from .exact import elimination_stems, exact_quotient
 
 
 class VMaxUnavailable(Exception):
@@ -358,93 +352,6 @@ class VTable:
         return best
 
 
-def _cofactor(k: int, rows: list[list[int]], cols: list[int], pivots: list[int],
-              free: int) -> list[int]:
-    """A vector's Bareiss-reduced entry in column `free` as a linear form.
-
-    rows[j], j < k, is the j-th chosen vector after elimination, with pivot
-    pivots[j + 1] in column cols[j] and zeros in cols[:j]; rows has one slot
-    per coordinate.  Eliminating v against those k rows leaves phi . v in
-    column `free`, a column no row pivots on.  phi is orthogonal to every
-    row, pivots[k] on `free` and 0 on the other columns no row pivots on, so
-    back-substitution gives phi[cols[j]] = -(rows[j] . phi) / pivots[j + 1]
-    for j = k - 1, ..., 0.  Each division is exact because phi is an integer
-    cofactor vector; one that is not raises ArithmeticError.
-    """
-    phi = [0] * len(rows)
-    phi[free] = pivots[k]
-    for j in range(k - 1, -1, -1):
-        q, r = divmod(-sum(map(operator.mul, rows[j], phi)), pivots[j + 1])
-        if r:
-            raise ArithmeticError(f"cofactor division by {pivots[j + 1]} is not exact")
-        phi[cols[j]] = q
-    return phi
-
-
-def elimination_stems(vecs: Sequence[Sequence[int]], start: int = 0,
-                      admit: Callable[[Any, int], Any] | None = None, state: Any = None
-                      ) -> Iterator[tuple[tuple[int, ...], list[int], list[int], int, int]]:
-    """The stems of a depth-first search over independent subsets of `vecs`.
-
-    vecs are integer vectors of one length m >= 2.  The search chooses
-    indices from `start` on in increasing order, eliminates each chosen
-    vector against the ones before it by fraction-free Bareiss steps (exact
-    by Sylvester's identity), cuts a vector that eliminates to zero (it and
-    every superset are dependent) and stops m - 2 indices deep.  It yields,
-    in lexicographic order, (prefix, alpha, beta, p, start') for each
-    independent prefix of m - 2 indices: alpha and beta are the `_cofactor`
-    forms of the two columns f1 < f2 that no row of the prefix pivots on, p
-    is its last pivot and start' is one past its last index.  The m-subset
-    prefix + (u, v), start' <= u < v, then has |det| equal to
-    |alpha(u) beta(v) - beta(u) alpha(v)| / |p| (see the module docstring).
-
-    With an admission hook, index v extends a prefix only when
-    admit(prefix's state, v) returns a state other than None, which the
-    longer prefix carries; the empty prefix carries `state`.  The hook is
-    asked before the elimination.
-    """
-    m = len(vecs[0])
-    depth = m - 2
-    n = len(vecs)
-    chosen: list[int] = []
-    # level k holds the k-th chosen vector after Bareiss elimination against
-    # levels 0..k-1, its pivot column and its pivot; pivots[k] divides step k + 1
-    rows: list[list[int]] = [[]] * m
-    cols = [0] * m
-    pivots = [1] * (m + 1)
-
-    def push(level: int, vec: Sequence[int]) -> bool:
-        """Eliminate vec against the levels below; False if it is dependent on them."""
-        v = list(vec)
-        for j in range(level):
-            row, c, p, prev = rows[j], cols[j], pivots[j + 1], pivots[j]
-            x = v[c]
-            if x or p != prev:
-                v = [(p * a - x * b) // prev for a, b in zip(v, row)]
-        for c, x in enumerate(v):
-            if x:
-                rows[level], cols[level], pivots[level + 1] = v, c, x
-                return True
-        return False
-
-    def search(level: int, start: int, state):
-        if level == depth:
-            f1, f2 = sorted(set(range(m)).difference(cols[:level]))
-            yield (tuple(chosen), _cofactor(level, rows, cols, pivots, f1),
-                   _cofactor(level, rows, cols, pivots, f2), pivots[level], start)
-            return
-        for v in range(start, n):
-            grown = state
-            if admit is not None and (grown := admit(state, v)) is None:
-                continue
-            if push(level, vecs[v]):
-                chosen.append(v)
-                yield from search(level + 1, v + 1, grown)
-                chosen.pop()
-
-    return search(0, start, state)
-
-
 def _canonical_extension(n: int, others: Sequence[Sequence[int]]
                          ) -> tuple[Callable[[int, int], int | None], int]:
     """The canonicity test of the orderly search over n vertices, as an
@@ -479,11 +386,12 @@ def _orderly_stems(spec: SimplotopeSpec) -> Iterator[
     """The stems of the orderly search: its canonical prefixes of d - 2 vertices.
 
     Yields (prefix, alpha, beta, p, start) for each prefix R of vertices
-    other than vertex 0 that passes the canonicity test at every length and
-    spans, with vertex 0, d - 2 independent vectors: the `elimination_stems`
-    of the vertices' reduced coordinates at vertex 0 from vertex 1 on, with
-    `_canonical_extension` as the hook.  The leaves below R are R + (u, v)
-    for start <= u < v (see the module docstring).  Needs d >= 2.
+    other than vertex 0, ending at most at vertex n - 3, that passes the
+    canonicity test at every length and spans, with vertex 0, d - 2
+    independent vectors: the `elimination_stems` of the vertices' reduced
+    coordinates at vertex 0 from vertex 1 on, with `_canonical_extension` as
+    the hook.  The leaves below R are R + (u, v) for start <= u < v (see the
+    module docstring).  Needs d >= 2.
     """
     verts = spec.vertices()
     # vertex 0 is in the simplex and reduces to the zero vector
@@ -514,10 +422,7 @@ def _stem_maxima(spec: SimplotopeSpec) -> Iterator[tuple[tuple, int]]:
                 hi += max(0, *block)
                 lo += min(0, *block)
             top = max(top, hi, -lo)
-        q, r = divmod(top, abs(p))
-        if r:
-            raise ArithmeticError(f"class division by {p} is not exact")
-        yield stem, q
+        yield stem, exact_quotient(top, abs(p))
 
 
 def _brute_force_vmax(s: int, t: int) -> int:

@@ -13,13 +13,15 @@ explicit ten-simplex triangulation obtained from the standard twelve by two
 cone replacements.
 
 The checks find the 504 nondegenerate five-subsets of the vertices, as
-index tuples, with `fbounds.elimination_stems`: one fraction-free
+index tuples, with `exact.elimination_stems`: one fraction-free
 elimination per independent three-vertex prefix of lifted rows, then one
 cross product of two linear forms per pair of further vertices, in place of
 a determinant per subset.  Their exterior-facet spots are masks over the
 vertices' spots (`core.exterior_spots`), and a `VertexSimplex` is built
-only for the 24 of class 2.  The overlap test solves one small LP per orbit
-of class-2 pairs under the product's symmetries: 14 LPs of 11 rows.
+only for the 24 of class 2, whose centers are read off one cofactor form
+of the same kernel (`center_in_facet`).  The overlap test solves one small
+LP per orbit of class-2 pairs under the product's symmetries: 14 LPs of 11
+rows.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .core import (
     spot_mask,
     symmetries,
 )
-from .fbounds import DEFAULT_VTABLE, elimination_stems
+from .exact import cofactor, elimination_stems, exact_quotient, push
+from .fbounds import DEFAULT_VTABLE
 from .lptable import solve_cell
 from .standard import standard_triangulation
 from .verifier import TriangulationCandidate, interiors_overlap, verify
@@ -58,6 +61,9 @@ VERTEX_CODE = MappingProxyType(dict(zip(SYMBOLS, sorted(TRI_SQUARE.vertices(), k
 
 # reduced coordinates of the center: (1/2; 1/2; 1/3, 1/3)
 CENTER_REDUCED = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(1, 3))
+# (1; center) times the lcm of its denominators, 6: the integral rhs
+CENTER_SCALE = math.lcm(*(c.denominator for c in CENTER_REDUCED))
+CENTER_RHS = (CENTER_SCALE, *(int(c * CENTER_SCALE) for c in CENTER_REDUCED))
 
 
 def decode(word: str) -> VertexSimplex:
@@ -65,52 +71,28 @@ def decode(word: str) -> VertexSimplex:
     return VertexSimplex(TRI_SQUARE, [VERTEX_CODE[ch] for ch in word])
 
 
-def _exact_quotient(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError(f"division of {a} by {b} is not exact")
-    return q
-
-
 def center_in_facet(x: VertexSimplex) -> tuple[Fraction, ...]:
     """Barycentric coefficients of the center in a class-2 simplex.
 
-    Solves the exact convex-combination system A . coeffs = (1; center), A
-    the transpose of the vertices' lifted rows, with the rhs scaled by the
-    lcm of its denominators (6) to integers: one fraction-free (Bareiss)
-    elimination of [A | rhs], whose last pivot D is +-det A, then integer
-    back-substitution for y = 6 D coeffs.  By Cramer's rule each y_i is
-    +-det(A with column i replaced by the rhs), an integer, so every
-    division of the back-substitution is exact, as is every elimination
-    step by Sylvester's identity; one that is not raises ArithmeticError.
-    Coefficient i is y_i / (6 D).  |D| is the class, so a simplex of
-    another class is refused.  Exactly one coefficient is zero and the rest
-    are positive, so the center is interior to a facet.
+    They solve A . coeffs = (1; center), A the transpose of the vertices'
+    lifted rows.  The five rows of [A | 6 (1; center)], `CENTER_RHS` in the
+    last column, are `exact.push`ed; phi, the `exact.cofactor` form of the
+    rhs column, is orthogonal to all of them and is their last pivot
+    p = +-det A on that column, so coefficient i is -phi[i] / (6p).
+    det A = 0 shows as a row that eliminates to zero or pivots on the rhs
+    column, and |p| is the class: any class other than 2 raises ValueError.
+    Exactly one coefficient is zero and the rest are positive, so the
+    center is interior to a facet.
     """
-    scale = math.lcm(*(c.denominator for c in CENTER_REDUCED))
-    rhs = [scale] + [int(c * scale) for c in CENTER_REDUCED]
-    m = [list(column) + [r] for column, r in zip(zip(*(v.lifted() for v in x.vertices)), rhs)]
-    n = len(m)
-    prev = 1
-    for k in range(n):
-        r = next((i for i in range(k, n) if m[i][k]), None)
-        if r is None:
-            prev = 0  # a zero column from row k on: det A = 0
-            break
-        m[k], m[r] = m[r], m[k]
-        top = m[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            m[i] = [0] * (k + 1) + [_exact_quotient(top[k] * row[j] - row[k] * top[j], prev)
-                                    for j in range(k + 1, n + 1)]
-        prev = top[k]
-    if abs(prev) != 2:
+    free = len(x.vertices)  # the rhs column
+    rows, cols, pivots = [[]] * (free + 1), [0] * (free + 1), [1] * (free + 2)
+    independent = all(push(k, rows, cols, pivots, (*column, CENTER_RHS[k])) and cols[k] != free
+                      for k, column in enumerate(zip(*(v.lifted() for v in x.vertices))))
+    p = pivots[len(CENTER_RHS)] if independent else 0
+    if abs(p) != 2:
         raise ValueError("the center-in-facet property is about class-2 simplices")
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = m[i]
-        y[i] = _exact_quotient(prev * row[n] - sum(map(operator.mul, row[i + 1:n], y[i + 1:])), row[i])
-    coeffs = [Fraction(yi, scale * prev) for yi in y]
+    phi = cofactor(len(CENTER_RHS), rows, cols, pivots, free)
+    coeffs = [Fraction(-a, CENTER_SCALE * p) for a in phi[:free]]
     zeros = sum(1 for a in coeffs if a == 0)
     if zeros != 1 or any(a < 0 for a in coeffs):
         raise ValueError(f"center not interior to a facet: coefficients {coeffs}")
@@ -249,7 +231,7 @@ def nondegenerate_subsets() -> list[tuple[tuple[int, ...], int]]:
         priced = [(u, sum(map(operator.mul, alpha, row)), sum(map(operator.mul, beta, row)))
                   for u, row in enumerate(lifted[start:], start)]
         for (u, au, bu), (v, av, bv) in itertools.combinations(priced, 2):
-            cls = _exact_quotient(abs(au * bv - bu * av), abs(p))
+            cls = exact_quotient(abs(au * bv - bu * av), abs(p))
             if cls:
                 out.append(((*prefix, u, v), cls))
     return out

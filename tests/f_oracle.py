@@ -133,9 +133,10 @@ def oracle_over_cells(caps, dim):
 
 def orderly_stems_by_mask_lists(spec):
     """(prefix, alpha, beta, p, start) for each canonical, independent prefix
-    of d - 2 vertices other than vertex 0, as `fbounds._orderly_stems`
-    yields them (see the `fbounds` docstring), with canonicity tested on a
-    list of image masks per prefix.  Needs d >= 2."""
+    of d - 2 vertices other than vertex 0 whose last vertex is at most
+    n - 3, as `fbounds._orderly_stems` yields them (see the `fbounds`
+    docstring), with canonicity tested on a list of image masks per prefix.
+    Needs d >= 2."""
     d = spec.dim
     verts = spec.vertices()
     n = len(verts)
@@ -175,7 +176,8 @@ def orderly_stems_by_mask_lists(spec):
             f1, f2 = sorted(set(range(d)).difference(cols[:level]))
             yield tuple(chosen), cofactor(level, f1), cofactor(level, f2), pivots[level], start
             return
-        for v in range(start, n):
+        # a stem's last vertex leaves two after it
+        for v in range(start, n + 1 - d + level):
             grown = mask | 1 << (n - 1 - v)
             grown_seen = list(map(operator.or_, seen, images[v]))
             if max(grown_seen, default=0) <= grown and push(level, vecs[v]):

@@ -1,5 +1,6 @@
 """Command-line surface: flags, formats, exit codes, round trips."""
 
+import hashlib
 import json
 import math
 import os
@@ -513,8 +514,13 @@ def package_modules(argv):
 
 
 def test_each_command_loads_only_its_modules():
-    # a kernel moved into a module `verify` loads would be compiled on every
-    # one of its starts; the case study's and the bounds' code stay off it
+    # without bytecode files every start compiles each module it loads,
+    # about 11 us a line: the stem walk in `exact` costs `verify` about
+    # 0.75 ms that way, and not loading `fractions` and `decimal` (only
+    # `lp_minimize` imports them) saves it 2 ms; the case study's and the
+    # bounds' code stay off it
+    code, modules = run_fresh(["verify", "--input", BUNDLED])
+    assert code == 0 and "fractions" not in modules
     assert package_modules(["verify", "--input", BUNDLED]) == {
         "cli", "core", "exact", "record", "tfiles", "verifier"}
     assert package_modules(["bounds", "--max-s", "3", "--max-t", "1"]).isdisjoint(
@@ -522,17 +528,39 @@ def test_each_command_loads_only_its_modules():
     assert package_modules(["--help"]) == {"cli"}
 
 
+# sha256 of the stdout of outputs that no refactoring may change by a byte:
+# the d=12 and d=13 tables, the tri-square argument and the bundled
+# file's certificate
+PINNED_OUTPUTS = [
+    (["bounds", "--max-s", "12", "--max-t", "6", "--dim-cap", "12", "--format", "json"],
+     "c9e863a959c40d981c121ae0953587690d83746e5ed3037d5726eb2fe47f432b"),
+    (["bounds", "--max-s", "13", "--max-t", "6", "--dim-cap", "13", "--format", "json"],
+     "ee61c35dc5556cedc4b0c44be914fa0ebefd6af5c6641b6b9b97b10f4e63cd48"),
+    (["case", "tri-square", "--check", "all"],
+     "5814474c321497aca37bc3b2fa1cda7f6a1bdaf381d90fc3398a5979460fbf76"),
+    (["verify", "--input", BUNDLED, "--format", "json"],
+     "b09e8d2629d87219f5636ecdb0880ba4d44f4c9efb62dff37e578dc5d315d136"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS, ids=["bounds-d12", "bounds-d13", "case", "verify"])
+def test_listed_outputs_keep_their_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_bounds_refuses_a_dimension_above_the_limit_at_once(tmp_path, capsys):
     # with every dimension capped, --max-s 200 walked the table for 2 s with
-    # nothing printed, and --max-s 400 for 40 s
+    # nothing printed, --max-s 400 for 40 s, and --max-t 50 ran past 5 min
     config = capped_everywhere(tmp_path)
     for argv, reach in ((["--max-s", "200", "--max-t", "0", "--dim-cap", "200"], 200),
-                        (["--max-s", "0", "--max-t", "51", "--dim-cap", "600"], 102)):
+                        (["--max-s", "0", "--max-t", "51", "--dim-cap", "600"], 102),
+                        (["--max-s", "0", "--max-t", "50", "--dim-cap", "100"], 100)):
         start = time.perf_counter()
         code, out, err = run(capsys, "bounds", *argv, "--config", config)
         assert time.perf_counter() - start < 1, argv
         assert code == 2 and out == "" and err.count("\n") == 1
-        assert err.startswith(f"error: the table reaches dimension {reach}, more than 100"), err
+        assert err.startswith(f"error: the table reaches dimension {reach}, more than 40"), err
     # the largest table accepted prints every cell; a larger grid under the
     # same dimension cap is accepted too
     for max_s in (MAX_BOUNDS_DIM, 2 * MAX_BOUNDS_DIM):

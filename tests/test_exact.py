@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -11,7 +12,16 @@ import pairwise_oracle
 import simplotope.exact as exact
 import simplotope.verifier as verifier
 from lp_oracle import OPTIMAL, UNBOUNDED, RationalLp, fraction_lp_minimize
-from simplotope.exact import LpProblem, LpResult, det, lp_minimize, scaled_inverse
+from simplotope.exact import (
+    LpProblem,
+    LpResult,
+    cofactor,
+    det,
+    elimination_stems,
+    exact_quotient,
+    lp_minimize,
+    scaled_inverse,
+)
 from simplotope.lptable import dual_lp
 
 
@@ -94,6 +104,89 @@ def test_scaled_inverse_is_the_adjugate():
     assert singular >= 1
     with pytest.raises(ValueError):
         scaled_inverse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+
+
+def seeded_matrices():
+    """Small integer matrices of every width from 2 to 5, with zero rows,
+    repeated rows and rows that are sums of others among them."""
+    rng = random.Random(41)
+    for m in (2, 3, 4, 5):
+        for _ in range(6):
+            rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m + 2)]
+            rows.insert(rng.randrange(len(rows) + 1), [0] * m)
+            rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+            a, b = rng.sample(rows, 2)
+            rows.insert(rng.randrange(len(rows) + 1), [x + y for x, y in zip(a, b)])
+            yield rows
+
+
+def unit_vectors(m):
+    return [[int(i == j) for j in range(m)] for i in range(m)]
+
+
+def test_elimination_stems_price_every_subset():
+    # the stems are the independent (m - 2)-prefixes in order, and every
+    # m-subset below a stem has |det| = |alpha(u) beta(v) - beta(u) alpha(v)| / |p|
+    for rows in seeded_matrices():
+        m = len(rows[0])
+        priced = {}
+        stems = list(elimination_stems(rows))
+        for prefix, alpha, beta, p, start in stems:
+            form = [(sum(map(operator.mul, alpha, r)), sum(map(operator.mul, beta, r))) for r in rows]
+            for u, v in itertools.combinations(range(start, len(rows)), 2):
+                (au, bu), (av, bv) = form[u], form[v]
+                cls, rem = divmod(abs(au * bv - bu * av), abs(p))
+                assert rem == 0
+                priced[(*prefix, u, v)] = cls
+        # the independent prefixes whose last index leaves a pair u < v after it
+        independent = [sub for sub in itertools.combinations(range(len(rows)), m - 2)
+                       if m == 2 or (sub[-1] <= len(rows) - 3 and any(
+                           det([rows[i] for i in sub] + [e, f])
+                           for e, f in itertools.combinations(unit_vectors(m), 2)))]
+        assert [stem[0] for stem in stems] == independent
+        assert all(start <= len(rows) - 2 for *_, start in stems)
+        for sub in itertools.combinations(range(len(rows)), m):
+            assert priced.get(sub, 0) == abs(det([rows[i] for i in sub])), (rows, sub)
+
+
+def test_elimination_stems_ask_the_hook_before_each_vector():
+    # a hook that admits only even indices and counts the prefix's length
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 1]]
+    asked = []
+
+    def even(state, v):
+        asked.append((state, v))
+        return state + 1 if v % 2 == 0 else None
+
+    stems = list(elimination_stems(rows, 0, even, 0))
+    # a stem's last index leaves two after it: 0, 1 and 2 of 5 are asked
+    assert [stem[0] for stem in stems] == [(0,), (2,)]
+    assert asked == [(0, v) for v in range(3)]
+
+
+def test_leaf_cofactor_is_the_last_pivot():
+    # the rows of [[1, 1, 0], [0, 1, 1]] after Bareiss elimination pivot on
+    # columns 0 and 1 with pivots 1 and 1; phi is orthogonal to both rows and
+    # phi . v = det([[1, 1, 0], [0, 1, 1], v]) for every v
+    rows, cols, pivots = [[1, 1, 0], [0, 1, 1], []], [0, 1, 0], [1, 1, 1, 1]
+    phi = cofactor(2, rows, cols, pivots, 2)
+    assert phi == [1, -1, 1]
+    for v in itertools.product((0, 1), repeat=3):
+        assert sum(x * y for x, y in zip(phi, v)) == det([[1, 1, 0], [0, 1, 1], list(v)])
+
+
+def test_leaf_cofactor_division_is_checked():
+    # rows that no Bareiss elimination produces: the back-substitution's
+    # division by the pivot 2 leaves a remainder, which must raise
+    rows, cols, pivots = [[2, 1, 0], [0, 1, 1], []], [0, 1, 0], [1, 2, 1, 1]
+    with pytest.raises(ArithmeticError):
+        cofactor(2, rows, cols, pivots, 2)
+
+
+def test_exact_quotient_is_checked():
+    assert exact_quotient(-12, 3) == -4
+    with pytest.raises(ArithmeticError):
+        exact_quotient(7, 2)
 
 
 # lp_minimize takes integer LPs that x = 0 satisfies (every rhs <= 0).  The

@@ -31,11 +31,9 @@ from simplotope.fbounds import (
     _canonical_extension,
     _divisors,
     _hadamard_class,
-    _cofactor,
     _orderly_stems,
     _stem_maxima,
     comb_bound,
-    elimination_stems,
     f_bound,
     load_cube_caps,
 )
@@ -272,60 +270,6 @@ def test_orderly_stems_match_the_mask_list_oracle(s, t):
     assert list(_orderly_stems(spec)) == list(orderly_stems_by_mask_lists(spec))
 
 
-def seeded_matrices():
-    """Small integer matrices of every width from 2 to 5, with zero rows,
-    repeated rows and rows that are sums of others among them."""
-    rng = random.Random(41)
-    for m in (2, 3, 4, 5):
-        for _ in range(6):
-            rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m + 2)]
-            rows.insert(rng.randrange(len(rows) + 1), [0] * m)
-            rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
-            a, b = rng.sample(rows, 2)
-            rows.insert(rng.randrange(len(rows) + 1), [x + y for x, y in zip(a, b)])
-            yield rows
-
-
-def unit_vectors(m):
-    return [[int(i == j) for j in range(m)] for i in range(m)]
-
-
-def test_elimination_stems_price_every_subset():
-    # the stems are the independent (m - 2)-prefixes in order, and every
-    # m-subset below a stem has |det| = |alpha(u) beta(v) - beta(u) alpha(v)| / |p|
-    for rows in seeded_matrices():
-        m = len(rows[0])
-        priced = {}
-        stems = list(elimination_stems(rows))
-        for prefix, alpha, beta, p, start in stems:
-            form = [(sum(map(operator.mul, alpha, r)), sum(map(operator.mul, beta, r))) for r in rows]
-            for u, v in itertools.combinations(range(start, len(rows)), 2):
-                (au, bu), (av, bv) = form[u], form[v]
-                cls, rem = divmod(abs(au * bv - bu * av), abs(p))
-                assert rem == 0
-                priced[(*prefix, u, v)] = cls
-        independent = [sub for sub in itertools.combinations(range(len(rows)), m - 2)
-                       if m == 2 or any(det([rows[i] for i in sub] + [e, f]) for e, f in
-                                        itertools.combinations(unit_vectors(m), 2))]
-        assert [stem[0] for stem in stems] == independent
-        for sub in itertools.combinations(range(len(rows)), m):
-            assert priced.get(sub, 0) == abs(det([rows[i] for i in sub])), (rows, sub)
-
-
-def test_elimination_stems_ask_the_hook_before_each_vector():
-    # a hook that admits only even indices and counts the prefix's length
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 1]]
-    asked = []
-
-    def even(state, v):
-        asked.append((state, v))
-        return state + 1 if v % 2 == 0 else None
-
-    stems = list(elimination_stems(rows, 0, even, 0))
-    assert [stem[0] for stem in stems] == [(0,), (2,), (4,)]
-    assert asked == [(0, v) for v in range(5)]
-
-
 def canonical_by_max(n, others, chosen):
     """max over `others` of the image mask of `chosen` is at most its own mask."""
     grown = sum(1 << (n - 1 - v) for v in chosen)
@@ -361,25 +305,6 @@ def test_canonical_extension_is_the_largest_image_mask_test():
 def test_divisors_by_trial_division():
     for n in range(1, 600):
         assert _divisors(n) == tuple(k for k in range(1, n + 1) if n % k == 0), n
-
-
-def test_leaf_cofactor_is_the_last_pivot():
-    # the rows of [[1, 1, 0], [0, 1, 1]] after Bareiss elimination pivot on
-    # columns 0 and 1 with pivots 1 and 1; phi is orthogonal to both rows and
-    # phi . v = det([[1, 1, 0], [0, 1, 1], v]) for every v
-    rows, cols, pivots = [[1, 1, 0], [0, 1, 1], []], [0, 1, 0], [1, 1, 1, 1]
-    phi = _cofactor(2, rows, cols, pivots, 2)
-    assert phi == [1, -1, 1]
-    for v in itertools.product((0, 1), repeat=3):
-        assert sum(x * y for x, y in zip(phi, v)) == det([[1, 1, 0], [0, 1, 1], list(v)])
-
-
-def test_leaf_cofactor_division_is_checked():
-    # rows that no Bareiss elimination produces: the back-substitution's
-    # division by the pivot 2 leaves a remainder, which must raise
-    rows, cols, pivots = [[2, 1, 0], [0, 1, 1], []], [0, 1, 0], [1, 2, 1, 1]
-    with pytest.raises(ArithmeticError):
-        _cofactor(2, rows, cols, pivots, 2)
 
 
 @pytest.mark.parametrize("s, t", [(2, 1), (1, 2)])

@@ -19,7 +19,7 @@ from face_oracle import (
 )
 from simplotope import trisquare, verifier
 from simplotope.core import SimplotopeSpec, VertexSimplex, exterior_spots, minimal_face, spot_mask, symmetries
-from simplotope.exact import scaled_inverse
+from simplotope.exact import det, scaled_inverse
 from simplotope.standard import standard_triangulation
 from simplotope.trisquare import (
     CENTER_REDUCED,
@@ -106,12 +106,6 @@ def test_scan_division_is_checked(monkeypatch):
         nondegenerate_subsets()
 
 
-def test_exact_quotient_is_checked():
-    assert trisquare._exact_quotient(-12, 3) == -4
-    with pytest.raises(ArithmeticError):
-        trisquare._exact_quotient(7, 2)
-
-
 def vertex_indices(x):
     """x's vertices as indices into TRI_SQUARE.vertices(), which symmetries permute."""
     position = {v: k for k, v in enumerate(TRI_SQUARE.vertices())}
@@ -185,6 +179,23 @@ def test_cramer_centers_equal_the_adjugate_solution():
 def test_center_guard_for_class_one():
     with pytest.raises(ValueError):
         center_in_facet(corner_simplex(TRI_SQUARE, ZERO))
+
+
+def test_center_guard_refuses_every_five_set_but_class_two():
+    # a dependent row, a pivot on the rhs column and |p| != 2 are each
+    # refused; without the pivot-column test degenerate sets got past
+    verts = TRI_SQUARE.vertices()
+    classes = Counter()
+    for sub in itertools.combinations(verts, 5):
+        cls = abs(det([v.lifted() for v in sub]))
+        classes[cls] += 1
+        x = VertexSimplex(TRI_SQUARE, sub)
+        if cls == 2:
+            assert len(center_in_facet(x)) == 5
+        else:
+            with pytest.raises(ValueError, match="about class-2 simplices"):
+                center_in_facet(x)
+    assert classes == {0: 288, 1: 480, 2: 24}
 
 
 def test_overlap_lp_has_one_row_per_split_equality_and_z(monkeypatch):
